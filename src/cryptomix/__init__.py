@@ -31,6 +31,7 @@ from .defender import (
     build_defender_lp,
     defender_polytope,
     evaluate_all,
+    evaluate_budgets,
     expected_breach,
     make_report,
     per_algorithm_utility,

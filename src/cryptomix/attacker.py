@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -95,7 +95,7 @@ def solve_brute_force(
     return best
 
 
-def _chain_indices(take: np.ndarray, weights: list[int], layer: int, cell: int) -> list[int]:
+def _chain_indices(take: np.ndarray, weights: Sequence[int], layer: int, cell: int) -> list[int]:
     """Follow parent pointers down from (layer, cell) and return the taken
     method indices in ascending order."""
     chosen: list[int] = []
@@ -107,66 +107,174 @@ def _chain_indices(take: np.ndarray, weights: list[int], layer: int, cell: int) 
     return chosen
 
 
+def _bit(i: int) -> np.uint64:
+    return np.uint64(1 << (i % 64))
+
+
+def _cell_sets(take: np.ndarray, weights: Sequence[int], layer: int, words: int) -> np.ndarray:
+    """The chain set of every cell at `layer` as bit masks, in one vectorised
+    backward pass over `take`: bit i % 64 of word i // 64 stands for method i
+    in id order, so masks[:, c] holds what _chain_indices(take, weights,
+    layer, c) returns."""
+    masks = np.zeros((words, take.shape[1]), dtype=np.uint64)
+    cell = np.arange(take.shape[1])
+    for i in range(layer, -1, -1):
+        hit = take[i, cell]
+        masks[i // 64, hit] |= _bit(i)
+        cell = cell - weights[i] * hit
+    return masks
+
+
+def _carry_sets(masks: np.ndarray, take_row: np.ndarray, j: int, w: int) -> np.ndarray:
+    """The cell sets at layer j from those at layer j - 1 and take[j]."""
+    with_j = np.zeros_like(masks)
+    with_j[:, w:] = masks[:, : masks.shape[1] - w]
+    with_j[j // 64] |= _bit(j)
+    return np.where(take_row, with_j, masks)
+
+
+def _with_j_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each column, whether set a plus method j has a smaller id tuple
+    than set b, where both sets hold only methods below j.
+
+    Let d be the lowest method in exactly one of the sets; below d the two
+    tuples agree. If d is in a, a + {j} comes first iff b goes on past d,
+    for otherwise b is a prefix of it. If d is in b, or the sets are equal,
+    b comes first. With unique ids, index order is id order.
+    """
+    first = np.zeros(a.shape[1], dtype=bool)
+    b_above = np.zeros(a.shape[1], dtype=bool)  # b has a method in a higher word
+    # from the top word down, so the word holding d decides last
+    for a_k, b_k in zip(a[::-1], b[::-1]):
+        diff = a_k ^ b_k
+        low = diff & -diff  # bit d if d lies in this word
+        # with d outside b, b's word holds a bit above d iff it exceeds bit d
+        decided = ((a_k & low) != 0) & (b_above | (b_k > low))
+        first = np.where(diff != 0, decided, first)
+        b_above |= b_k != 0
+    return first
+
+
+def dp_table_fits(n_methods: int, budget: float, config: DpConfig) -> bool:
+    """The table-size rule shared by every caller of the DP: n methods x
+    (budget cells + 1) within config.max_table_cells."""
+    return n_methods * (int(round(budget * config.cost_scale)) + 1) <= config.max_table_cells
+
+
+def routes_to_dp(
+    algorithm: EncryptionAlgorithm, budget: float, config: DpConfig, method_threshold: int
+) -> bool:
+    """The hybrid dispatch rule: the exact DP when the method count is at or
+    below the threshold and the table fits, else the sampled greedy."""
+    n = len(algorithm.attacks)
+    return n <= method_threshold and dp_table_fits(n, budget, config)
+
+
+@dataclass(frozen=True, eq=False)
+class DpTable:
+    """The exact DP solved once up to a budget.
+
+    minfail[c] is the smallest failure product among subsets whose scaled
+    costs sum to exactly c, and take[j, c] says whether the set chosen at
+    (method j, cell c) contains method j. Neither depends on any cell above
+    c, so one table answers every budget up to the one it was built at,
+    bitwise as a table built at that budget would.
+    """
+
+    methods: tuple[AttackMethod, ...]
+    weights: tuple[int, ...]
+    cost_scale: int
+    minfail: np.ndarray
+    take: np.ndarray
+
+
+def build_dp_table(
+    algorithm: EncryptionAlgorithm, budget: float, config: Optional[DpConfig] = None
+) -> DpTable:
+    """Fill the DP table for every cost cell up to `budget`.
+
+    Failure products accumulate over methods in ascending id order, matching
+    make_plan bit for bit. An exact tie in the failure product keeps the
+    lexicographically smaller id set. Ties are decided a layer at a time on
+    per-cell set fingerprints, which are built at the first tie and carried
+    forward after it, so tie-free tables never build them.
+    """
+    config = config or DpConfig()
+    if budget < 0:
+        raise BudgetNegative(f"budget {budget} is negative")
+    methods = tuple(_sorted_methods(algorithm))
+    n = len(methods)
+    scale = config.cost_scale
+    size = int(round(budget * scale)) + 1
+    if not dp_table_fits(n, budget, config):
+        raise TableTooLarge(
+            f"{n} methods x {size} cost levels exceeds "
+            f"{config.max_table_cells} table cells"
+        )
+    weights = tuple(int(round(m.cost * scale)) for m in methods)
+
+    minfail = np.full(size, np.inf)
+    minfail[0] = 1.0
+    take = np.zeros((max(n, 1), size), dtype=bool)
+    masks: Optional[np.ndarray] = None
+    for j, (m, w) in enumerate(zip(methods, weights)):
+        if w >= size:
+            continue
+        keep = 1.0 - m.success
+        cand = np.full(size, np.inf)
+        cand[w:] = minfail[: size - w] * keep
+        take[j] = cand < minfail
+        ties = np.flatnonzero((cand == minfail) & np.isfinite(minfail))
+        if ties.size:
+            if masks is None:
+                masks = _cell_sets(take, weights, j - 1, (n + 63) // 64)
+            live = j // 64 + 1  # the sets hold methods below j only
+            take[j, ties] = _with_j_first(masks[:live, ties - w], masks[:live, ties])
+        if masks is not None:
+            masks = _carry_sets(masks, take[j], j, w)
+        minfail = np.where(take[j], cand, minfail)
+    return DpTable(methods, weights, scale, minfail, take)
+
+
+def dp_plans(
+    table: DpTable, params: AttackerParams, budgets: Sequence[float]
+) -> list[AttackPlan]:
+    """Best plan at each budget, none above the table's, for the value and
+    cost function in params (params.budget is not read).
+
+    The utility value * (1 - minfail[c]) - phi(c / scale) is computed once
+    for every cell; a budget's answer is the first cell of highest utility
+    among the cells it covers, then the chain walk from that cell.
+    """
+    scale = table.cost_scale
+    size = table.minfail.size
+    penalty = np.array([phi(params.cost_fn, c / scale) for c in range(size)])
+    # unreachable cells (minfail = inf) come out at -inf
+    utility = params.value * (1.0 - table.minfail) - penalty
+    n = len(table.methods)
+    plans = []
+    for budget in budgets:
+        if budget < 0:
+            raise BudgetNegative(f"budget {budget} is negative")
+        cells = int(round(budget * scale)) + 1
+        if cells > size:
+            raise ValueError(f"budget {budget} needs {cells} cost cells, the table has {size}")
+        # cell 0 is not necessarily the empty set: zero-cost methods land there
+        best = int(np.argmax(utility[:cells]))
+        chosen = _chain_indices(table.take, table.weights, n - 1, best) if n else []
+        plans.append(make_plan([table.methods[i] for i in chosen], params))
+    return plans
+
+
 def solve_dp(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
     config: Optional[DpConfig] = None,
 ) -> AttackPlan:
-    """Exact optimum under scaled-integer costs.
-
-    The table is indexed by exact spent cost: minfail[c] is the smallest
-    failure product among subsets whose scaled costs sum to exactly c.
-    The answer is the best value * (1 - minfail[c]) - phi(c / scale) over
-    all reachable c. Failure products accumulate over methods in ascending
-    id order, matching make_plan bit for bit.
-    """
-    config = config or DpConfig()
-    if params.budget < 0:
-        raise BudgetNegative(f"budget {params.budget} is negative")
-    methods = _sorted_methods(algorithm)
-    n = len(methods)
-    scale = config.cost_scale
-    budget_cells = int(round(params.budget * scale))
-    if n * (budget_cells + 1) > config.max_table_cells:
-        raise TableTooLarge(
-            f"{n} methods x {budget_cells + 1} cost levels exceeds "
-            f"{config.max_table_cells} table cells"
-        )
-    weights = [int(round(m.cost * scale)) for m in methods]
-
-    minfail = np.full(budget_cells + 1, np.inf)
-    minfail[0] = 1.0
-    take = np.zeros((max(n, 1), budget_cells + 1), dtype=bool)
-    for j, (m, w) in enumerate(zip(methods, weights)):
-        if w > budget_cells:
-            continue
-        keep = 1.0 - m.success
-        cand = np.full(budget_cells + 1, np.inf)
-        cand[w:] = minfail[: budget_cells + 1 - w] * keep
-        take[j] = cand < minfail
-        ties = (cand == minfail) & np.isfinite(minfail)
-        for c in np.nonzero(ties)[0]:
-            # exact tie in the failure product: keep the lexicographically
-            # smaller id set
-            with_j = _chain_indices(take, weights, j - 1, int(c) - w) + [j]
-            without_j = _chain_indices(take, weights, j - 1, int(c))
-            ids_with = tuple(methods[i].id for i in with_j)
-            ids_without = tuple(methods[i].id for i in without_j)
-            take[j, c] = ids_with < ids_without
-        minfail = np.where(take[j], cand, minfail)
-
-    # cell 0 is not necessarily the empty set: zero-cost methods land there
-    best_cell = 0
-    best_utility = params.value * (1.0 - float(minfail[0])) - phi(params.cost_fn, 0.0)
-    for c in range(1, budget_cells + 1):
-        f = minfail[c]
-        if not math.isfinite(f):
-            continue
-        utility = params.value * (1.0 - f) - phi(params.cost_fn, c / scale)
-        if utility > best_utility:
-            best_cell, best_utility = c, utility
-    chosen = _chain_indices(take, weights, n - 1, best_cell) if n else []
-    return make_plan([methods[i] for i in chosen], params)
+    """Exact optimum under scaled-integer costs: the best value *
+    (1 - minfail[c]) - phi(c / scale) over all reachable cells c within the
+    budget, from a table built at that budget."""
+    return dp_plans(build_dp_table(algorithm, params.budget, config), params, (params.budget,))[0]
 
 
 def solve_sample_greedy(
@@ -244,9 +352,7 @@ def solve_hybrid(
     sampled greedy."""
     dp_config = dp_config or DpConfig()
     greedy_config = greedy_config or GreedyConfig()
-    n = len(algorithm.attacks)
-    scaled_budget = int(round(params.budget * dp_config.cost_scale))
-    if scaled_budget * n <= dp_config.max_table_cells and n <= method_threshold:
+    if routes_to_dp(algorithm, params.budget, dp_config, method_threshold):
         return HybridResult(solve_dp(algorithm, params, dp_config), "dp")
     return HybridResult(solve_sample_greedy(algorithm, params, greedy_config), "greedy")
 

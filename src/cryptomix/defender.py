@@ -6,10 +6,18 @@ Variable order everywhere matches instance.algorithms order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .attacker import DpConfig, GreedyConfig, solve_hybrid
+from .attacker import (
+    DpConfig,
+    GreedyConfig,
+    build_dp_table,
+    dp_plans,
+    routes_to_dp,
+    solve_hybrid,
+    solve_sample_greedy,
+)
 from .errors import InfeasibleDefender
 from .lp import Constraint, LinearProgram, LpSolution, solve_lp
 from .model import (
@@ -70,6 +78,18 @@ def per_algorithm_utility(
     )
 
 
+def _evaluation(
+    algorithm: EncryptionAlgorithm, weights: DefenderWeights, plan: AttackPlan, solver: str
+) -> AlgorithmEvaluation:
+    return AlgorithmEvaluation(
+        algorithm_id=algorithm.id,
+        attack_plan=plan,
+        p_succ_star=plan.success_prob,
+        utility=per_algorithm_utility(algorithm, weights, plan.success_prob),
+        solver=solver,
+    )
+
+
 def evaluate_all(
     instance: GameInstance,
     dp_config: Optional[DpConfig] = None,
@@ -82,18 +102,41 @@ def evaluate_all(
         result = solve_hybrid(
             alg, instance.attacker, dp_config, greedy_config, method_threshold
         )
-        out.append(
-            AlgorithmEvaluation(
-                algorithm_id=alg.id,
-                attack_plan=result.plan,
-                p_succ_star=result.plan.success_prob,
-                utility=per_algorithm_utility(
-                    alg, instance.weights, result.plan.success_prob
-                ),
-                solver=result.solver,
-            )
-        )
+        out.append(_evaluation(alg, instance.weights, result.plan, result.solver))
     return tuple(out)
+
+
+def evaluate_budgets(
+    instance: GameInstance,
+    budgets: Sequence[float],
+    dp_config: Optional[DpConfig] = None,
+    greedy_config: Optional[GreedyConfig] = None,
+    method_threshold: int = 310,
+) -> tuple[tuple[AlgorithmEvaluation, ...], ...]:
+    """evaluate_all at each attacker budget, one row per budget, bitwise.
+
+    Each algorithm gets one DP table, built at the largest of its budgets
+    that the hybrid routes to the DP, which answers all of those budgets;
+    the budgets routed to the greedy are solved one by one.
+    """
+    dp_config = dp_config or DpConfig()
+    columns = []
+    for alg in instance.algorithms:
+        routed = [k for k in budgets if routes_to_dp(alg, k, dp_config, method_threshold)]
+        plans = {}
+        if routed:
+            table = build_dp_table(alg, max(routed), dp_config)
+            plans = dict(zip(routed, dp_plans(table, instance.attacker, routed)))
+        column = []
+        for k in budgets:
+            if k in plans:
+                plan, solver = plans[k], "dp"
+            else:
+                params = replace(instance.attacker, budget=k)
+                plan, solver = solve_sample_greedy(alg, params, greedy_config), "greedy"
+            column.append(_evaluation(alg, instance.weights, plan, solver))
+        columns.append(column)
+    return tuple(tuple(col[s] for col in columns) for s in range(len(budgets)))
 
 
 def defender_polytope(instance: GameInstance) -> tuple[Constraint, ...]:

@@ -8,6 +8,7 @@ the JSON path, and the parsed instance must pass validate_instance.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, Optional
@@ -81,7 +82,14 @@ def _require(mapping: dict, key: str, path: str) -> Any:
 def _real(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    # json accepts NaN and Infinity, and an integer literal can exceed any float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:

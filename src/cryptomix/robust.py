@@ -8,7 +8,7 @@ once and reused so every report uses identical attack plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .attacker import DpConfig, GreedyConfig
@@ -18,7 +18,7 @@ from .defender import (
     StrategyReport,
     build_defender_lp,
     defender_polytope,
-    evaluate_all,
+    evaluate_budgets,
     expected_breach,
     make_report,
     per_algorithm_utility,
@@ -117,12 +117,14 @@ def scenario_table(
     greedy_config: Optional[GreedyConfig] = None,
     method_threshold: int = 310,
 ) -> ScenarioTable:
-    """Solve every (algorithm, budget) subgame and both per-scenario LPs."""
+    """Solve every (algorithm, budget) subgame, with one DP table per
+    algorithm (see evaluate_budgets), and both per-scenario LPs."""
     utilities, breach, optima, strategies, min_breach, evals_all = [], [], [], [], [], []
     polytope = defender_polytope(instance)
-    for k in scenarios.budgets:
-        scoped = replace(instance, attacker=replace(instance.attacker, budget=k))
-        evals = evaluate_all(scoped, dp_config, greedy_config, method_threshold)
+    rows = evaluate_budgets(
+        instance, scenarios.budgets, dp_config, greedy_config, method_threshold
+    )
+    for k, evals in zip(scenarios.budgets, rows):
         util_row = tuple(ev.utility for ev in evals)
         breach_row = tuple(ev.p_succ_star for ev in evals)
         opt = solve_lp(build_defender_lp(instance, util_row))

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from cryptomix import save_scenario
+import cryptomix
+from cryptomix import bundled_scenario_path, save_scenario
 from cryptomix.cli import run_cli
 
 
@@ -189,3 +194,45 @@ def test_usage_errors(capsys):
     assert run_cli([]) == 1
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, edit, path",
+    [
+        (
+            "validate",
+            lambda p: p["algorithms"][0]["attacks"][0].update(cost=float("nan")),
+            "algorithms[0].attacks[0].cost",
+        ),
+        (
+            "solve-defender",
+            lambda p: p["algorithms"][0]["attacks"][0].update(cost=float("nan")),
+            "algorithms[0].attacks[0].cost",
+        ),
+        (
+            "solve-defender",
+            lambda p: p["attacker"].update(budget=float("inf")),
+            "attacker.budget",
+        ),
+    ],
+)
+def test_non_finite_input_exit_code(tmp_path, capsys, command, edit, path):
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    edit(payload)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli([command, "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert path in captured.err
+    assert "finite" in captured.err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize loads on the first LP, so commands without one skip it
+    src = str(Path(cryptomix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, cryptomix.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"

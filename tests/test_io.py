@@ -95,6 +95,25 @@ def test_wrong_types(payload):
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize(
+    "where, value, path",
+    [
+        (("algorithms", 0, "attacks", 0, "cost"), float("nan"), r"algorithms\[0\].attacks\[0\].cost"),
+        (("attacker", "budget"), float("inf"), r"attacker.budget"),
+        (("weights", "g_op"), float("-inf"), r"weights.g_op"),
+        (("scenario_budgets", 1), 10**400, r"scenario_budgets\[1\]"),
+    ],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+def test_non_finite_numbers(payload, where, value, path):
+    node = payload
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(ParseError, match=path + ": expected a finite number"):
+        parse_scenario(payload)
+
+
 def test_schema_version_gate(payload):
     payload["schema_version"] = "2"
     with pytest.raises(ParseError, match="schema_version"):

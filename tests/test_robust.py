@@ -1,11 +1,17 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryptomix import (
+    DpConfig,
     ScenarioSet,
     breach_regret_matrix,
     build_regret_lp,
+    evaluate_all,
     make_plan,
     per_algorithm_utility,
     regret_matrix,
@@ -16,6 +22,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
+from helpers import random_feasible_instance
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +57,42 @@ def test_utilities_recomputable(instance, table):
     for util_row, breach_row in zip(table.utilities, table.breach):
         for alg, u, p in zip(instance.algorithms, util_row, breach_row):
             assert u == per_algorithm_utility(alg, instance.weights, p)
+
+
+def per_budget_evaluations(instance, budgets, dp_config):
+    return tuple(
+        evaluate_all(
+            replace(instance, attacker=replace(instance.attacker, budget=k)), dp_config
+        )
+        for k in budgets
+    )
+
+
+def test_table_evaluations_equal_evaluate_all_per_budget(instance, scenarios):
+    # a 1000-cell cap sends the 6-method algorithms to the greedy from k=20 on
+    dp_config = DpConfig(max_table_cells=1000)
+    tbl = scenario_table(instance, scenarios, dp_config)
+    solvers = [{row[i].solver for row in tbl.evaluations} for i in range(len(instance.algorithms))]
+    assert {"dp", "greedy"} in solvers
+    assert repr(tbl.evaluations) == repr(
+        per_budget_evaluations(instance, scenarios.budgets, dp_config)
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.integers(0, 60), min_size=1, max_size=5, unique=True),
+    st.integers(min_value=0, max_value=300),
+)
+def test_table_evaluations_equal_evaluate_all_on_random_instances(seed, budgets, cap):
+    instance = random_feasible_instance(np.random.default_rng(seed))
+    scenario_set = ScenarioSet(budgets=tuple(sorted(budgets)))
+    dp_config = DpConfig(max_table_cells=cap)
+    tbl = scenario_table(instance, scenario_set, dp_config)
+    assert repr(tbl.evaluations) == repr(
+        per_budget_evaluations(instance, scenario_set.budgets, dp_config)
+    )
 
 
 def test_budget_monotonicity(instance, table):
