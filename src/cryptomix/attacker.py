@@ -1,5 +1,5 @@
 """Attacker subgame solvers: exact DP, sampled greedy, hybrid dispatch,
-a brute-force oracle, and the DP/greedy switching-threshold calibration.
+a brute-force oracle, and a DP runtime calibration.
 
 All solvers maximize value * P_succ(S) - phi(sum of costs) over method
 subsets S within the budget, and break ties identically: higher utility,
@@ -155,19 +155,11 @@ def _with_j_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return first
 
 
-def dp_table_fits(n_methods: int, budget: float, config: DpConfig) -> bool:
-    """The table-size rule shared by every caller of the DP: n methods x
-    (budget cells + 1) within config.max_table_cells."""
+def dp_table_fits(n_methods: int, budget: float, config: DpConfig = DpConfig()) -> bool:
+    """The table-size rule shared by every caller of the DP, and the only
+    rule that sends an attacker subgame to the DP or the greedy: n methods
+    x (budget cells + 1) within config.max_table_cells."""
     return n_methods * (int(round(budget * config.cost_scale)) + 1) <= config.max_table_cells
-
-
-def routes_to_dp(
-    algorithm: EncryptionAlgorithm, budget: float, config: DpConfig, method_threshold: int
-) -> bool:
-    """The hybrid dispatch rule: the exact DP when the method count is at or
-    below the threshold and the table fits, else the sampled greedy."""
-    n = len(algorithm.attacks)
-    return n <= method_threshold and dp_table_fits(n, budget, config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,14 +337,11 @@ def solve_hybrid(
     params: AttackerParams,
     dp_config: Optional[DpConfig] = None,
     greedy_config: Optional[GreedyConfig] = None,
-    method_threshold: int = 310,
 ) -> HybridResult:
-    """Dispatch to the exact DP when the table stays small and the method
-    count is below the calibrated threshold, otherwise fall back to the
-    sampled greedy."""
+    """Dispatch to the exact DP when its table fits (dp_table_fits),
+    otherwise fall back to the sampled greedy."""
     dp_config = dp_config or DpConfig()
-    greedy_config = greedy_config or GreedyConfig()
-    if routes_to_dp(algorithm, params.budget, dp_config, method_threshold):
+    if dp_table_fits(len(algorithm.attacks), params.budget, dp_config):
         return HybridResult(solve_dp(algorithm, params, dp_config), "dp")
     return HybridResult(solve_sample_greedy(algorithm, params, greedy_config), "greedy")
 

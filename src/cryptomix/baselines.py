@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .attacker import DpConfig, GreedyConfig
 from .defender import (
     AlgorithmEvaluation,
     StrategyReport,
@@ -19,8 +18,7 @@ from .defender import (
     evaluate_all,
     make_report,
 )
-from .errors import InfeasibleDefender
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, solve_optimal
 from .model import GameInstance, MixedStrategy
 
 SINGLE_OBJECTIVES = ("min_op_cost", "min_latency", "max_resilience")
@@ -54,12 +52,7 @@ def _solve_over_polytope(
         objective=tuple(objective),
         constraints=defender_polytope(instance),
     )
-    solution = solve_lp(program)
-    if solution.status == "infeasible":
-        raise InfeasibleDefender("defender polytope is empty")
-    if solution.status != "optimal":
-        raise RuntimeError(f"baseline LP status {solution.status!r}")
-    return MixedStrategy(probs=solution.values)
+    return MixedStrategy(probs=solve_optimal(program, "baseline LP").values)
 
 
 def random_vertex_strategy(instance: GameInstance, rng_seed: int) -> MixedStrategy:
@@ -85,20 +78,14 @@ def compare_strategies(
     instance: GameInstance,
     strategies: Sequence[tuple[str, Sequence[float]]],
     evaluations: Optional[Sequence[AlgorithmEvaluation]] = None,
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
 ) -> list[ComparisonRow]:
     """Score labeled strategies against the fixed attacker best responses
     and return rows sorted by objective, best first. A 'stackelberg'
     reference row is always included."""
     if evaluations is None:
-        evaluations = evaluate_all(instance, dp_config, greedy_config)
+        evaluations = evaluate_all(instance)
     program = build_defender_lp(instance, [ev.utility for ev in evaluations])
-    solution = solve_lp(program)
-    if solution.status == "infeasible":
-        raise InfeasibleDefender("defender polytope is empty")
-    if solution.status != "optimal":
-        raise RuntimeError(f"defender LP status {solution.status!r}")
+    solution = solve_optimal(program, "defender LP")
     rows = [
         ComparisonRow(
             "stackelberg",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,6 +63,23 @@ INPUT_ERRORS = (
     ValueError,
     KeyError,
 )
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float options: NaN and infinities are rejected
+    here, so the error names the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> tuple[float, ...]:
+    """argparse type for a comma-separated list of finite numbers."""
+    return tuple(_finite_float(tok) for tok in text.split(","))
 
 
 def _load(args) -> tuple[GameInstance, Optional[ScenarioSet]]:
@@ -173,8 +191,7 @@ def cmd_solve_defender(args) -> int:
 def cmd_solve_robust(args) -> int:
     instance, file_scenarios = _load(args)
     if args.budgets:
-        budgets = tuple(float(tok) for tok in args.budgets.split(","))
-        scenarios = ScenarioSet(budgets=budgets)
+        scenarios = ScenarioSet(budgets=args.budgets)
     elif file_scenarios is not None:
         scenarios = file_scenarios
     else:
@@ -291,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-attacker", help="best attack plan against one algorithm")
     _add_scenario_arg(p)
     p.add_argument("--algorithm", required=True, help="algorithm id from the scenario")
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--value", type=float, default=None)
+    p.add_argument("--budget", type=_finite_float, default=None)
+    p.add_argument("--value", type=_finite_float, default=None)
     p.add_argument("--solver", choices=("dp", "greedy", "hybrid", "brute"), default="hybrid")
     p.add_argument("--seed", type=int, default=0, help="greedy coin seed")
     p.add_argument("--scale", type=int, default=10, help="DP cost discretization")
@@ -300,14 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-defender", help="equilibrium mixed deployment strategy")
     _add_scenario_arg(p)
-    p.add_argument("--budget", type=float, default=None, help="override attacker budget")
+    p.add_argument(
+        "--budget", type=_finite_float, default=None, help="override attacker budget"
+    )
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--csv", action="store_true", help="per-algorithm CSV instead of JSON")
     p.set_defaults(func=cmd_solve_defender)
 
     p = sub.add_parser("solve-robust", help="budget-uncertain strategies and matrices")
     _add_scenario_arg(p)
-    p.add_argument("--budgets", default=None, help="comma-separated scenario budgets")
+    p.add_argument(
+        "--budgets", type=_finite_floats, default=None, help="comma-separated scenario budgets"
+    )
     p.add_argument("--mode", choices=("regret", "maximin", "unconstrained"), default="regret")
     p.add_argument("--matrices", action="store_true", help="write regret matrix CSVs")
     p.add_argument("--out-dir", default=".", help="directory for matrix CSVs")
@@ -321,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baselines)
 
     p = sub.add_parser("calibrate", help="locate the DP runtime threshold")
-    p.add_argument("--time-limit", type=float, default=0.2)
+    p.add_argument("--time-limit", type=_finite_float, default=0.2)
     p.add_argument("--max-methods", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None, help="write the n,seconds series here")

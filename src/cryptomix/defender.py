@@ -7,19 +7,10 @@ Variable order everywhere matches instance.algorithms order.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .attacker import (
-    DpConfig,
-    GreedyConfig,
-    build_dp_table,
-    dp_plans,
-    routes_to_dp,
-    solve_hybrid,
-    solve_sample_greedy,
-)
-from .errors import InfeasibleDefender
-from .lp import Constraint, LinearProgram, LpSolution, solve_lp
+from .attacker import build_dp_table, dp_plans, dp_table_fits, solve_sample_greedy
+from .lp import Constraint, LinearProgram, LpSolution, solve_optimal
 from .model import (
     AttackPlan,
     DefenderWeights,
@@ -90,42 +81,27 @@ def _evaluation(
     )
 
 
-def evaluate_all(
-    instance: GameInstance,
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
-    method_threshold: int = 310,
-) -> tuple[AlgorithmEvaluation, ...]:
-    """Best-respond against every algorithm with the hybrid solver."""
-    out = []
-    for alg in instance.algorithms:
-        result = solve_hybrid(
-            alg, instance.attacker, dp_config, greedy_config, method_threshold
-        )
-        out.append(_evaluation(alg, instance.weights, result.plan, result.solver))
-    return tuple(out)
+def evaluate_all(instance: GameInstance) -> tuple[AlgorithmEvaluation, ...]:
+    """Best-respond against every algorithm at the attacker's budget."""
+    return evaluate_budgets(instance, (instance.attacker.budget,))[0]
 
 
 def evaluate_budgets(
-    instance: GameInstance,
-    budgets: Sequence[float],
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
-    method_threshold: int = 310,
+    instance: GameInstance, budgets: Sequence[float]
 ) -> tuple[tuple[AlgorithmEvaluation, ...], ...]:
-    """evaluate_all at each attacker budget, one row per budget, bitwise.
+    """Best responses at each attacker budget, one row per budget, each
+    bitwise what solve_hybrid returns at that budget.
 
     Each algorithm gets one DP table, built at the largest of its budgets
-    that the hybrid routes to the DP, which answers all of those budgets;
-    the budgets routed to the greedy are solved one by one.
+    whose table fits (dp_table_fits), which answers all of those budgets;
+    the other budgets are solved one by one with the sampled greedy.
     """
-    dp_config = dp_config or DpConfig()
     columns = []
     for alg in instance.algorithms:
-        routed = [k for k in budgets if routes_to_dp(alg, k, dp_config, method_threshold)]
+        routed = [k for k in budgets if dp_table_fits(len(alg.attacks), k)]
         plans = {}
         if routed:
-            table = build_dp_table(alg, max(routed), dp_config)
+            table = build_dp_table(alg, max(routed))
             plans = dict(zip(routed, dp_plans(table, instance.attacker, routed)))
         column = []
         for k in budgets:
@@ -133,7 +109,7 @@ def evaluate_budgets(
                 plan, solver = plans[k], "dp"
             else:
                 params = replace(instance.attacker, budget=k)
-                plan, solver = solve_sample_greedy(alg, params, greedy_config), "greedy"
+                plan, solver = solve_sample_greedy(alg, params), "greedy"
             column.append(_evaluation(alg, instance.weights, plan, solver))
         columns.append(column)
     return tuple(tuple(col[s] for col in columns) for s in range(len(budgets)))
@@ -209,20 +185,11 @@ def make_report(
     )
 
 
-def solve_stackelberg(
-    instance: GameInstance,
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
-    method_threshold: int = 310,
-) -> EquilibriumResult:
+def solve_stackelberg(instance: GameInstance) -> EquilibriumResult:
     """Attacker best responses per algorithm, then the leader LP."""
-    evaluations = evaluate_all(instance, dp_config, greedy_config, method_threshold)
+    evaluations = evaluate_all(instance)
     program = build_defender_lp(instance, [ev.utility for ev in evaluations])
-    solution = solve_lp(program)
-    if solution.status == "infeasible":
-        raise InfeasibleDefender("no mixed strategy satisfies the resource polytope")
-    if solution.status != "optimal":
-        raise RuntimeError(f"defender LP ended with status {solution.status!r}")
+    solution = solve_optimal(program, "defender LP")
     report = make_report(instance, solution.values, evaluations, solution.binding)
     return EquilibriumResult(
         report=report,

@@ -147,6 +147,7 @@ def _parse_budgets(raw: Any) -> DefenderBudgets:
     _reject_unknown(obj, _BUDGET_FIELDS, "budgets")
     caps_raw = _mapping(_require(obj, "family_caps", "budgets"), "budgets.family_caps")
     caps = {}
+    keys: dict[int, str] = {}
     for key, value in caps_raw.items():
         try:
             family = int(key)
@@ -154,6 +155,11 @@ def _parse_budgets(raw: Any) -> DefenderBudgets:
             raise ParseError(
                 f"budgets.family_caps: key {key!r} is not an integer family id"
             ) from None
+        if family in keys:
+            raise ParseError(
+                f"budgets.family_caps: keys {keys[family]!r} and {key!r} both name family {family}"
+            )
+        keys[family] = key
         caps[family] = _real(value, f"budgets.family_caps[{key!r}]")
     return DefenderBudgets(
         c_op_max=_real(_require(obj, "c_op_max", "budgets"), "budgets.c_op_max"),

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NotOptimal
+from .errors import InfeasibleDefender, NotOptimal
 
 FEAS_EPS = 1e-7
 BIND_EPS = 1e-7
@@ -108,6 +108,15 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
+def _binds(con: Constraint, values: Sequence[float], eps: float) -> bool:
+    """Whether con is active at values: always for an equality, else within
+    a relative tolerance eps * (1 + |rhs|)."""
+    if con.relation == "=":
+        return True
+    activity = float(np.dot(con.coeffs, values))
+    return abs(activity - con.rhs) <= eps * (1.0 + abs(con.rhs))
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS dual simplex and report a vertex optimum.
 
@@ -141,29 +150,40 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     iq = eq = 0
     marg_ineq = result.ineqlin.marginals if a_ub else np.zeros(0)
     marg_eq = result.eqlin.marginals if a_eq else np.zeros(0)
-    binding: set[str] = set()
     for con in lp.constraints:
-        activity = float(np.dot(con.coeffs, values))
         if con.relation == "=":
             duals[con.label] = float(marg_eq[eq])
             eq += 1
-            binding.add(con.label)
         else:
             raw = float(marg_ineq[iq])
             iq += 1
             # >= rows were negated on the way in; flip the dual back
             duals[con.label] = raw if con.relation == "<=" else -raw
-            if abs(activity - con.rhs) <= BIND_EPS * (1.0 + abs(con.rhs)):
-                binding.add(con.label)
     return LpSolution(
         status="optimal",
         values=values,
         objective_value=objective_value,
-        binding=frozenset(binding),
+        binding=frozenset(
+            con.label for con in lp.constraints if _binds(con, values, BIND_EPS)
+        ),
         duals=duals,
         reduced_lower=tuple(float(v) for v in result.lower.marginals),
         reduced_upper=tuple(float(v) for v in result.upper.marginals),
     )
+
+
+def solve_optimal(lp: LinearProgram, context: str) -> LpSolution:
+    """solve_lp for callers that need an optimum: an infeasible program
+    raises InfeasibleDefender and any other status NotOptimal, both naming
+    `context` (such as "scenario k=20: breach LP")."""
+    solution = solve_lp(lp)
+    if solution.status == "infeasible":
+        raise InfeasibleDefender(
+            f"{context} infeasible: no mixed strategy satisfies the resource polytope"
+        )
+    if solution.status != "optimal":
+        raise NotOptimal(f"{context} ended with status {solution.status!r}")
+    return solution
 
 
 def binding_constraints(
@@ -173,12 +193,7 @@ def binding_constraints(
     tolerance scaled by 1 + |rhs|."""
     if solution.status != "optimal":
         raise NotOptimal(f"solution status is {solution.status!r}")
-    active: set[str] = set()
-    for con in lp.constraints:
-        activity = float(np.dot(con.coeffs, solution.values))
-        if con.relation == "=" or abs(activity - con.rhs) <= eps * (1.0 + abs(con.rhs)):
-            active.add(con.label)
-    return frozenset(active)
+    return frozenset(con.label for con in lp.constraints if _binds(con, solution.values, eps))
 
 
 def alternate_optimum_gap(

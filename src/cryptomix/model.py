@@ -145,11 +145,7 @@ def phi(spec: CostFunctionSpec, total_cost: float) -> float:
 
 def attacker_utility(methods: Iterable[AttackMethod], params: AttackerParams) -> float:
     """Expected attacker gain: value * success probability minus cost penalty."""
-    ms = sorted(methods, key=lambda m: m.id)
-    total = 0.0
-    for m in ms:
-        total += m.cost
-    return params.value * success_probability(ms) - phi(params.cost_fn, total)
+    return make_plan(methods, params).utility
 
 
 def make_plan(methods: Iterable[AttackMethod], params: AttackerParams) -> AttackPlan:
@@ -160,18 +156,15 @@ def make_plan(methods: Iterable[AttackMethod], params: AttackerParams) -> Attack
     produced them.
     """
     ms = sorted(methods, key=lambda m: m.id)
-    failure = 1.0
     total = 0.0
     for m in ms:
-        failure *= 1.0 - m.success
         total += m.cost
-    p_succ = 1.0 - failure
-    utility = params.value * p_succ - phi(params.cost_fn, total)
+    p_succ = success_probability(ms)
     return AttackPlan(
         methods=tuple(m.id for m in ms),
         success_prob=p_succ,
         total_cost=total,
-        utility=utility,
+        utility=params.value * p_succ - phi(params.cost_fn, total),
     )
 
 

@@ -9,9 +9,8 @@ once and reused so every report uses identical attack plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .attacker import DpConfig, GreedyConfig
 from .defender import (
     SUPPORT_EPS,
     AlgorithmEvaluation,
@@ -24,8 +23,7 @@ from .defender import (
     per_algorithm_utility,
     strategy_usage,
 )
-from .errors import InfeasibleDefender
-from .lp import Constraint, LinearProgram, solve_lp
+from .lp import Constraint, LinearProgram, solve_optimal
 from .model import GameInstance, MixedStrategy, make_plan
 
 
@@ -110,29 +108,19 @@ def _budget_label(k: float) -> str:
     return f"{k:g}"
 
 
-def scenario_table(
-    instance: GameInstance,
-    scenarios: ScenarioSet,
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
-    method_threshold: int = 310,
-) -> ScenarioTable:
+def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTable:
     """Solve every (algorithm, budget) subgame, with one DP table per
     algorithm (see evaluate_budgets), and both per-scenario LPs."""
     utilities, breach, optima, strategies, min_breach, evals_all = [], [], [], [], [], []
     polytope = defender_polytope(instance)
-    rows = evaluate_budgets(
-        instance, scenarios.budgets, dp_config, greedy_config, method_threshold
-    )
+    rows = evaluate_budgets(instance, scenarios.budgets)
     for k, evals in zip(scenarios.budgets, rows):
         util_row = tuple(ev.utility for ev in evals)
         breach_row = tuple(ev.p_succ_star for ev in evals)
-        opt = solve_lp(build_defender_lp(instance, util_row))
-        if opt.status != "optimal":
-            raise InfeasibleDefender(f"scenario k={k:g}: LP status {opt.status!r}")
-        low = solve_lp(LinearProgram("min", breach_row, polytope))
-        if low.status != "optimal":
-            raise InfeasibleDefender(f"scenario k={k:g}: breach LP {low.status!r}")
+        opt = solve_optimal(build_defender_lp(instance, util_row), f"scenario k={k:g}: LP")
+        low = solve_optimal(
+            LinearProgram("min", breach_row, polytope), f"scenario k={k:g}: breach LP"
+        )
         utilities.append(util_row)
         breach.append(breach_row)
         optima.append(opt.objective_value)
@@ -178,11 +166,7 @@ def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyRepor
         constraints=tuple(cons),
         lower_bounds=(0.0,) * n + (None,),
     )
-    solution = solve_lp(program)
-    if solution.status == "infeasible":
-        raise InfeasibleDefender("maximin LP infeasible")
-    if solution.status != "optimal":
-        raise RuntimeError(f"maximin LP status {solution.status!r}")
+    solution = solve_optimal(program, "maximin LP")
     probs = tuple(solution.values[:n])
     strategy = MixedStrategy(probs=probs)
     worst_breach = max(expected_breach(probs, row) for row in table.breach)
@@ -214,11 +198,7 @@ def build_regret_lp(instance: GameInstance, table: ScenarioTable) -> LinearProgr
 
 def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> RegretReport:
     program = build_regret_lp(instance, table)
-    solution = solve_lp(program)
-    if solution.status == "infeasible":
-        raise InfeasibleDefender("minimax-regret LP infeasible")
-    if solution.status != "optimal":
-        raise RuntimeError(f"minimax-regret LP status {solution.status!r}")
+    solution = solve_optimal(program, "minimax-regret LP")
     n = len(instance.algorithms)
     probs = tuple(solution.values[:n])
     regrets = tuple(
@@ -232,11 +212,7 @@ def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> Regret
     )
 
 
-def solve_unconstrained_case(
-    instance: GameInstance,
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
-) -> StrategyReport:
+def solve_unconstrained_case(instance: GameInstance) -> StrategyReport:
     """Defender LP when the attacker runs every method against whichever
     algorithm is deployed (no budget)."""
     evals = []
@@ -253,11 +229,7 @@ def solve_unconstrained_case(
             )
         )
     program = build_defender_lp(instance, [ev.utility for ev in evals])
-    solution = solve_lp(program)
-    if solution.status == "infeasible":
-        raise InfeasibleDefender("unconstrained-case LP infeasible")
-    if solution.status != "optimal":
-        raise RuntimeError(f"unconstrained-case LP status {solution.status!r}")
+    solution = solve_optimal(program, "unconstrained-case LP")
     return make_report(instance, solution.values, evals, solution.binding)
 
 

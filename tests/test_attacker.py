@@ -305,11 +305,11 @@ def test_hybrid_uses_dp_when_small(worked_algorithm, worked_params):
     assert result.plan.utility == pytest.approx(312.0)
 
 
-def test_hybrid_falls_back_on_method_threshold(worked_algorithm, worked_params):
-    result = solve_hybrid(
-        worked_algorithm, worked_params, method_threshold=3
-    )
-    assert result.solver == "greedy"
+def test_hybrid_routes_by_table_size_alone():
+    # 320 methods x 51 cost levels fits the 100k-cell cap, whatever the method count
+    alg = bare_algorithm(random_methods(np.random.default_rng(5), 320, max_cost=30))
+    params = AttackerParams(value=300.0, budget=5.0)
+    assert solve_hybrid(alg, params) == HybridResult(solve_dp(alg, params), "dp")
 
 
 def test_hybrid_falls_back_on_table_size(worked_algorithm, worked_params):

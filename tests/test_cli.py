@@ -227,6 +227,26 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, edit, path):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["solve-attacker", "--algorithm", "aes256-gcm", "--budget", "inf"], "--budget"),
+        (["solve-attacker", "--algorithm", "aes256-gcm", "--budget", "nan"], "--budget"),
+        (["solve-attacker", "--algorithm", "aes256-gcm", "--value", "nan"], "--value"),
+        (["solve-defender", "--budget", "inf"], "--budget"),
+        (["solve-defender", "--budget=-inf"], "--budget"),
+        (["solve-robust", "--budgets", "nan,20"], "--budgets"),
+        (["solve-robust", "--budgets", "11,inf"], "--budgets"),
+        (["calibrate", "--time-limit", "nan"], "--time-limit"),
+    ],
+)
+def test_non_finite_options_exit_code(capsys, argv, option):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: expected a finite number" in captured.err
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.optimize loads on the first LP, so commands without one skip it
     src = str(Path(cryptomix.__file__).resolve().parents[1])

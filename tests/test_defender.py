@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from cryptomix import (
+    HybridResult,
     InfeasibleDefender,
     evaluate_all,
     defender_polytope,
     make_report,
     per_algorithm_utility,
     solve_lp,
+    solve_hybrid,
     solve_stackelberg,
     make_plan,
 )
 
-from helpers import random_feasible_instance
+from helpers import random_feasible_instance, random_methods
 
 
 def test_per_algorithm_utility_formula(instance):
@@ -69,6 +71,23 @@ def test_evaluate_all_order_and_solver(instance):
         assert ev.utility == pytest.approx(
             per_algorithm_utility(alg, instance.weights, ev.p_succ_star)
         )
+
+
+@pytest.mark.parametrize("budget, solver", [(30.0, "dp"), (50.0, "greedy")])
+def test_evaluate_all_equals_solve_hybrid(instance, budget, solver):
+    # 250 methods: the table fits the cell cap at budget 30, not at 50
+    wide = replace(
+        instance.algorithms[0], attacks=random_methods(np.random.default_rng(8), 250, max_cost=30)
+    )
+    inst = replace(
+        instance,
+        algorithms=(wide,) + instance.algorithms[1:],
+        attacker=replace(instance.attacker, budget=budget),
+    )
+    evals = evaluate_all(inst)
+    assert evals[0].solver == solver
+    for alg, ev in zip(inst.algorithms, evals):
+        assert solve_hybrid(alg, inst.attacker) == HybridResult(ev.attack_plan, ev.solver)
 
 
 def test_evaluation_matches_best_response(instance):

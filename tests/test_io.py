@@ -132,6 +132,12 @@ def test_non_integer_family_key(payload):
         parse_scenario(payload)
 
 
+def test_duplicate_family_key(payload):
+    payload["budgets"]["family_caps"] = {"00": 0.1, "0": 0.6}
+    with pytest.raises(ParseError, match="budgets.family_caps: keys '00' and '0' both name family 0"):
+        parse_scenario(payload)
+
+
 def test_semantic_validation_on_load(tmp_path, payload):
     payload["algorithms"][0]["attacks"][0]["success"] = 1.2
     path = tmp_path / "bad.json"

@@ -1,13 +1,26 @@
+from dataclasses import replace
+
 import pytest
 
+import cryptomix.lp
 from cryptomix import (
     Constraint,
+    InfeasibleDefender,
     LinearProgram,
+    LpSolution,
     NotOptimal,
+    ScenarioSet,
     alternate_optimum_gap,
     binding_constraints,
     check_dual_certificate,
+    compare_strategies,
+    scenario_table,
+    single_objective_strategy,
     solve_lp,
+    solve_maximin,
+    solve_minimax_regret,
+    solve_stackelberg,
+    solve_unconstrained_case,
 )
 
 
@@ -129,3 +142,47 @@ def test_constraint_validation():
         )
     with pytest.raises(ValueError):
         LinearProgram(sense="best", objective=(1.0,), constraints=())
+
+
+# every LP the defender, robust and baseline layers solve, with the context
+# its status errors name; `table` is a scenario table of the feasible
+# bundled instance
+LP_SITES = [
+    ("defender LP", lambda inst, table: solve_stackelberg(inst)),
+    ("scenario k=11: LP", lambda inst, table: scenario_table(inst, ScenarioSet(table.budgets))),
+    ("maximin LP", solve_maximin),
+    ("minimax-regret LP", solve_minimax_regret),
+    ("unconstrained-case LP", lambda inst, table: solve_unconstrained_case(inst)),
+    ("baseline LP", lambda inst, table: single_objective_strategy(inst, "min_latency")),
+    ("defender LP", lambda inst, table: compare_strategies(inst, [])),
+]
+SITE_IDS = ["stackelberg", "scenario", "maximin", "regret", "unconstrained", "baseline", "compare"]
+
+
+@pytest.fixture(scope="module")
+def feasible_table(instance, scenarios):
+    return scenario_table(instance, scenarios)
+
+
+@pytest.mark.parametrize("context, site", LP_SITES, ids=SITE_IDS)
+def test_lp_sites_raise_infeasible(instance, feasible_table, context, site):
+    tight = replace(instance, budgets=replace(instance.budgets, r_min=0.9))
+    with pytest.raises(InfeasibleDefender, match=context + " infeasible"):
+        site(tight, feasible_table)
+
+
+@pytest.mark.parametrize("context, site", LP_SITES, ids=SITE_IDS)
+def test_lp_sites_raise_not_optimal(monkeypatch, instance, feasible_table, context, site):
+    monkeypatch.setattr(cryptomix.lp, "solve_lp", lambda lp: LpSolution(status="unbounded"))
+    with pytest.raises(NotOptimal, match=context + " ended with status 'unbounded'"):
+        site(instance, feasible_table)
+
+
+def test_scenario_breach_lp_raises_not_optimal(monkeypatch, instance, scenarios):
+    # the breach LP is the scenario table's only minimisation
+    def unbounded_min(lp):
+        return LpSolution(status="unbounded") if lp.sense == "min" else solve_lp(lp)
+
+    monkeypatch.setattr(cryptomix.lp, "solve_lp", unbounded_min)
+    with pytest.raises(NotOptimal, match="scenario k=11: breach LP ended"):
+        scenario_table(instance, scenarios)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryptomix import (
-    DpConfig,
     ScenarioSet,
     breach_regret_matrix,
     build_regret_lp,
@@ -22,7 +21,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
-from helpers import random_feasible_instance
+from helpers import random_feasible_instance, random_methods
 
 
 @pytest.fixture(scope="module")
@@ -59,39 +58,43 @@ def test_utilities_recomputable(instance, table):
             assert u == per_algorithm_utility(alg, instance.weights, p)
 
 
-def per_budget_evaluations(instance, budgets, dp_config):
+def per_budget_evaluations(instance, budgets):
     return tuple(
-        evaluate_all(
-            replace(instance, attacker=replace(instance.attacker, budget=k)), dp_config
-        )
+        evaluate_all(replace(instance, attacker=replace(instance.attacker, budget=k)))
         for k in budgets
     )
 
 
-def test_table_evaluations_equal_evaluate_all_per_budget(instance, scenarios):
-    # a 1000-cell cap sends the 6-method algorithms to the greedy from k=20 on
-    dp_config = DpConfig(max_table_cells=1000)
-    tbl = scenario_table(instance, scenarios, dp_config)
-    solvers = [{row[i].solver for row in tbl.evaluations} for i in range(len(instance.algorithms))]
-    assert {"dp", "greedy"} in solvers
-    assert repr(tbl.evaluations) == repr(
-        per_budget_evaluations(instance, scenarios.budgets, dp_config)
-    )
+def with_wide_algorithm(instance, rng, n):
+    """instance with its first algorithm's attacks replaced by n random
+    methods; at n = 250 the default 100k-cell cap admits budgets up to 39.9."""
+    wide = replace(instance.algorithms[0], attacks=random_methods(rng, n, max_cost=30))
+    return replace(instance, algorithms=(wide,) + instance.algorithms[1:])
+
+
+def test_table_evaluations_equal_evaluate_all_per_budget(instance):
+    wide = with_wide_algorithm(instance, np.random.default_rng(3), 250)
+    scenarios = ScenarioSet(budgets=(10.0, 30.0, 40.0))
+    tbl = scenario_table(wide, scenarios)
+    assert [row[0].solver for row in tbl.evaluations] == ["dp", "dp", "greedy"]
+    assert repr(tbl.evaluations) == repr(per_budget_evaluations(wide, scenarios.budgets))
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
-    st.lists(st.integers(0, 60), min_size=1, max_size=5, unique=True),
-    st.integers(min_value=0, max_value=300),
+    st.lists(st.integers(0, 39), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(40, 60), min_size=1, max_size=2, unique=True),
 )
-def test_table_evaluations_equal_evaluate_all_on_random_instances(seed, budgets, cap):
-    instance = random_feasible_instance(np.random.default_rng(seed))
-    scenario_set = ScenarioSet(budgets=tuple(sorted(budgets)))
-    dp_config = DpConfig(max_table_cells=cap)
-    tbl = scenario_table(instance, scenario_set, dp_config)
+def test_table_evaluations_equal_evaluate_all_on_random_instances(seed, fit, wide_only):
+    # budgets below 40 build the wide algorithm's table, those from 40 on send it to the greedy
+    rng = np.random.default_rng(seed)
+    instance = with_wide_algorithm(random_feasible_instance(rng), rng, 250)
+    scenario_set = ScenarioSet(budgets=tuple(sorted(fit + wide_only)))
+    tbl = scenario_table(instance, scenario_set)
+    assert {row[0].solver for row in tbl.evaluations} == {"dp", "greedy"}
     assert repr(tbl.evaluations) == repr(
-        per_budget_evaluations(instance, scenario_set.budgets, dp_config)
+        per_budget_evaluations(instance, scenario_set.budgets)
     )
 
 
