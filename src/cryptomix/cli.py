@@ -42,8 +42,8 @@ from .errors import (
     TooManyMethods,
     ValidationError,
 )
-from .io import bundled_scenario_path, load_bundled_scenario, load_scenario
-from .model import AttackPlan, GameInstance
+from .io import bundled_scenario_path, load_bundled_scenario, load_scenario, to_payload
+from .model import GameInstance
 from .robust import (
     ScenarioSet,
     breach_regret_matrix,
@@ -54,15 +54,7 @@ from .robust import (
     solve_unconstrained_case,
 )
 
-INPUT_ERRORS = (
-    ParseError,
-    ValidationError,
-    BudgetNegative,
-    TooManyMethods,
-    TableTooLarge,
-    ValueError,
-    KeyError,
-)
+INPUT_ERRORS = (ParseError, ValidationError, BudgetNegative, TooManyMethods, TableTooLarge)
 
 
 def _finite_float(text: str) -> float:
@@ -82,6 +74,27 @@ def _finite_floats(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(tok) for tok in text.split(","))
 
 
+def _int_at_least(text: str, low: int, expected: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and scales: rejected here unless >= 1, so
+    the error names the option."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for seeds and sample counts: rejected here unless >= 0."""
+    return _int_at_least(text, 0, "a non-negative integer")
+
+
 def _load(args) -> tuple[GameInstance, Optional[ScenarioSet]]:
     if args.scenario is None:
         return load_bundled_scenario()
@@ -90,15 +103,6 @@ def _load(args) -> tuple[GameInstance, Optional[ScenarioSet]]:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
-
-
-def _plan_payload(plan: AttackPlan) -> dict:
-    return {
-        "methods": list(plan.methods),
-        "success_prob": plan.success_prob,
-        "total_cost": plan.total_cost,
-        "utility": plan.utility,
-    }
 
 
 def cmd_solve_attacker(args) -> int:
@@ -133,7 +137,7 @@ def cmd_solve_attacker(args) -> int:
             "value": params.value,
             "cost_scale": args.scale,
             "solver": tag,
-            "plan": _plan_payload(plan),
+            "plan": to_payload(plan),
         }
     )
     return 0
@@ -156,7 +160,7 @@ def _defender_payload(instance: GameInstance, result) -> dict:
                 "algorithm": ev.algorithm_id,
                 "solver": ev.solver,
                 "utility": ev.utility,
-                "plan": _plan_payload(ev.attack_plan),
+                "plan": to_payload(ev.attack_plan),
             }
             for ev in result.evaluations
         ],
@@ -191,7 +195,10 @@ def cmd_solve_defender(args) -> int:
 def cmd_solve_robust(args) -> int:
     instance, file_scenarios = _load(args)
     if args.budgets:
-        scenarios = ScenarioSet(budgets=args.budgets)
+        try:
+            scenarios = ScenarioSet(budgets=args.budgets)
+        except ValueError as exc:
+            raise ValidationError(f"--budgets: {exc}") from None
     elif file_scenarios is not None:
         scenarios = file_scenarios
     else:
@@ -311,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_finite_float, default=None)
     p.add_argument("--value", type=_finite_float, default=None)
     p.add_argument("--solver", choices=("dp", "greedy", "hybrid", "brute"), default="hybrid")
-    p.add_argument("--seed", type=int, default=0, help="greedy coin seed")
-    p.add_argument("--scale", type=int, default=10, help="DP cost discretization")
+    p.add_argument("--seed", type=_non_negative_int, default=0, help="greedy coin seed")
+    p.add_argument("--scale", type=_positive_int, default=10, help="DP cost discretization")
     p.set_defaults(func=cmd_solve_attacker)
 
     p = sub.add_parser("solve-defender", help="equilibrium mixed deployment strategy")
@@ -336,15 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baselines", help="compare heuristic strategies to the optimum")
     _add_scenario_arg(p)
-    p.add_argument("--samples", type=int, default=50, help="random vertex count")
-    p.add_argument("--seed", type=int, default=0, help="base seed for random vertices")
+    p.add_argument("--samples", type=_non_negative_int, default=50, help="random vertex count")
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=0, help="base seed for random vertices"
+    )
     p.add_argument("--out", default=None, help="also write the CSV here")
     p.set_defaults(func=cmd_baselines)
 
     p = sub.add_parser("calibrate", help="locate the DP runtime threshold")
     p.add_argument("--time-limit", type=_finite_float, default=0.2)
-    p.add_argument("--max-methods", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-methods", type=_positive_int, default=500)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--csv", default=None, help="write the n,seconds series here")
     p.set_defaults(func=cmd_calibrate)
 

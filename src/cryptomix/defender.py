@@ -181,7 +181,7 @@ def make_report(
         usage=strategy_usage(instance, strategy.probs),
         expected_breach=breach,
         support_size=len(strategy.support(SUPPORT_EPS)),
-        binding_labels=tuple(sorted(binding_labels)),
+        binding_labels=tuple(binding_labels),
     )
 
 

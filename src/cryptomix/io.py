@@ -1,73 +1,47 @@
 """Scenario file I/O.
 
 The on-disk format is versioned JSON mirroring the model types field for
-field. Parsing is strict: unknown or missing fields raise ParseError with
-the JSON path, and the parsed instance must pass validate_instance.
+field: the parser and the serialiser both walk the dataclass fields and
+their type hints, so the model types are the schema. Parsing is strict:
+unknown or missing fields and values of the wrong type raise ParseError
+with the JSON path, and the parsed instance must pass validate_instance.
+A field may be left out exactly when its dataclass gives it a default.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection, Mapping
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, get_args, get_origin, get_type_hints
 
 from .errors import ParseError, ValidationError
-from .model import (
-    AttackMethod,
-    AttackerParams,
-    CostFunctionSpec,
-    DefenderBudgets,
-    DefenderWeights,
-    EncryptionAlgorithm,
-    GameInstance,
-    validate_instance,
-)
+from .model import GameInstance, validate_instance
 from .robust import ScenarioSet
 
 SCHEMA_VERSION = "1"
 _BUNDLED_NAME = "reference_scenario.json"
-
-_ROOT_FIELDS = (
-    "schema_version",
-    "algorithms",
-    "weights",
-    "budgets",
-    "attacker",
-    "scenario_budgets",
-)
-_ATTACK_FIELDS = ("id", "success", "cost")
-_ALGORITHM_FIELDS = (
-    "id",
-    "op_cost",
-    "cpu_cost",
-    "mem_cost",
-    "latency",
-    "resilience",
-    "protected_value",
-    "family",
-    "attacks",
-)
-_WEIGHT_FIELDS = ("g_op", "g_cpu", "g_mem", "g_tau", "g_r")
-_BUDGET_FIELDS = ("c_op_max", "c_cpu_max", "c_mem_max", "t_max", "r_min", "family_caps")
-_ATTACKER_FIELDS = ("value", "budget", "cost_fn")
-_COST_FN_FIELDS = ("linear_coeff", "quadratic_coeff")
+# root keys of the file that are not GameInstance fields
+_ROOT_EXTRAS = ("schema_version", "scenario_budgets")
 
 
-def _mapping(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{path}: expected an object, got {type(value).__name__}")
-    return value
+def _mapping(raw: Any, path: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected an object, got {type(raw).__name__}")
+    return raw
 
 
-def _sequence(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise ParseError(f"{path}: expected an array, got {type(value).__name__}")
-    return value
+def _sequence(raw: Any, path: str) -> list:
+    if not isinstance(raw, list):
+        raise ParseError(f"{path}: expected an array, got {type(raw).__name__}")
+    return raw
 
 
-def _reject_unknown(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
+def _reject_unknown(mapping: dict, allowed: Collection[str], path: str) -> None:
     unknown = [key for key in mapping if key not in allowed]
     if unknown:
         raise ParseError(f"{path}: unknown field {unknown[0]!r}")
@@ -79,12 +53,12 @@ def _require(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _real(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{path}: expected a number, got {value!r}")
+def _real(raw: Any, path: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ParseError(f"{path}: expected a number, got {raw!r}")
     # json accepts NaN and Infinity, and an integer literal can exceed any float
     try:
-        number = float(value)
+        number = float(raw)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
@@ -92,130 +66,87 @@ def _real(value: Any, path: str) -> float:
     return number
 
 
-def _integer(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _integer(raw: Any, path: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ParseError(f"{path}: expected an integer, got {raw!r}")
+    return raw
 
 
-def _string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise ParseError(f"{path}: expected a string, got {value!r}")
-    return value
+def _string(raw: Any, path: str) -> str:
+    if not isinstance(raw, str):
+        raise ParseError(f"{path}: expected a string, got {raw!r}")
+    return raw
 
 
-def _parse_attack(raw: Any, path: str) -> AttackMethod:
-    obj = _mapping(raw, path)
-    _reject_unknown(obj, _ATTACK_FIELDS, path)
-    return AttackMethod(
-        id=_string(_require(obj, "id", path), f"{path}.id"),
-        success=_real(_require(obj, "success", path), f"{path}.success"),
-        cost=_real(_require(obj, "cost", path), f"{path}.cost"),
-    )
+_SCALARS = {float: _real, int: _integer, str: _string}
 
 
-def _parse_algorithm(raw: Any, path: str) -> EncryptionAlgorithm:
-    obj = _mapping(raw, path)
-    _reject_unknown(obj, _ALGORITHM_FIELDS, path)
-    attacks = _sequence(_require(obj, "attacks", path), f"{path}.attacks")
-    return EncryptionAlgorithm(
-        id=_string(_require(obj, "id", path), f"{path}.id"),
-        op_cost=_real(_require(obj, "op_cost", path), f"{path}.op_cost"),
-        cpu_cost=_real(_require(obj, "cpu_cost", path), f"{path}.cpu_cost"),
-        mem_cost=_real(_require(obj, "mem_cost", path), f"{path}.mem_cost"),
-        latency=_real(_require(obj, "latency", path), f"{path}.latency"),
-        resilience=_real(_require(obj, "resilience", path), f"{path}.resilience"),
-        protected_value=_real(
-            _require(obj, "protected_value", path), f"{path}.protected_value"
-        ),
-        family=_integer(_require(obj, "family", path), f"{path}.family"),
-        attacks=tuple(
-            _parse_attack(item, f"{path}.attacks[{i}]") for i, item in enumerate(attacks)
-        ),
-    )
+@cache
+def _schema(cls: type) -> Mapping[str, tuple[Any, bool]]:
+    """Field name -> (resolved type, required) for a model dataclass, in
+    field order. A field is required unless the dataclass gives it a
+    default."""
+    hints = get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    }
 
 
-def _parse_weights(raw: Any) -> DefenderWeights:
-    obj = _mapping(raw, "weights")
-    _reject_unknown(obj, _WEIGHT_FIELDS, "weights")
-    values = {key: _real(_require(obj, key, "weights"), f"weights.{key}") for key in _WEIGHT_FIELDS}
-    return DefenderWeights(**values)
+def _object(cls: type, obj: dict, path: str) -> Any:
+    """Build cls from a JSON object whose unknown keys are already rejected;
+    a field left out keeps its dataclass default."""
+    values = {}
+    for name, (kind, required) in _schema(cls).items():
+        if required or name in obj:
+            raw = _require(obj, name, path)
+            values[name] = _value(kind, raw, name if path == "$" else f"{path}.{name}")
+    return cls(**values)
 
 
-def _parse_budgets(raw: Any) -> DefenderBudgets:
-    obj = _mapping(raw, "budgets")
-    _reject_unknown(obj, _BUDGET_FIELDS, "budgets")
-    caps_raw = _mapping(_require(obj, "family_caps", "budgets"), "budgets.family_caps")
-    caps = {}
-    keys: dict[int, str] = {}
-    for key, value in caps_raw.items():
-        try:
-            family = int(key)
-        except ValueError:
-            raise ParseError(
-                f"budgets.family_caps: key {key!r} is not an integer family id"
-            ) from None
-        if family in keys:
-            raise ParseError(
-                f"budgets.family_caps: keys {keys[family]!r} and {key!r} both name family {family}"
-            )
-        keys[family] = key
-        caps[family] = _real(value, f"budgets.family_caps[{key!r}]")
-    return DefenderBudgets(
-        c_op_max=_real(_require(obj, "c_op_max", "budgets"), "budgets.c_op_max"),
-        c_cpu_max=_real(_require(obj, "c_cpu_max", "budgets"), "budgets.c_cpu_max"),
-        c_mem_max=_real(_require(obj, "c_mem_max", "budgets"), "budgets.c_mem_max"),
-        t_max=_real(_require(obj, "t_max", "budgets"), "budgets.t_max"),
-        r_min=_real(_require(obj, "r_min", "budgets"), "budgets.r_min"),
-        family_caps=caps,
-    )
-
-
-def _parse_attacker(raw: Any) -> AttackerParams:
-    obj = _mapping(raw, "attacker")
-    _reject_unknown(obj, _ATTACKER_FIELDS, "attacker")
-    cost_fn = CostFunctionSpec()
-    if "cost_fn" in obj:
-        fn = _mapping(obj["cost_fn"], "attacker.cost_fn")
-        _reject_unknown(fn, _COST_FN_FIELDS, "attacker.cost_fn")
-        cost_fn = CostFunctionSpec(
-            linear_coeff=_real(fn.get("linear_coeff", 1.0), "attacker.cost_fn.linear_coeff"),
-            quadratic_coeff=_real(
-                fn.get("quadratic_coeff", 0.0), "attacker.cost_fn.quadratic_coeff"
-            ),
+def _value(kind: Any, raw: Any, path: str) -> Any:
+    """Parse raw as the resolved field type kind, reporting faults at path."""
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(raw, path)
+    if is_dataclass(kind):
+        obj = _mapping(raw, path)
+        _reject_unknown(obj, _schema(kind), path)
+        return _object(kind, obj, path)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        return tuple(
+            _value(args[0], item, f"{path}[{i}]") for i, item in enumerate(_sequence(raw, path))
         )
-    return AttackerParams(
-        value=_real(_require(obj, "value", "attacker"), "attacker.value"),
-        budget=_real(_require(obj, "budget", "attacker"), "attacker.budget"),
-        cost_fn=cost_fn,
-    )
+    # what is left is the model's one Mapping[int, float]; JSON keys are strings
+    parsed, keys = {}, {}
+    for key, item in _mapping(raw, path).items():
+        try:
+            number = int(key)
+        except ValueError:
+            raise ParseError(f"{path}: key {key!r} is not an integer family id") from None
+        if number in keys:
+            raise ParseError(
+                f"{path}: keys {keys[number]!r} and {key!r} both name family {number}"
+            )
+        keys[number] = key
+        parsed[number] = _value(args[1], item, f"{path}[{key!r}]")
+    return parsed
 
 
 def parse_scenario(payload: Any) -> tuple[GameInstance, Optional[ScenarioSet]]:
     """Parse an already-decoded JSON document. Raises ParseError on any
-    structural problem; performs no semantic validation."""
+    structural problem; performs no semantic validation. At each level,
+    unknown keys are reported first, then the fields in model order."""
     root = _mapping(payload, "$")
-    _reject_unknown(root, _ROOT_FIELDS, "$")
+    _reject_unknown(root, (*_schema(GameInstance), *_ROOT_EXTRAS), "$")
     version = _string(_require(root, "schema_version", "$"), "schema_version")
     if version != SCHEMA_VERSION:
-        raise ParseError(
-            f"schema_version: expected {SCHEMA_VERSION!r}, got {version!r}"
-        )
-    algorithms = _sequence(_require(root, "algorithms", "$"), "algorithms")
-    instance = GameInstance(
-        algorithms=tuple(
-            _parse_algorithm(item, f"algorithms[{i}]") for i, item in enumerate(algorithms)
-        ),
-        weights=_parse_weights(_require(root, "weights", "$")),
-        budgets=_parse_budgets(_require(root, "budgets", "$")),
-        attacker=_parse_attacker(_require(root, "attacker", "$")),
-    )
+        raise ParseError(f"schema_version: expected {SCHEMA_VERSION!r}, got {version!r}")
+    instance = _object(GameInstance, root, "$")
     scenarios = None
     if "scenario_budgets" in root:
-        raw = _sequence(root["scenario_budgets"], "scenario_budgets")
-        budgets = tuple(
-            _real(item, f"scenario_budgets[{i}]") for i, item in enumerate(raw)
-        )
+        budgets = _value(tuple[float, ...], root["scenario_budgets"], "scenario_budgets")
         try:
             scenarios = ScenarioSet(budgets=budgets)
         except ValueError as exc:
@@ -238,7 +169,7 @@ def load_scenario(path) -> tuple[GameInstance, Optional[ScenarioSet]]:
             payload = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     return _validated(*parse_scenario(payload))
 
@@ -252,63 +183,28 @@ def load_bundled_scenario() -> tuple[GameInstance, Optional[ScenarioSet]]:
     return _validated(*parse_scenario(json.loads(text)))
 
 
-def scenario_payload(
-    instance: GameInstance, scenarios: Optional[ScenarioSet] = None
-) -> dict:
+def to_payload(data: Any) -> Any:
+    """JSON-ready form of model data: a dataclass becomes an object in field
+    order, a tuple a list, and a mapping an object with string keys in
+    sorted key order."""
+    if is_dataclass(data):
+        return {f.name: to_payload(getattr(data, f.name)) for f in fields(data)}
+    if isinstance(data, tuple):
+        return [to_payload(item) for item in data]
+    if isinstance(data, Mapping):
+        return {str(key): to_payload(item) for key, item in sorted(data.items())}
+    return data
+
+
+def scenario_payload(instance: GameInstance, scenarios: Optional[ScenarioSet] = None) -> dict:
     """Schema-shaped dict for an instance, suitable for json.dump."""
-    payload: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "algorithms": [
-            {
-                "id": alg.id,
-                "op_cost": alg.op_cost,
-                "cpu_cost": alg.cpu_cost,
-                "mem_cost": alg.mem_cost,
-                "latency": alg.latency,
-                "resilience": alg.resilience,
-                "protected_value": alg.protected_value,
-                "family": alg.family,
-                "attacks": [
-                    {"id": atk.id, "success": atk.success, "cost": atk.cost}
-                    for atk in alg.attacks
-                ],
-            }
-            for alg in instance.algorithms
-        ],
-        "weights": {
-            "g_op": instance.weights.g_op,
-            "g_cpu": instance.weights.g_cpu,
-            "g_mem": instance.weights.g_mem,
-            "g_tau": instance.weights.g_tau,
-            "g_r": instance.weights.g_r,
-        },
-        "budgets": {
-            "c_op_max": instance.budgets.c_op_max,
-            "c_cpu_max": instance.budgets.c_cpu_max,
-            "c_mem_max": instance.budgets.c_mem_max,
-            "t_max": instance.budgets.t_max,
-            "r_min": instance.budgets.r_min,
-            "family_caps": {
-                str(fam): cap for fam, cap in sorted(instance.budgets.family_caps.items())
-            },
-        },
-        "attacker": {
-            "value": instance.attacker.value,
-            "budget": instance.attacker.budget,
-            "cost_fn": {
-                "linear_coeff": instance.attacker.cost_fn.linear_coeff,
-                "quadratic_coeff": instance.attacker.cost_fn.quadratic_coeff,
-            },
-        },
-    }
+    payload = {"schema_version": SCHEMA_VERSION, **to_payload(instance)}
     if scenarios is not None:
-        payload["scenario_budgets"] = list(scenarios.budgets)
+        payload["scenario_budgets"] = to_payload(scenarios.budgets)
     return payload
 
 
-def save_scenario(
-    instance: GameInstance, path, scenarios: Optional[ScenarioSet] = None
-) -> None:
+def save_scenario(instance: GameInstance, path, scenarios: Optional[ScenarioSet] = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scenario_payload(instance, scenarios), fh, indent=2)
         fh.write("\n")

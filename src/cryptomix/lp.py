@@ -76,7 +76,7 @@ class LpSolution:
     status: str  # "optimal", "infeasible", or "unbounded"
     values: tuple[float, ...] = ()
     objective_value: float = float("nan")
-    binding: frozenset[str] = field(default_factory=frozenset)
+    binding: tuple[str, ...] = ()  # sorted labels of the active constraints
     duals: dict[str, float] = field(default_factory=dict)
     reduced_lower: tuple[float, ...] = ()
     reduced_upper: tuple[float, ...] = ()
@@ -108,13 +108,15 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _binds(con: Constraint, values: Sequence[float], eps: float) -> bool:
-    """Whether con is active at values: always for an equality, else within
-    a relative tolerance eps * (1 + |rhs|)."""
-    if con.relation == "=":
-        return True
-    activity = float(np.dot(con.coeffs, values))
-    return abs(activity - con.rhs) <= eps * (1.0 + abs(con.rhs))
+def _binding(lp: LinearProgram, values: Sequence[float], eps: float) -> tuple[str, ...]:
+    """Sorted labels of the constraints active at values: every equality,
+    and each inequality within a relative tolerance eps * (1 + |rhs|)."""
+    labels = set()
+    for con in lp.constraints:
+        activity = float(np.dot(con.coeffs, values))
+        if con.relation == "=" or abs(activity - con.rhs) <= eps * (1.0 + abs(con.rhs)):
+            labels.add(con.label)
+    return tuple(sorted(labels))
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -163,9 +165,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         status="optimal",
         values=values,
         objective_value=objective_value,
-        binding=frozenset(
-            con.label for con in lp.constraints if _binds(con, values, BIND_EPS)
-        ),
+        binding=_binding(lp, values, BIND_EPS),
         duals=duals,
         reduced_lower=tuple(float(v) for v in result.lower.marginals),
         reduced_upper=tuple(float(v) for v in result.upper.marginals),
@@ -188,12 +188,12 @@ def solve_optimal(lp: LinearProgram, context: str) -> LpSolution:
 
 def binding_constraints(
     lp: LinearProgram, solution: LpSolution, eps: float = BIND_EPS
-) -> frozenset[str]:
-    """Labels of constraints active at the solution, within a relative
-    tolerance scaled by 1 + |rhs|."""
+) -> tuple[str, ...]:
+    """Sorted labels of constraints active at the solution, within a
+    relative tolerance scaled by 1 + |rhs|."""
     if solution.status != "optimal":
         raise NotOptimal(f"solution status is {solution.status!r}")
-    return frozenset(con.label for con in lp.constraints if _binds(con, solution.values, eps))
+    return _binding(lp, solution.values, eps)
 
 
 def alternate_optimum_gap(

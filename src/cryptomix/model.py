@@ -9,7 +9,7 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
@@ -34,7 +34,7 @@ class EncryptionAlgorithm:
     resilience: float
     protected_value: float
     family: int
-    attacks: tuple[AttackMethod, ...] = ()
+    attacks: tuple[AttackMethod, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "attacks", tuple(self.attacks))
@@ -77,7 +77,7 @@ class DefenderBudgets:
     c_mem_max: float
     t_max: float
     r_min: float
-    family_caps: Mapping[int, float] = field(default_factory=dict)
+    family_caps: Mapping[int, float]
 
     def cap(self, family: int) -> float:
         # families without a declared cap are uncapped
@@ -183,6 +183,8 @@ class ValidationReport:
 def validate_instance(instance: GameInstance) -> ValidationReport:
     """Report-style validation of one scenario; never raises."""
     problems: list[str] = []
+    if not instance.algorithms:
+        problems.append("scenario has no algorithms")
     seen_ids: set[str] = set()
     for alg in instance.algorithms:
         if alg.id in seen_ids:

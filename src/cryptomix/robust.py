@@ -176,7 +176,7 @@ def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyRepor
         usage=strategy_usage(instance, probs),
         expected_breach=worst_breach,
         support_size=len(strategy.support(SUPPORT_EPS)),
-        binding_labels=tuple(sorted(solution.binding)),
+        binding_labels=solution.binding,
     )
 
 

@@ -256,3 +256,42 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--solver", "dp", "--scale", "0"],
+            "argument --scale: expected a positive integer, got '0'",
+        ),
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--solver", "dp", "--scale", "-1"],
+            "argument --scale: expected a positive integer, got '-1'",
+        ),
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--solver", "greedy"]
+            + ["--seed", "-1"],
+            "argument --seed: expected a non-negative integer, got '-1'",
+        ),
+        (["baselines", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
+        (["calibrate", "--max-methods", "0"], "argument --max-methods: expected a positive integer"),
+        (["solve-robust", "--budgets", "30,20"], "--budgets: scenario budgets must be strictly"),
+    ],
+    ids=["scale-0", "scale-negative", "seed-negative", "baselines-seed", "max-methods-0", "budgets"],
+)
+def test_bad_option_values_exit_code(capsys, argv, message):
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_solver_fault_is_internal_error(monkeypatch, capsys, error):
+    def broken_solver(instance):
+        raise error("solver bug")
+
+    monkeypatch.setattr("cryptomix.cli.solve_stackelberg", broken_solver)
+    assert run_cli(["solve-defender"]) == 3
+    assert "internal error" in capsys.readouterr().err

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cryptomix
 from cryptomix import (
     HybridResult,
     InfeasibleDefender,
@@ -161,3 +166,22 @@ def test_defender_lp_reuses_polytope(instance):
     ]
     sol = solve_lp(lp)
     assert sol.status == "optimal"
+
+
+def test_equilibrium_repr_is_independent_of_hash_seed():
+    # string hashing is randomised per process, so no part of the result
+    # may follow a set's iteration order
+    src = str(Path(cryptomix.__file__).resolve().parents[1])
+    code = (
+        "from cryptomix import load_bundled_scenario, solve_stackelberg; "
+        "print(repr(solve_stackelberg(load_bundled_scenario()[0])))"
+    )
+    reprs = []
+    for seed in ("1", "2"):
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        reprs.append(result.stdout)
+    assert reprs[0] == reprs[1]

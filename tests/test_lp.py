@@ -40,7 +40,7 @@ def test_solve_simple_max_vertex():
     assert sol.status == "optimal"
     assert sol.values == pytest.approx((2.0, 2.0))
     assert sol.objective_value == pytest.approx(10.0)
-    assert sol.binding == {"cap", "xcap"}
+    assert sol.binding == ("cap", "xcap")
 
 
 def test_binding_constraints_matches_solution():

@@ -124,6 +124,12 @@ def test_validate_flags_duplicate_algorithm_ids(instance):
     assert any("duplicate algorithm id" in v for v in report.violations)
 
 
+def test_validate_flags_empty_algorithm_list(instance):
+    # with no algorithm there is no mixed strategy, so no LP to build
+    report = validate_instance(dataclasses.replace(instance, algorithms=()))
+    assert report.violations == ("scenario has no algorithms",)
+
+
 def test_validate_flags_resilience_out_of_range(instance):
     report = validate_instance(_broken(instance, resilience=1.5))
     assert any("resilience" in v for v in report.violations)
