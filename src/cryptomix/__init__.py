@@ -43,6 +43,7 @@ from .errors import (
     CryptomixError,
     InfeasibleDefender,
     NotOptimal,
+    OutputPathError,
     ParseError,
     TableTooLarge,
     TooManyMethods,

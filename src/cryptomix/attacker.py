@@ -155,11 +155,25 @@ def _with_j_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return first
 
 
+def _cells(amount: float, scale: int, up: bool) -> int:
+    """amount in 1/scale cost cells: costs round up and budgets down, so a
+    set whose cells fit a budget's cells fits the real budget too.
+
+    A grid point keeps its cell: the decimal 2.3 is the float nearest 23/10,
+    so it stays 23 cells although 2.3 * 10 evaluates to 22.999999999999996.
+    """
+    scaled = amount * scale
+    nearest = round(scaled)
+    if nearest / scale == amount:
+        return int(nearest)
+    return math.ceil(scaled) if up else math.floor(scaled)
+
+
 def dp_table_fits(n_methods: int, budget: float, config: DpConfig = DpConfig()) -> bool:
     """The table-size rule shared by every caller of the DP, and the only
     rule that sends an attacker subgame to the DP or the greedy: n methods
     x (budget cells + 1) within config.max_table_cells."""
-    return n_methods * (int(round(budget * config.cost_scale)) + 1) <= config.max_table_cells
+    return n_methods * (_cells(budget, config.cost_scale, up=False) + 1) <= config.max_table_cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,13 +211,13 @@ def build_dp_table(
     methods = tuple(_sorted_methods(algorithm))
     n = len(methods)
     scale = config.cost_scale
-    size = int(round(budget * scale)) + 1
+    size = _cells(budget, scale, up=False) + 1
     if not dp_table_fits(n, budget, config):
         raise TableTooLarge(
             f"{n} methods x {size} cost levels exceeds "
             f"{config.max_table_cells} table cells"
         )
-    weights = tuple(int(round(m.cost * scale)) for m in methods)
+    weights = tuple(_cells(m.cost, scale, up=True) for m in methods)
 
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0
@@ -248,7 +262,7 @@ def dp_plans(
     for budget in budgets:
         if budget < 0:
             raise BudgetNegative(f"budget {budget} is negative")
-        cells = int(round(budget * scale)) + 1
+        cells = _cells(budget, scale, up=False) + 1
         if cells > size:
             raise ValueError(f"budget {budget} needs {cells} cost cells, the table has {size}")
         # cell 0 is not necessarily the empty set: zero-cost methods land there
@@ -265,7 +279,9 @@ def solve_dp(
 ) -> AttackPlan:
     """Exact optimum under scaled-integer costs: the best value *
     (1 - minfail[c]) - phi(c / scale) over all reachable cells c within the
-    budget, from a table built at that budget."""
+    budget, from a table built at that budget. Costs are rounded up to
+    whole cells and the budget down (_cells), so the plan keeps to the real
+    budget; on the 1/scale grid nothing is rounded."""
     return dp_plans(build_dp_table(algorithm, params.budget, config), params, (params.budget,))[0]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,6 +38,7 @@ from .defender import evaluate_all, solve_stackelberg
 from .errors import (
     BudgetNegative,
     InfeasibleDefender,
+    OutputPathError,
     ParseError,
     TableTooLarge,
     TooManyMethods,
@@ -54,7 +56,14 @@ from .robust import (
     solve_unconstrained_case,
 )
 
-INPUT_ERRORS = (ParseError, ValidationError, BudgetNegative, TooManyMethods, TableTooLarge)
+INPUT_ERRORS = (
+    ParseError,
+    ValidationError,
+    BudgetNegative,
+    TooManyMethods,
+    TableTooLarge,
+    OutputPathError,
+)
 
 
 def _finite_float(text: str) -> float:
@@ -103,6 +112,27 @@ def _load(args) -> tuple[GameInstance, Optional[ScenarioSet]]:
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _check_out_file(option: str, path: Optional[str]) -> None:
+    """Fail before any solving when an output file's directory does not
+    exist or the path is a directory."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise OutputPathError(f"{option}: {path} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise OutputPathError(f"{option}: directory {parent} does not exist")
+
+
+def _save(option: str, path, text: str) -> None:
+    """Write an output file; an OSError is the user's path, not a fault."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputPathError(f"{option}: cannot write {path}: {exc.strerror or exc}") from None
 
 
 def cmd_solve_attacker(args) -> int:
@@ -168,6 +198,7 @@ def _defender_payload(instance: GameInstance, result) -> dict:
 
 
 def cmd_solve_defender(args) -> int:
+    _check_out_file("--out", args.out)
     instance, _ = _load(args)
     if args.budget is not None:
         instance = replace(instance, attacker=replace(instance.attacker, budget=args.budget))
@@ -186,13 +217,19 @@ def cmd_solve_defender(args) -> int:
     else:
         _emit(payload)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _save("--out", args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 def cmd_solve_robust(args) -> int:
+    out_dir = Path(args.out_dir)
+    if args.matrices:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputPathError(
+                f"--out-dir: cannot create {out_dir}: {exc.strerror or exc}"
+            ) from None
     instance, file_scenarios = _load(args)
     if args.budgets:
         try:
@@ -233,15 +270,14 @@ def cmd_solve_robust(args) -> int:
         breach_m = breach_regret_matrix(instance, table, extras)
         payload["regret_matrix"] = utility_m.to_dict()
         payload["breach_regret_matrix"] = breach_m.to_dict()
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        utility_m.save_csv(out_dir / "regret_matrix.csv")
-        breach_m.save_csv(out_dir / "breach_regret_matrix.csv")
+        _save("--out-dir", out_dir / "regret_matrix.csv", utility_m.as_csv())
+        _save("--out-dir", out_dir / "breach_regret_matrix.csv", breach_m.as_csv())
     _emit(payload)
     return 0
 
 
 def cmd_baselines(args) -> int:
+    _check_out_file("--out", args.out)
     instance, _ = _load(args)
     evaluations = evaluate_all(instance)
     strategies: list[tuple[str, Sequence[float]]] = []
@@ -254,12 +290,12 @@ def cmd_baselines(args) -> int:
     text = comparison_csv(rows)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _save("--out", args.out, text)
     return 0
 
 
 def cmd_calibrate(args) -> int:
+    _check_out_file("--csv", args.csv)
     config = CalibrationConfig(
         time_limit=args.time_limit,
         max_methods=args.max_methods,
@@ -267,10 +303,8 @@ def cmd_calibrate(args) -> int:
     )
     result = calibrate_threshold(config)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("n,seconds\n")
-            for n, seconds in result.series:
-                fh.write(f"{n},{seconds!r}\n")
+        rows = "".join(f"{n},{seconds!r}\n" for n, seconds in result.series)
+        _save("--csv", args.csv, "n,seconds\n" + rows)
     _emit(
         {
             "threshold": result.threshold,

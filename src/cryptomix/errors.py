@@ -31,3 +31,7 @@ class ParseError(CryptomixError):
 
 class ValidationError(CryptomixError):
     """Scenario file parsed but violates model invariants."""
+
+
+class OutputPathError(CryptomixError):
+    """An output option names a path that cannot be written."""

@@ -121,10 +121,10 @@ def _value(kind: Any, raw: Any, path: str) -> Any:
     # what is left is the model's one Mapping[int, float]; JSON keys are strings
     parsed, keys = {}, {}
     for key, item in _mapping(raw, path).items():
-        try:
-            number = int(key)
-        except ValueError:
-            raise ParseError(f"{path}: key {key!r} is not an integer family id") from None
+        # int() would also take " +1_0 "; a family id is ASCII digits only
+        if not (key.isascii() and key.isdigit()):
+            raise ParseError(f"{path}: key {key!r} is not an integer family id")
+        number = int(key)
         if number in keys:
             raise ParseError(
                 f"{path}: keys {keys[number]!r} and {key!r} both name family {number}"

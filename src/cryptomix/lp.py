@@ -1,4 +1,4 @@
-"""Thin linear-programming layer over scipy's dual simplex.
+"""Thin linear-programming layer over the HiGHS dual simplex bundled with scipy.
 
 Programs are built from labeled constraints so downstream reports can name
 which constraints bind at an optimum. The dual simplex returns a basic
@@ -8,8 +8,10 @@ program.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,30 +84,158 @@ class LpSolution:
     reduced_upper: tuple[float, ...] = ()
 
 
-def _split(lp: LinearProgram):
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in lp.constraints:
-        row = np.asarray(con.coeffs, dtype=float)
-        if con.relation == "<=":
-            a_ub.append(row)
-            b_ub.append(con.rhs)
-        elif con.relation == ">=":
-            a_ub.append(-row)
-            b_ub.append(-con.rhs)
-        else:
-            a_eq.append(row)
-            b_eq.append(con.rhs)
-    return a_ub, b_ub, a_eq, b_eq
+# scipy's post-solve check (scipy.optimize._linprog_util._check_result):
+# an "optimal" point must keep to its bounds and rows within
+# 10 * sqrt(tol), with linprog's default tol = 1e-9
+_CHECK_TOL = 10.0 * math.sqrt(1e-9)
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use: loading scipy.optimize
-    takes longer than the rest of a CLI command that solves no LP. It stays
-    a module-level name so the benchmark's span recorder (bench/spans.py)
-    can still wrap the solver call."""
-    from scipy.optimize import linprog as scipy_linprog
+@functools.cache
+def _highs():
+    """scipy's bundled HiGHS bindings and the options that
+    scipy.optimize.linprog(method="highs-ds") sets, built at the first LP:
+    loading scipy.optimize takes longer than the rest of a CLI command that
+    solves no LP."""
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError as exc:
+        import scipy
 
-    return scipy_linprog(*args, **kwargs)
+        raise ImportError(
+            f"solve_lp needs scipy >= 1.15 (scipy.optimize._highspy); found {scipy.__version__}"
+        ) from exc
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.solver = "simplex"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    return _core, options
+
+
+class _Form(NamedTuple):
+    """A program as scipy.optimize.linprog hands it to HiGHS: minimise
+    cost . x subject to the <= rows and the negated >= rows (the first n_ub
+    rows of matrix, at most rhs), then the = rows, and lower <= x <= upper
+    with None bounds as -inf/+inf."""
+
+    cost: np.ndarray
+    matrix: np.ndarray
+    rhs: np.ndarray
+    n_ub: int
+    lower: np.ndarray
+    upper: np.ndarray
+
+
+def _form(lp: LinearProgram) -> _Form:
+    n = lp.num_vars
+    sign = -1.0 if lp.sense == "max" else 1.0
+    cost = sign * np.asarray(lp.objective, dtype=float)
+    rows = [con for con in lp.constraints if con.relation != "="]
+    n_ub = len(rows)
+    rows += [con for con in lp.constraints if con.relation == "="]
+    matrix = np.array([con.coeffs for con in rows], dtype=float).reshape(len(rows), n)
+    rhs = np.array([con.rhs for con in rows], dtype=float)
+    negated = np.array([con.relation == ">=" for con in rows], dtype=bool)
+    matrix[negated] *= -1.0
+    rhs[negated] *= -1.0
+    # scipy's input checks (_clean_inputs)
+    if n == 0:
+        raise ValueError("LP has no variables")
+    if not (np.isfinite(cost).all() and np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise ValueError("LP objective, coefficients and right-hand sides must be finite")
+    lower, upper = np.array(lp.bounds_list(), dtype=float).T  # None becomes NaN
+    lower[np.isnan(lower)] = -np.inf
+    upper[np.isnan(upper)] = np.inf
+    return _Form(cost, matrix, rhs, n_ub, lower, upper)
+
+
+def _highs_lp(form: _Form):
+    """The HighsLp of a form, its matrix column-wise without zeros."""
+    core, _ = _highs()
+    m, n = form.matrix.shape
+    model = core.HighsLp()
+    model.num_col_ = n
+    model.num_row_ = m
+    model.col_cost_ = form.cost
+    model.col_lower_ = np.clip(form.lower, -core.kHighsInf, core.kHighsInf)
+    model.col_upper_ = np.clip(form.upper, -core.kHighsInf, core.kHighsInf)
+    model.row_lower_ = np.concatenate((np.full(form.n_ub, -core.kHighsInf), form.rhs[form.n_ub :]))
+    model.row_upper_ = form.rhs
+    col, row = np.nonzero(form.matrix.T)  # column-major, rows ascending in each column
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.num_col_ = n
+    model.a_matrix_.num_row_ = m
+    model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
+    model.a_matrix_.index_ = row
+    model.a_matrix_.value_ = form.matrix.T[col, row]
+    return model
+
+
+class _Run(NamedTuple):
+    """What one HiGHS run reports; the point, the row duals and the bound
+    marginals are None unless the model status is optimal."""
+
+    status: Any  # HighsModelStatus
+    nit: int
+    x: Optional[np.ndarray] = None
+    fun: float = math.nan
+    row_dual: Optional[np.ndarray] = None
+    marg_lower: Optional[np.ndarray] = None
+    marg_upper: Optional[np.ndarray] = None
+
+
+def linprog(model) -> _Run:
+    """Run HiGHS once on a HighsLp, as scipy.optimize.linprog does with
+    method="highs-ds". It is a module-level name so the benchmark's span
+    recorder (bench/spans.py) can wrap the solver call alone."""
+    core, options = _highs()
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        return _Run(core.HighsModelStatus.kModelError, 0)
+    if highs.run() == core.HighsStatus.kError:
+        return _Run(highs.getModelStatus(), 0)
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status != core.HighsModelStatus.kOptimal:
+        return _Run(status, nit)
+    solution = highs.getSolution()
+    col_dual = solution.col_dual
+    # bound marginals from the basis column status, as scipy reports them
+    marg_lower = np.zeros(model.num_col_)
+    marg_upper = np.zeros(model.num_col_)
+    for j, col_status in enumerate(highs.getBasis().col_status):
+        if col_status == core.HighsBasisStatus.kLower:
+            marg_lower[j] = col_dual[j]
+        elif col_status == core.HighsBasisStatus.kUpper:
+            marg_upper[j] = col_dual[j]
+    return _Run(
+        status,
+        nit,
+        np.array(solution.col_value),
+        info.objective_function_value,
+        np.array(solution.row_dual),
+        marg_lower,
+        marg_upper,
+    )
+
+
+def _feasible(form: _Form, run: _Run) -> bool:
+    """scipy's _check_result for an optimal run: no NaN, and x within its
+    bounds and rows up to _CHECK_TOL."""
+    x = run.x
+    slack = form.rhs - form.matrix @ x
+    if np.isnan(x).any() or math.isnan(run.fun) or np.isnan(slack).any():
+        return False
+    return not (
+        (x < form.lower - _CHECK_TOL).any()
+        or (x > form.upper + _CHECK_TOL).any()
+        or (slack[: form.n_ub] < -_CHECK_TOL).any()
+        or (np.abs(slack[form.n_ub :]) > _CHECK_TOL).any()
+    )
 
 
 def _binding(lp: LinearProgram, values: Sequence[float], eps: float) -> tuple[str, ...]:
@@ -122,53 +252,48 @@ def _binding(lp: LinearProgram, values: Sequence[float], eps: float) -> tuple[st
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve with HiGHS dual simplex and report a vertex optimum.
 
+    The program, options, status, point, duals and bound marginals are
+    those of scipy.optimize.linprog(method="highs-ds"), without its
+    per-call set-up: the options are built once, and the program goes to
+    HiGHS as it is (_form). An optimal point that breaks a bound or row
+    raises, as scipy reports it as failed.
+
     Duals are reported in canonical min form regardless of lp.sense, so a
     binding <= constraint always has a nonpositive multiplier effect on
     the minimized objective.
     """
-    sign = -1.0 if lp.sense == "max" else 1.0
-    cost = sign * np.asarray(lp.objective, dtype=float)
-    a_ub, b_ub, a_eq, b_eq = _split(lp)
-    result = linprog(
-        cost,
-        A_ub=np.vstack(a_ub) if a_ub else None,
-        b_ub=np.asarray(b_ub) if a_ub else None,
-        A_eq=np.vstack(a_eq) if a_eq else None,
-        b_eq=np.asarray(b_eq) if a_eq else None,
-        bounds=lp.bounds_list(),
-        method="highs-ds",
-    )
-    if result.status == 2:
+    core, _ = _highs()
+    form = _form(lp)
+    run = linprog(_highs_lp(form))
+    if run.status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
         return LpSolution(status="infeasible")
-    if result.status == 3:
+    if run.status == core.HighsModelStatus.kUnbounded:
         return LpSolution(status="unbounded")
-    if result.status != 0:
-        raise RuntimeError(f"LP solver failed: status {result.status} ({result.message})")
+    if run.status != core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"LP solver failed: model status {run.status.name}")
+    if not _feasible(form, run):
+        raise RuntimeError(
+            f"LP solver failed: its optimal point breaks a bound or row by more than {_CHECK_TOL:.2E}"
+        )
 
-    values = tuple(float(v) for v in result.x)
-    objective_value = float(np.dot(lp.objective, result.x))
-
+    values = tuple(float(v) for v in run.x)
     duals: dict[str, float] = {}
-    iq = eq = 0
-    marg_ineq = result.ineqlin.marginals if a_ub else np.zeros(0)
-    marg_eq = result.eqlin.marginals if a_eq else np.zeros(0)
+    ineq_duals, eq_duals = iter(run.row_dual[: form.n_ub]), iter(run.row_dual[form.n_ub :])
     for con in lp.constraints:
         if con.relation == "=":
-            duals[con.label] = float(marg_eq[eq])
-            eq += 1
+            duals[con.label] = float(next(eq_duals))
         else:
-            raw = float(marg_ineq[iq])
-            iq += 1
+            raw = float(next(ineq_duals))
             # >= rows were negated on the way in; flip the dual back
             duals[con.label] = raw if con.relation == "<=" else -raw
     return LpSolution(
         status="optimal",
         values=values,
-        objective_value=objective_value,
+        objective_value=float(np.dot(lp.objective, run.x)),
         binding=_binding(lp, values, BIND_EPS),
         duals=duals,
-        reduced_lower=tuple(float(v) for v in result.lower.marginals),
-        reduced_upper=tuple(float(v) for v in result.upper.marginals),
+        reduced_lower=tuple(float(v) for v in run.marg_lower),
+        reduced_upper=tuple(float(v) for v in run.marg_upper),
     )
 
 

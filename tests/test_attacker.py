@@ -136,6 +136,52 @@ def test_fractional_costs_respect_budget(instance):
     assert at_20.methods == ()
 
 
+def test_dp_keeps_the_real_budget_off_the_grid():
+    # 1.04 is 10.4 cells at scale 10: rounded to 10, three fit 31 cells
+    # (total 3.12 > 3.1); rounded up to 11 they do not
+    alg = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.5, 1.04) for i in range(3)))
+    params = AttackerParams(value=100.0, budget=3.1)
+    plan = solve_dp(alg, params)
+    assert plan.methods == ("m0", "m1")
+    assert plan == solve_brute_force(alg, params)
+
+
+def test_dp_grid_decimals_keep_their_cells():
+    # 2.3 * 10 evaluates to 22.999999999999996; a 2.3 method still fits 2.3
+    alg = bare_algorithm((AttackMethod("a", 0.5, 2.3),))
+    assert solve_dp(alg, AttackerParams(value=100.0, budget=2.3)).methods == ("a",)
+    assert solve_dp(alg, AttackerParams(value=100.0, budget=2.2)).methods == ()
+
+
+@st.composite
+def real_valued_subgames(draw):
+    reals = st.floats(min_value=0.0, max_value=20.0, allow_nan=False)
+    methods = tuple(
+        AttackMethod(f"m{i}", draw(st.floats(min_value=0.01, max_value=0.99)), draw(reals))
+        for i in range(draw(st.integers(0, 7)))
+    )
+    params = AttackerParams(
+        value=draw(st.floats(min_value=1.0, max_value=500.0)),
+        budget=draw(st.floats(min_value=0.0, max_value=40.0)),
+    )
+    return bare_algorithm(methods), params, draw(st.sampled_from((1, 3, 10)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(real_valued_subgames())
+def test_every_solver_keeps_the_real_budget(case):
+    alg, params, scale = case
+    dp_config = DpConfig(cost_scale=scale)
+    plans = {
+        "dp": solve_dp(alg, params, dp_config),
+        "greedy": solve_sample_greedy(alg, params),
+        "hybrid": solve_hybrid(alg, params, dp_config).plan,
+        "brute": solve_brute_force(alg, params),
+    }
+    for name, plan in plans.items():
+        assert plan.total_cost <= params.budget * (1 + 1e-9), name
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_dp_equals_brute_force_on_random_integer_instances(seed):

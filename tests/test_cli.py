@@ -170,6 +170,60 @@ def test_calibrate(tmp_path, capsys):
     assert len(lines) == 2
 
 
+OUTPUT_OPTIONS = [
+    (["solve-defender", "--out"], "--out"),
+    (["baselines", "--samples", "1", "--out"], "--out"),
+    (["calibrate", "--max-methods", "1", "--csv"], "--csv"),
+]
+
+
+@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines", "calibrate"])
+def test_output_file_in_missing_directory_exits_1_before_solving(tmp_path, capsys, argv, option):
+    target = tmp_path / "absent" / "out.txt"
+    assert run_cli([*argv, str(target)]) == 1
+    captured = capsys.readouterr()
+    # every command prints its result before writing the file
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: directory {target.parent} does not exist\n"
+
+
+@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines", "calibrate"])
+def test_output_file_that_is_a_directory_exits_1(tmp_path, capsys, argv, option):
+    assert run_cli([*argv, str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option}: {tmp_path} is a directory\n"
+
+
+@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines", "calibrate"])
+def test_unwritable_output_file_exits_1(tmp_path, capsys, argv, option):
+    # the directory exists, so only the write itself fails
+    target = tmp_path / ("x" * 300)
+    assert run_cli([*argv, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: cannot write {target}: ")
+    assert "internal error" not in err
+
+
+def test_output_directory_that_cannot_be_made_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out_dir = blocker / "sub"
+    code = run_cli(["solve-robust", "--budgets", "11,15", "--matrices", "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out-dir: cannot create {out_dir}: ")
+
+
+def test_unwritable_matrix_file_exits_1(tmp_path, capsys):
+    (tmp_path / "regret_matrix.csv").mkdir()
+    code = run_cli(["solve-robust", "--budgets", "11,15", "--matrices", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: --out-dir: cannot write {tmp_path / 'regret_matrix.csv'}: ")
+
+
 def test_infeasible_scenario_exit_code(tmp_path, capsys, instance):
     path = tmp_path / "tight.json"
     tight = replace(instance, budgets=replace(instance.budgets, r_min=0.9))

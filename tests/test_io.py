@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -141,6 +142,15 @@ def test_decreasing_scenario_budgets(payload):
 def test_non_integer_family_key(payload):
     payload["budgets"]["family_caps"]["fast"] = 0.5
     with pytest.raises(ParseError, match="not an integer family id"):
+        parse_scenario(payload)
+
+
+@pytest.mark.parametrize("key", [" 1", "1 ", "\t2", "+1", "-0", "1_0", " +1_0 ", "\u0661", "", "\u00b2"])
+def test_family_key_is_ascii_digits_only(payload, key):
+    # int() accepts all but the last two; none is a family id as written
+    payload["budgets"]["family_caps"] = {key: 0.5, "0": 0.6}
+    message = f"budgets.family_caps: key {key!r} is not an integer family id"
+    with pytest.raises(ParseError, match=re.escape(message)):
         parse_scenario(payload)
 
 

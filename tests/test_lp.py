@@ -1,6 +1,10 @@
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cryptomix.lp
 from cryptomix import (
@@ -22,6 +26,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
+from helpers import random_feasible_instance
 
 
 def simple_max():
@@ -186,3 +191,177 @@ def test_scenario_breach_lp_raises_not_optimal(monkeypatch, instance, scenarios)
     monkeypatch.setattr(cryptomix.lp, "solve_lp", unbounded_min)
     with pytest.raises(NotOptimal, match="scenario k=11: breach LP ended"):
         scenario_table(instance, scenarios)
+
+
+# ------------------------------------------------ HiGHS bindings vs linprog
+
+
+def scipy_reference(lp):
+    """scipy.optimize.linprog(method="highs-ds") on the program, with the
+    rows in solve_lp's order."""
+    from scipy.optimize import linprog
+
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for con in lp.constraints:
+        sign = -1.0 if con.relation == ">=" else 1.0
+        a, b = (a_eq, b_eq) if con.relation == "=" else (a_ub, b_ub)
+        a.append(sign * np.asarray(con.coeffs))
+        b.append(sign * con.rhs)
+    return linprog(
+        (-1.0 if lp.sense == "max" else 1.0) * np.asarray(lp.objective),
+        A_ub=np.vstack(a_ub) if a_ub else None,
+        b_ub=np.asarray(b_ub) if a_ub else None,
+        A_eq=np.vstack(a_eq) if a_eq else None,
+        b_eq=np.asarray(b_eq) if a_eq else None,
+        bounds=lp.bounds_list(),
+        method="highs-ds",
+    )
+
+
+def bitwise(values):
+    return [float(v).hex() for v in values]
+
+
+# small integers and halves, with many zeros, keep degenerate, infeasible
+# and unbounded programs common
+_coeffs = st.sampled_from([0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -0.5, 3.0, 0.25])
+
+
+@st.composite
+def programs(draw):
+    n = draw(st.integers(1, 4))
+    constraints = tuple(
+        cryptomix.Constraint(
+            tuple(draw(_coeffs) for _ in range(n)),
+            draw(st.sampled_from(("<=", ">=", "="))),
+            draw(st.sampled_from([0.0, 1.0, -1.0, 2.5, 4.0])),
+            f"row{i}",
+        )
+        for i in range(draw(st.integers(0, 5)))
+    )
+    lower = tuple(draw(st.sampled_from([0.0, 0.0, None, -1.0])) for _ in range(n))
+    upper = tuple(draw(st.sampled_from([None, None, 1.0, 3.0])) for _ in range(n))
+    return LinearProgram(
+        draw(st.sampled_from(("max", "min"))),
+        tuple(draw(_coeffs) for _ in range(n)),
+        constraints,
+        lower,
+        upper,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_solve_lp_equals_scipy_linprog(lp):
+    runs = []
+    original = cryptomix.lp.linprog
+
+    def recording(model):
+        runs.append(original(model))
+        return runs[-1]
+
+    ref = scipy_reference(lp)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cryptomix.lp, "linprog", recording)
+        if ref.status not in (0, 2, 3):
+            with pytest.raises(RuntimeError, match="LP solver failed"):
+                solve_lp(lp)
+            return
+        sol = solve_lp(lp)
+    assert len(runs) == 1 and runs[0].nit == ref.nit
+    assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if ref.status != 0:
+        return
+    assert bitwise(sol.values) == bitwise(ref.x)
+    assert sol.objective_value == float(np.dot(lp.objective, ref.x))
+    ineq, eq = iter(ref.ineqlin.marginals), iter(ref.eqlin.marginals)
+    want = {}
+    for con in lp.constraints:
+        raw = float(next(eq if con.relation == "=" else ineq))
+        want[con.label] = -raw if con.relation == ">=" else raw
+    assert list(sol.duals) == list(want)
+    assert bitwise(sol.duals.values()) == bitwise(want.values())
+    assert bitwise(sol.reduced_lower) == bitwise(ref.lower.marginals)
+    assert bitwise(sol.reduced_upper) == bitwise(ref.upper.marginals)
+
+
+def test_lp_status_cases_are_covered():
+    """The random programs above reach every status the solver reports."""
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(programs())
+    def collect(lp):
+        seen.add(solve_lp(lp).status)
+
+    collect()
+    assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda run: run._replace(x=run.x + np.array([0.0, 1.0])),  # breaks cap: 2 + 3 > 4
+        lambda run: run._replace(x=run.x - np.array([3.0, 0.0])),  # breaks x >= 0
+        lambda run: run._replace(x=np.array([np.nan, 2.0])),
+        lambda run: run._replace(fun=float("nan")),
+    ],
+    ids=["row", "bound", "nan-point", "nan-objective"],
+)
+def test_broken_optimal_point_raises(monkeypatch, corrupt):
+    original = cryptomix.lp.linprog
+    monkeypatch.setattr(cryptomix.lp, "linprog", lambda model: corrupt(original(model)))
+    with pytest.raises(RuntimeError, match="breaks a bound or row"):
+        solve_lp(simple_max())
+
+
+def test_non_finite_program_rejected():
+    bad = LinearProgram("max", (1.0,), (Constraint((float("nan"),), "<=", 1.0, "a"),))
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(bad)
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(LinearProgram("max", (1.0,), (Constraint((1.0,), "<=", float("inf"), "a"),)))
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(LinearProgram("max", (float("inf"),), ()))
+
+
+def test_missing_highs_bindings_name_the_scipy_floor(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+    cryptomix.lp._highs.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
+            solve_lp(simple_max())
+    finally:
+        cryptomix.lp._highs.cache_clear()
+
+
+# --------------------------------------------------- dual certificates
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_dual_certificates_on_random_instances(seed):
+    """Every LP of the defender and robust layers, through solve_lp's dual
+    and bound-marginal extraction, satisfies stationarity."""
+    rng = np.random.default_rng(seed)
+    inst = random_feasible_instance(rng)
+    budgets = tuple(sorted({float(k) for k in rng.integers(0, 61, 3)}))
+    solved = []
+    original = cryptomix.lp.solve_lp
+
+    def recording(lp):
+        solved.append((lp, original(lp)))
+        return solved[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cryptomix.lp, "solve_lp", recording)
+        solve_stackelberg(inst)
+        table = scenario_table(inst, ScenarioSet(budgets))
+        solve_minimax_regret(inst, table)
+        solve_maximin(inst, table)
+        solve_unconstrained_case(inst)
+    # 1 + 2 per budget (utility and breach LPs) + regret, maximin, unconstrained
+    assert len(solved) == 1 + 2 * len(budgets) + 3
+    for lp, sol in solved:
+        assert sol.status == "optimal"
+        assert check_dual_certificate(lp, sol) <= 1e-7
