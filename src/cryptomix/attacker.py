@@ -2,8 +2,21 @@
 a brute-force oracle, and a DP runtime calibration.
 
 All solvers maximize value * P_succ(S) - phi(sum of costs) over method
-subsets S within the budget, and break ties identically: higher utility,
+subsets S within the budget, and rank plans identically: higher utility,
 then lower total cost, then lexicographically smallest id set.
+
+The DP applies that last rule to failure products, not to utilities. At
+each cost cell it keeps the set whose failure product, as computed along
+the id-order chain (one multiplication per method, ascending ids), is
+smaller; only products that are exactly equal as so computed fall to the
+id rule. Two sets whose products differ by an ulp can still round to the
+same success probability and utility (1 - 0.8 is 0.19999999999999996
+while 0.5 * 0.4 is 0.2), and a prefix an ulp higher is dropped before the
+sets it would grow into are compared. Rounded multiplication is monotone,
+so the DP never loses utility by this: where costs lie on its grid and
+add up exactly in floats (such as multiples of 0.5 at the default scale),
+its plan has the utility and total cost of solve_brute_force's, but it
+can name other ids.
 """
 
 from __future__ import annotations
@@ -11,7 +24,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -20,9 +33,9 @@ from .model import (
     AttackMethod,
     AttackPlan,
     AttackerParams,
+    CostFunctionSpec,
     EncryptionAlgorithm,
     make_plan,
-    phi,
     plan_key,
     success_probability,
 )
@@ -76,7 +89,15 @@ def _sorted_methods(algorithm: EncryptionAlgorithm) -> list[AttackMethod]:
 def solve_brute_force(
     algorithm: EncryptionAlgorithm, params: AttackerParams
 ) -> AttackPlan:
-    """Exhaustive subset enumeration; the test oracle for the DP."""
+    """Exhaustive subset enumeration; the test oracle for the DP.
+
+    Every subset is scored by make_plan and ranked by plan_key, so ties
+    are between final utilities: sets whose failure products differ but
+    round to the same utility tie here and go to the smaller total cost,
+    then the smaller ids. The DP ranks those products before rounding (see
+    the module docstring), so on such ties the two agree on utility and
+    cost but not always on ids.
+    """
     methods = _sorted_methods(algorithm)
     if len(methods) > 25:
         raise TooManyMethods(f"{len(methods)} methods exceeds the 2^25 guard")
@@ -169,6 +190,13 @@ def _cells(amount: float, scale: int, up: bool) -> int:
     return math.ceil(scaled) if up else math.floor(scaled)
 
 
+def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
+    """phi over an array of total costs, elementwise and bitwise as phi:
+    np.float_power calls the C pow that Python's x**2 calls, where
+    np.power(x, 2) squares as x * x and can differ in the last bit."""
+    return spec.linear_coeff * total_cost + spec.quadratic_coeff * np.float_power(total_cost, 2.0)
+
+
 def dp_table_fits(n_methods: int, budget: float, config: DpConfig = DpConfig()) -> bool:
     """The table-size rule shared by every caller of the DP, and the only
     rule that sends an attacker subgame to the DP or the greedy: n methods
@@ -223,22 +251,32 @@ def build_dp_table(
     minfail[0] = 1.0
     take = np.zeros((max(n, 1), size), dtype=bool)
     masks: Optional[np.ndarray] = None
-    for j, (m, w) in enumerate(zip(methods, weights)):
-        if w >= size:
-            continue
-        keep = 1.0 - m.success
-        cand = np.full(size, np.inf)
-        cand[w:] = minfail[: size - w] * keep
-        take[j] = cand < minfail
-        ties = np.flatnonzero((cand == minfail) & np.isfinite(minfail))
-        if ties.size:
-            if masks is None:
-                masks = _cell_sets(take, weights, j - 1, (n + 63) // 64)
-            live = j // 64 + 1  # the sets hold methods below j only
-            take[j, ties] = _with_j_first(masks[:live, ties - w], masks[:live, ties])
-        if masks is not None:
-            masks = _carry_sets(masks, take[j], j, w)
-        minfail = np.where(take[j], cand, minfail)
+    # one candidate and one difference buffer for the whole table; cells
+    # below a method's weight are never written, as it cannot reach them
+    cand = np.empty(size)
+    diff = np.empty(size)
+    with np.errstate(invalid="ignore"):
+        for j, (m, w) in enumerate(zip(methods, weights)):
+            if w >= size:
+                continue
+            reach, prev, gap = cand[w:], minfail[w:], diff[w:]
+            np.multiply(minfail[: size - w], 1.0 - m.success, out=reach)
+            # reach - prev is < 0 exactly where reach < prev, and 0 exactly
+            # where the two are equal and finite: inf - inf and a nan
+            # candidate (inf * 0) give nan, which is neither
+            np.subtract(reach, prev, out=gap)
+            np.less(gap, 0.0, out=take[j, w:])
+            if np.count_nonzero(gap) < gap.size:  # a zero: some cell ties
+                ties = np.flatnonzero(gap == 0.0) + w
+                if masks is None:
+                    masks = _cell_sets(take, weights, j - 1, (n + 63) // 64)
+                live = j // 64 + 1  # the sets hold methods below j only
+                take[j, ties] = _with_j_first(masks[:live, ties - w], masks[:live, ties])
+            if masks is not None:
+                masks = _carry_sets(masks, take[j], j, w)
+            # tied cells hold equal values, so the smaller is the taken one;
+            # fmin passes over a nan candidate, which is never taken
+            np.fmin(prev, reach, out=prev)
     return DpTable(methods, weights, scale, minfail, take)
 
 
@@ -254,7 +292,7 @@ def dp_plans(
     """
     scale = table.cost_scale
     size = table.minfail.size
-    penalty = np.array([phi(params.cost_fn, c / scale) for c in range(size)])
+    penalty = _penalty(params.cost_fn, np.arange(size) / scale)
     # unreachable cells (minfail = inf) come out at -inf
     utility = params.value * (1.0 - table.minfail) - penalty
     n = len(table.methods)
@@ -285,6 +323,30 @@ def solve_dp(
     return dp_plans(build_dp_table(algorithm, params.budget, config), params, (params.budget,))[0]
 
 
+def _coin_source(config: GreedyConfig, coins: Optional[Iterable[float]]) -> Callable[[], float]:
+    """One uniform per call: from the seeded RNG, or replayed from coins,
+    which raises ValueError when the sequence runs out."""
+    if coins is None:
+        rng = np.random.default_rng(config.rng_seed)
+        return lambda: float(rng.random())
+    stream: Iterator[float] = iter(coins)
+    drawn = 0
+
+    def draw() -> float:
+        nonlocal drawn
+        try:
+            coin = float(next(stream))
+        except StopIteration:
+            raise ValueError(
+                f"coins ran out at draw {drawn + 1}: the greedy needs at least "
+                f"{drawn + 1} coins, one per step, and was given {drawn}"
+            ) from None
+        drawn += 1
+        return coin
+
+    return draw
+
+
 def solve_sample_greedy(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
@@ -300,51 +362,59 @@ def solve_sample_greedy(
     the singleton is returned; the empty plan wins ties.
 
     `coins` optionally replaces the seeded RNG with an explicit sequence of
-    uniforms for deterministic replay.
+    uniforms for deterministic replay; it must hold one coin per step.
+
+    Densities change only when a coin accepts, since only then do the
+    failure product and the residual budget move. So one numpy pass per
+    acceptance ranks every live feasible method (density descending, then
+    cost, then id order, as a stable sort gives), and the steps until the
+    next acceptance walk that ranking in Python.
     """
     config = config or GreedyConfig()
+    draw = _coin_source(config, coins)
     methods = _sorted_methods(algorithm)
-    if coins is None:
-        rng = np.random.default_rng(config.rng_seed)
-
-        def draw() -> float:
-            return float(rng.random())
-
-    else:
-        stream: Iterator[float] = iter(coins)
-
-        def draw() -> float:
-            return float(next(stream))
-
+    success = np.array([m.success for m in methods], dtype=float)
+    cost = np.array([m.cost for m in methods], dtype=float)
     budget = params.budget
-    singles = [make_plan([m], params) for m in methods if m.cost <= budget]
-    best_single = min(singles, key=plan_key) if singles else None
 
-    chosen: list[AttackMethod] = []
-    remaining = list(methods)
+    # singleton utility value * (1 - 1.0 * (1 - s)) - phi(0.0 + c), as make_plan
+    total = 0.0 + cost
+    single = params.value * (1.0 - (1.0 - success)) - _penalty(params.cost_fn, total)
+    fits = np.flatnonzero(cost <= budget)
+    best_single = None
+    if fits.size:
+        first = fits[np.lexsort((total[fits], -single[fits]))[0]]
+        best_single = make_plan([methods[first]], params)
+
+    chosen: list[int] = []
+    live = np.ones(len(methods), dtype=bool)
     residual = budget
+    fail_s = 1.0
     while True:
-        feasible = [m for m in remaining if m.cost <= residual]
-        if not feasible:
+        feasible = np.flatnonzero(live & (cost <= residual))
+        if not feasible.size:
             break
-        fail_s = 1.0
-        for m in sorted(chosen, key=lambda m: m.id):
-            fail_s *= 1.0 - m.success
-        def density(m: AttackMethod) -> float:
-            if m.cost == 0:
-                return math.inf  # zero-cost methods are free improvements
-            return (params.value * fail_s * m.success - m.cost) / m.cost
-        best = min(feasible, key=lambda m: (-density(m), m.cost, m.id))
-        if draw() < config.accept_prob:
-            chosen.append(best)
-            residual -= best.cost
-        remaining.remove(best)
+        c = cost[feasible]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            density = (params.value * fail_s * success[feasible] - c) / c
+        density[c == 0] = np.inf  # zero-cost methods are free improvements
+        for i in feasible[np.lexsort((c, -density))].tolist():
+            live[i] = False
+            if draw() < config.accept_prob:
+                chosen.append(i)
+                residual -= methods[i].cost
+                fail_s = 1.0
+                for k in sorted(chosen):
+                    fail_s *= 1.0 - methods[k].success
+                break
+        else:
+            break  # every feasible method was discarded
 
     candidates = [make_plan((), params)]
     if best_single is not None:
         candidates.append(best_single)
     if chosen:
-        candidates.append(make_plan(chosen, params))
+        candidates.append(make_plan([methods[i] for i in chosen], params))
     return min(candidates, key=plan_key)
 
 

@@ -118,7 +118,7 @@ class _Form(NamedTuple):
     """A program as scipy.optimize.linprog hands it to HiGHS: minimise
     cost . x subject to the <= rows and the negated >= rows (the first n_ub
     rows of matrix, at most rhs), then the = rows, and lower <= x <= upper
-    with None bounds as -inf/+inf."""
+    with None bounds as -inf/+inf. labels names the rows in that order."""
 
     cost: np.ndarray
     matrix: np.ndarray
@@ -126,6 +126,7 @@ class _Form(NamedTuple):
     n_ub: int
     lower: np.ndarray
     upper: np.ndarray
+    labels: tuple[str, ...]
 
 
 def _form(lp: LinearProgram) -> _Form:
@@ -148,7 +149,7 @@ def _form(lp: LinearProgram) -> _Form:
     lower, upper = np.array(lp.bounds_list(), dtype=float).T  # None becomes NaN
     lower[np.isnan(lower)] = -np.inf
     upper[np.isnan(upper)] = np.inf
-    return _Form(cost, matrix, rhs, n_ub, lower, upper)
+    return _Form(cost, matrix, rhs, n_ub, lower, upper, tuple(con.label for con in rows))
 
 
 def _highs_lp(form: _Form):
@@ -238,15 +239,14 @@ def _feasible(form: _Form, run: _Run) -> bool:
     )
 
 
-def _binding(lp: LinearProgram, values: Sequence[float], eps: float) -> tuple[str, ...]:
-    """Sorted labels of the constraints active at values: every equality,
-    and each inequality within a relative tolerance eps * (1 + |rhs|)."""
-    labels = set()
-    for con in lp.constraints:
-        activity = float(np.dot(con.coeffs, values))
-        if con.relation == "=" or abs(activity - con.rhs) <= eps * (1.0 + abs(con.rhs)):
-            labels.add(con.label)
-    return tuple(sorted(labels))
+def _binding(form: _Form, x: np.ndarray, eps: float) -> tuple[str, ...]:
+    """Sorted labels of the constraints active at x: every equality, and
+    each inequality within a relative tolerance eps * (1 + |rhs|). A
+    negated >= row has the activity and rhs of its row negated, so the
+    same distance."""
+    near = np.abs(form.matrix @ x - form.rhs) <= eps * (1.0 + np.abs(form.rhs))
+    near[form.n_ub :] = True
+    return tuple(sorted({label for label, hit in zip(form.labels, near.tolist()) if hit}))
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -290,7 +290,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         status="optimal",
         values=values,
         objective_value=float(np.dot(lp.objective, run.x)),
-        binding=_binding(lp, values, BIND_EPS),
+        binding=_binding(form, run.x, BIND_EPS),
         duals=duals,
         reduced_lower=tuple(float(v) for v in run.marg_lower),
         reduced_upper=tuple(float(v) for v in run.marg_upper),
@@ -318,7 +318,7 @@ def binding_constraints(
     relative tolerance scaled by 1 + |rhs|."""
     if solution.status != "optimal":
         raise NotOptimal(f"solution status is {solution.status!r}")
-    return _binding(lp, solution.values, eps)
+    return _binding(_form(lp), np.asarray(solution.values, dtype=float), eps)
 
 
 def alternate_optimum_gap(

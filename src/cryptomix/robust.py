@@ -15,12 +15,12 @@ from .defender import (
     SUPPORT_EPS,
     AlgorithmEvaluation,
     StrategyReport,
+    _evaluation,
     build_defender_lp,
     defender_polytope,
     evaluate_budgets,
     expected_breach,
     make_report,
-    per_algorithm_utility,
     strategy_usage,
 )
 from .lp import Constraint, LinearProgram, solve_optimal
@@ -215,19 +215,12 @@ def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> Regret
 def solve_unconstrained_case(instance: GameInstance) -> StrategyReport:
     """Defender LP when the attacker runs every method against whichever
     algorithm is deployed (no budget)."""
-    evals = []
-    for alg in instance.algorithms:
-        plan = make_plan(alg.attacks, instance.attacker)
-        p_star = plan.success_prob
-        evals.append(
-            AlgorithmEvaluation(
-                algorithm_id=alg.id,
-                attack_plan=plan,
-                p_succ_star=p_star,
-                utility=per_algorithm_utility(alg, instance.weights, p_star),
-                solver="unconstrained",
-            )
+    evals = [
+        _evaluation(
+            alg, instance.weights, make_plan(alg.attacks, instance.attacker), "unconstrained"
         )
+        for alg in instance.algorithms
+    ]
     program = build_defender_lp(instance, [ev.utility for ev in evals])
     solution = solve_optimal(program, "unconstrained-case LP")
     return make_report(instance, solution.values, evals, solution.binding)

@@ -1,12 +1,30 @@
-"""Shared random-instance generators for property tests."""
+"""Shared random-instance generators for property tests, and the scalar
+attacker kernels that the array kernels in cryptomix.attacker are checked
+against."""
+
+import math
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from cryptomix import (
     AttackMethod,
     AttackerParams,
     DefenderBudgets,
     DefenderWeights,
+    DpConfig,
     EncryptionAlgorithm,
     GameInstance,
+    GreedyConfig,
+    make_plan,
+    plan_key,
+)
+from cryptomix.attacker import (
+    _carry_sets,
+    _cell_sets,
+    _cells,
+    _sorted_methods,
+    _with_j_first,
 )
 
 
@@ -77,3 +95,93 @@ def random_feasible_instance(rng):
     return GameInstance(
         algorithms=tuple(algs), weights=weights, budgets=budgets, attacker=attacker
     )
+
+
+def reference_sample_greedy(
+    algorithm: EncryptionAlgorithm,
+    params: AttackerParams,
+    config: Optional[GreedyConfig] = None,
+    coins: Optional[Iterable[float]] = None,
+):
+    """solve_sample_greedy as one Python density per live method per step,
+    the oracle for the array version: every plan must be equal by repr."""
+    config = config or GreedyConfig()
+    methods = _sorted_methods(algorithm)
+    if coins is None:
+        rng = np.random.default_rng(config.rng_seed)
+
+        def draw() -> float:
+            return float(rng.random())
+
+    else:
+        stream: Iterator[float] = iter(coins)
+
+        def draw() -> float:
+            return float(next(stream))
+
+    budget = params.budget
+    singles = [make_plan([m], params) for m in methods if m.cost <= budget]
+    best_single = min(singles, key=plan_key) if singles else None
+
+    chosen: list[AttackMethod] = []
+    remaining = list(methods)
+    residual = budget
+    while True:
+        feasible = [m for m in remaining if m.cost <= residual]
+        if not feasible:
+            break
+        fail_s = 1.0
+        for m in sorted(chosen, key=lambda m: m.id):
+            fail_s *= 1.0 - m.success
+        def density(m: AttackMethod) -> float:
+            if m.cost == 0:
+                return math.inf  # zero-cost methods are free improvements
+            return (params.value * fail_s * m.success - m.cost) / m.cost
+        best = min(feasible, key=lambda m: (-density(m), m.cost, m.id))
+        if draw() < config.accept_prob:
+            chosen.append(best)
+            residual -= best.cost
+        remaining.remove(best)
+
+    candidates = [make_plan((), params)]
+    if best_single is not None:
+        candidates.append(best_single)
+    if chosen:
+        candidates.append(make_plan(chosen, params))
+    return min(candidates, key=plan_key)
+
+
+def reference_dp_table(
+    algorithm: EncryptionAlgorithm, budget: float, config: DpConfig = DpConfig()
+) -> tuple[np.ndarray, np.ndarray]:
+    """(take, minfail) of build_dp_table, filled with a fresh candidate
+    array, one comparison per outcome and np.where per layer: the oracle
+    for the in-place layer loop."""
+    methods = tuple(_sorted_methods(algorithm))
+    n = len(methods)
+    scale = config.cost_scale
+    size = _cells(budget, scale, up=False) + 1
+    weights = tuple(_cells(m.cost, scale, up=True) for m in methods)
+
+    minfail = np.full(size, np.inf)
+    minfail[0] = 1.0
+    take = np.zeros((max(n, 1), size), dtype=bool)
+    masks = None
+    for j, (m, w) in enumerate(zip(methods, weights)):
+        if w >= size:
+            continue
+        keep = 1.0 - m.success
+        cand = np.full(size, np.inf)
+        with np.errstate(invalid="ignore"):  # inf * 0 when success is 1
+            cand[w:] = minfail[: size - w] * keep
+        take[j] = cand < minfail
+        ties = np.flatnonzero((cand == minfail) & np.isfinite(minfail))
+        if ties.size:
+            if masks is None:
+                masks = _cell_sets(take, weights, j - 1, (n + 63) // 64)
+            live = j // 64 + 1  # the sets hold methods below j only
+            take[j, ties] = _with_j_first(masks[:live, ties - w], masks[:live, ties])
+        if masks is not None:
+            masks = _carry_sets(masks, take[j], j, w)
+        minfail = np.where(take[j], cand, minfail)
+    return take, minfail

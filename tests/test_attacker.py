@@ -10,6 +10,7 @@ from cryptomix import (
     AttackerParams,
     BudgetNegative,
     CalibrationConfig,
+    CostFunctionSpec,
     DpConfig,
     GreedyConfig,
     HybridResult,
@@ -22,8 +23,21 @@ from cryptomix import (
     solve_sample_greedy,
     unconstrained_success,
 )
-from cryptomix.attacker import _carry_sets, _cell_sets, _chain_indices, _with_j_first
-from helpers import bare_algorithm, random_methods
+from cryptomix.attacker import (
+    _carry_sets,
+    _cell_sets,
+    _chain_indices,
+    _penalty,
+    _with_j_first,
+    build_dp_table,
+)
+from cryptomix.model import phi
+from helpers import (
+    bare_algorithm,
+    random_methods,
+    reference_dp_table,
+    reference_sample_greedy,
+)
 
 
 def test_dp_empty_method_list():
@@ -225,6 +239,84 @@ def test_dp_equals_brute_force_on_tie_heavy_instances(data):
     assert repr(solve_dp(alg, params)) == repr(solve_brute_force(alg, params))
 
 
+def test_dp_ranks_failure_products_before_they_round_to_utility():
+    """m2 alone fails with 1 - 0.8 = 0.19999999999999996 and {m0, m1} with
+    0.5 * 0.4 = 0.2. Both succeed with 0.8 at cost 3.5, so brute force ties
+    them and names the smaller ids; the DP compares the failure products,
+    which differ, and keeps m2. Same utility and cost, different ids."""
+    alg = bare_algorithm(
+        (
+            AttackMethod("m0", 0.5, 1.0),
+            AttackMethod("m1", 0.6, 2.5),
+            AttackMethod("m2", 0.8, 3.5),
+        )
+    )
+    params = AttackerParams(value=10.0, budget=9.0)
+    dp = solve_dp(alg, params)
+    brute = solve_brute_force(alg, params)
+    assert (dp.utility, dp.total_cost) == (brute.utility, brute.total_cost) == (4.5, 3.5)
+    assert dp.methods == ("m2",)
+    assert brute.methods == ("m0", "m1")
+
+
+@st.composite
+def dp_tables(draw):
+    """Tie-heavy instances (a few repeated (success, cost) pairs, up to 130
+    methods so the tie fingerprints span three mask words) or random ones
+    with real successes and costs; both can hold success 1 and cost 0."""
+    if draw(st.booleans()):
+        pairs = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(TIE_SUCCESSES + [0.1, 0.3, 1.0]),
+                    st.sampled_from(TIE_COSTS),
+                ),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        methods = [draw(st.sampled_from(pairs)) for _ in range(draw(st.integers(1, 130)))]
+    else:
+        methods = [
+            (
+                draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0]))),
+                draw(st.one_of(st.floats(0.0, 20.0), st.integers(0, 10).map(float))),
+            )
+            for _ in range(draw(st.integers(0, 40)))
+        ]
+    n = len(methods)
+    ids = draw(st.lists(st.integers(0, 9999), min_size=n, max_size=n, unique=True))
+    alg = bare_algorithm(tuple(AttackMethod(f"m{i:04d}", *sc) for i, sc in zip(ids, methods)))
+    config = DpConfig(cost_scale=draw(st.sampled_from([1, 2, 10])), max_table_cells=10**6)
+    return alg, draw(st.integers(0, 300)) / 10, config
+
+
+@settings(max_examples=60, deadline=None)
+@given(dp_tables())
+def test_dp_table_matches_the_reference_loop(case):
+    alg, budget, config = case
+    table = build_dp_table(alg, budget, config)
+    take, minfail = reference_dp_table(alg, budget, config)
+    assert np.array_equal(table.take, take)
+    assert table.minfail.tobytes() == minfail.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.0, 100.0),
+    st.floats(0.0, 100.0, exclude_min=True),
+    st.integers(1, 100),
+    st.integers(1, 5000),
+)
+def test_dp_penalty_curve_is_phi_bitwise(linear, quadratic, scale, size):
+    # dp_plans' curve; np.power(x, 2) would square as x * x, which differs
+    # from Python's x**2 in the last bit for some x
+    spec = CostFunctionSpec(linear_coeff=linear, quadratic_coeff=quadratic)
+    curve = _penalty(spec, np.arange(size) / scale)
+    assert curve.tobytes() == np.array([phi(spec, c / scale) for c in range(size)]).tobytes()
+
+
 def _words(members, words):
     column = [0] * words
     for i in members:
@@ -333,6 +425,82 @@ def test_greedy_explicit_coins_control_acceptance(worked_algorithm, worked_param
         coins=[0.9, 0.1, 0.9, 0.9],
     )
     assert plan.methods == ("a3",)
+
+
+def test_greedy_coins_that_run_out_raise_value_error():
+    alg = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.3, 1.0) for i in range(5)))
+    params = AttackerParams(value=100.0, budget=10.0)
+    with pytest.raises(ValueError, match="coins ran out at draw 2"):
+        solve_sample_greedy(alg, params, GreedyConfig(accept_prob=0.414), coins=[0.1])
+    with pytest.raises(ValueError, match="coins ran out at draw 1"):
+        solve_sample_greedy(alg, params, coins=iter(()))
+
+
+def test_greedy_failure_product_runs_in_id_order():
+    # m4, m2 and m0 are taken first; then m1 and m3 tie in exact arithmetic,
+    # (1000 f 0.3 - 2) / 2 = (1000 f 0.45 - 3) / 3, and the last bit of the
+    # failure product f decides: (0.1 * 0.1) * 0.7 in id order puts m1
+    # first, (0.7 * 0.1) * 0.1 in pick order would put m3 first
+    alg = bare_algorithm(
+        (
+            AttackMethod("m0", 0.9, 5.0),
+            AttackMethod("m1", 0.3, 2.0),
+            AttackMethod("m2", 0.9, 3.0),
+            AttackMethod("m3", 0.45, 3.0),
+            AttackMethod("m4", 0.3, 1.0),
+        )
+    )
+    params = AttackerParams(value=1000.0, budget=19.0)
+    coins = [0.0, 0.0, 0.0, 0.0, 0.9]
+    plan = solve_sample_greedy(alg, params, coins=coins)
+    assert plan.methods == ("m0", "m1", "m2", "m4")
+    assert repr(plan) == repr(reference_sample_greedy(alg, params, coins=coins))
+
+
+@st.composite
+def greedy_subgames(draw):
+    """Up to 60 methods, a quadratic penalty and one coin per possible step.
+    Half the instances draw every method from three (success, cost) pairs,
+    two of them (s, c) and (s / 2, c / 2): their densities are exactly
+    equal at different costs, so the cost rule orders them. The others
+    draw grid or real successes and zero, half-integer or real costs."""
+    n = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        s, c = draw(st.sampled_from(TIE_SUCCESSES + [1.0])), draw(st.integers(1, 10)) / 2
+        other = (draw(st.sampled_from(TIE_SUCCESSES + [1.0])), draw(st.integers(0, 10)) / 2)
+        pool = [(s, c), (s / 2, c / 2), other]
+        pairs = [draw(st.sampled_from(pool)) for _ in range(n)]
+    else:
+        success = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0))
+        cost = st.one_of(
+            st.just(0.0), st.integers(0, 20).map(lambda k: k / 2), st.floats(0.0, 20.0)
+        )
+        pairs = [(draw(success), draw(cost)) for _ in range(n)]
+    ids = draw(st.lists(st.integers(0, 999), min_size=n, max_size=n, unique=True))
+    methods = tuple(AttackMethod(f"m{i:03d}", *pair) for i, pair in zip(ids, pairs))
+    params = AttackerParams(
+        value=draw(st.floats(1.0, 1000.0)),
+        budget=draw(st.one_of(st.integers(0, 40).map(float), st.floats(0.0, 60.0))),
+        cost_fn=CostFunctionSpec(
+            linear_coeff=draw(st.sampled_from([0.0, 1.0, 2.5])),
+            quadratic_coeff=draw(st.sampled_from([0.0, 0.05, 1.7])),
+        ),
+    )
+    config = GreedyConfig(
+        accept_prob=draw(st.sampled_from([0.0, 0.414, 0.9, 1.0])),
+        rng_seed=draw(st.integers(0, 2**16)),
+    )
+    coins = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n + 1, max_size=n + 1))
+    return bare_algorithm(methods), params, config, coins
+
+
+@settings(max_examples=100, deadline=None)
+@given(greedy_subgames())
+def test_greedy_equals_the_scalar_reference(case):
+    alg, params, config, coins = case
+    for replay in (coins, None):
+        plan = solve_sample_greedy(alg, params, config, replay)
+        assert repr(plan) == repr(reference_sample_greedy(alg, params, config, replay))
 
 
 def test_greedy_never_beats_exact(worked_algorithm, worked_params):
