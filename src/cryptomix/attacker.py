@@ -190,6 +190,16 @@ def _cells(amount: float, scale: int, up: bool) -> int:
     return math.ceil(scaled) if up else math.floor(scaled)
 
 
+def _cost_cells(costs: Sequence[float], scale: int) -> tuple[int, ...]:
+    """_cells(cost, scale, up=True) of every cost in one array pass: np.rint
+    rounds half to even, as round does, and the integral floats convert
+    exactly."""
+    amount = np.asarray(costs, dtype=float)
+    scaled = amount * scale
+    nearest = np.rint(scaled)
+    return tuple(map(int, np.where(nearest / scale == amount, nearest, np.ceil(scaled)).tolist()))
+
+
 def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
     """phi over an array of total costs, elementwise and bitwise as phi:
     np.float_power calls the C pow that Python's x**2 calls, where
@@ -245,7 +255,7 @@ def build_dp_table(
             f"{n} methods x {size} cost levels exceeds "
             f"{config.max_table_cells} table cells"
         )
-    weights = tuple(_cells(m.cost, scale, up=True) for m in methods)
+    weights = _cost_cells([m.cost for m in methods], scale)
 
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional, Sequence
 
@@ -55,6 +56,9 @@ class LinearProgram:
             raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
         object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        for name in ("lower_bounds", "upper_bounds"):
+            if getattr(self, name) is not None:  # hashable, for solve_lp's cache
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.objective)
         for con in self.constraints:
             if len(con.coeffs) != n:
@@ -92,10 +96,10 @@ _CHECK_TOL = 10.0 * math.sqrt(1e-9)
 
 @functools.cache
 def _highs():
-    """scipy's bundled HiGHS bindings and the options that
-    scipy.optimize.linprog(method="highs-ds") sets, built at the first LP:
-    loading scipy.optimize takes longer than the rest of a CLI command that
-    solves no LP."""
+    """scipy's bundled HiGHS bindings and the process's one HiGHS object,
+    holding the options that scipy.optimize.linprog(method="highs-ds")
+    sets, built at the first LP: loading scipy.optimize takes longer than
+    the rest of a CLI command that solves no LP."""
     try:
         from scipy.optimize._highspy import _core
     except ImportError as exc:
@@ -111,16 +115,24 @@ def _highs():
     options.output_flag = False
     options.log_to_console = False
     options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
-    return _core, options
+    highs = _core._Highs()
+    highs.passOptions(options)
+    return _core, highs
+
+
+# one LP at a time on the shared HiGHS object and the cached models: held
+# from setting a model's cost to reading the run back
+_LOCK = threading.Lock()
 
 
 class _Form(NamedTuple):
-    """A program as scipy.optimize.linprog hands it to HiGHS: minimise
-    cost . x subject to the <= rows and the negated >= rows (the first n_ub
-    rows of matrix, at most rhs), then the = rows, and lower <= x <= upper
-    with None bounds as -inf/+inf. labels names the rows in that order."""
+    """The rows and bounds of a program as scipy.optimize.linprog hands
+    them to HiGHS: the <= rows and the negated >= rows (the first n_ub rows
+    of matrix, at most rhs), then the = rows, and lower <= x <= upper with
+    None bounds as -inf/+inf. labels names the rows in that order. The
+    objective is not part of it (_cost), so one form serves every program
+    over the same constraints and bounds."""
 
-    cost: np.ndarray
     matrix: np.ndarray
     rhs: np.ndarray
     n_ub: int
@@ -129,10 +141,11 @@ class _Form(NamedTuple):
     labels: tuple[str, ...]
 
 
+_NOT_FINITE = "LP objective, coefficients and right-hand sides must be finite"
+
+
 def _form(lp: LinearProgram) -> _Form:
     n = lp.num_vars
-    sign = -1.0 if lp.sense == "max" else 1.0
-    cost = sign * np.asarray(lp.objective, dtype=float)
     rows = [con for con in lp.constraints if con.relation != "="]
     n_ub = len(rows)
     rows += [con for con in lp.constraints if con.relation == "="]
@@ -144,22 +157,29 @@ def _form(lp: LinearProgram) -> _Form:
     # scipy's input checks (_clean_inputs)
     if n == 0:
         raise ValueError("LP has no variables")
-    if not (np.isfinite(cost).all() and np.isfinite(matrix).all() and np.isfinite(rhs).all()):
-        raise ValueError("LP objective, coefficients and right-hand sides must be finite")
+    if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
+        raise ValueError(_NOT_FINITE)
     lower, upper = np.array(lp.bounds_list(), dtype=float).T  # None becomes NaN
     lower[np.isnan(lower)] = -np.inf
     upper[np.isnan(upper)] = np.inf
-    return _Form(cost, matrix, rhs, n_ub, lower, upper, tuple(con.label for con in rows))
+    for array in (matrix, rhs, lower, upper):
+        array.setflags(write=False)
+    return _Form(matrix, rhs, n_ub, lower, upper, tuple(con.label for con in rows))
+
+
+def _cost(lp: LinearProgram) -> np.ndarray:
+    """The objective in canonical min form."""
+    return (-1.0 if lp.sense == "max" else 1.0) * np.asarray(lp.objective, dtype=float)
 
 
 def _highs_lp(form: _Form):
-    """The HighsLp of a form, its matrix column-wise without zeros."""
+    """The HighsLp of a form, its matrix column-wise without zeros; the
+    cost is set per run."""
     core, _ = _highs()
     m, n = form.matrix.shape
     model = core.HighsLp()
     model.num_col_ = n
     model.num_row_ = m
-    model.col_cost_ = form.cost
     model.col_lower_ = np.clip(form.lower, -core.kHighsInf, core.kHighsInf)
     model.col_upper_ = np.clip(form.upper, -core.kHighsInf, core.kHighsInf)
     model.row_lower_ = np.concatenate((np.full(form.n_ub, -core.kHighsInf), form.rhs[form.n_ub :]))
@@ -172,6 +192,27 @@ def _highs_lp(form: _Form):
     model.a_matrix_.index_ = row
     model.a_matrix_.value_ = form.matrix.T[col, row]
     return model
+
+
+@functools.lru_cache(maxsize=64)
+def _prebuilt(num_vars, constraints, lower_bounds, upper_bounds, negative_zeros):
+    """The form and HighsLp of every program over these constraints and
+    bounds, built once. negative_zeros completes the key: the tuples
+    compare with ==, which takes -0.0 for 0.0, and HiGHS can answer the two
+    differently (a vertex at -0.0 rather than 0.0)."""
+    form = _form(LinearProgram("min", (0.0,) * num_vars, constraints, lower_bounds, upper_bounds))
+    return form, _highs_lp(form)
+
+
+def _prebuilt_for(lp: LinearProgram):
+    values = [con.rhs for con in lp.constraints]
+    values += [v for v in lp.lower_bounds or () if v is not None]
+    values += [v for v in lp.upper_bounds or () if v is not None]
+    # a zero coefficient never reaches HiGHS, and its sign changes only the
+    # sign of a zero activity, which _feasible and _binding only compare
+    # with nonzero tolerances, so the key leaves coefficients to ==
+    negative_zeros = tuple(i for i, v in enumerate(values) if v == 0 and math.copysign(1.0, v) < 0)
+    return _prebuilt(lp.num_vars, lp.constraints, lp.lower_bounds, lp.upper_bounds, negative_zeros)
 
 
 class _Run(NamedTuple):
@@ -189,11 +230,11 @@ class _Run(NamedTuple):
 
 def linprog(model) -> _Run:
     """Run HiGHS once on a HighsLp, as scipy.optimize.linprog does with
-    method="highs-ds". It is a module-level name so the benchmark's span
+    method="highs-ds", on the shared HiGHS object; the caller holds _LOCK.
+    Each run is cold: passModel drops the previous model with its basis and
+    solver state. It is a module-level name so the benchmark's span
     recorder (bench/spans.py) can wrap the solver call alone."""
-    core, options = _highs()
-    highs = core._Highs()
-    highs.passOptions(options)
+    core, highs = _highs()
     if highs.passModel(model) == core.HighsStatus.kError:
         return _Run(core.HighsModelStatus.kModelError, 0)
     if highs.run() == core.HighsStatus.kError:
@@ -254,17 +295,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     The program, options, status, point, duals and bound marginals are
     those of scipy.optimize.linprog(method="highs-ds"), without its
-    per-call set-up: the options are built once, and the program goes to
-    HiGHS as it is (_form). An optimal point that breaks a bound or row
-    raises, as scipy reports it as failed.
+    per-call set-up: one HiGHS object holds the options, each constraint
+    set is laid out once (_prebuilt), and the program goes to HiGHS as it
+    is (_form). An optimal point that breaks a bound or row raises, as
+    scipy reports it as failed. Safe to call from several threads; the
+    solves themselves run one at a time.
 
     Duals are reported in canonical min form regardless of lp.sense, so a
     binding <= constraint always has a nonpositive multiplier effect on
     the minimized objective.
     """
     core, _ = _highs()
-    form = _form(lp)
-    run = linprog(_highs_lp(form))
+    form, model = _prebuilt_for(lp)
+    cost = _cost(lp)
+    if not np.isfinite(cost).all():
+        raise ValueError(_NOT_FINITE)
+    with _LOCK:
+        model.col_cost_ = cost
+        run = linprog(model)
     if run.status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
         return LpSolution(status="infeasible")
     if run.status == core.HighsModelStatus.kUnbounded:
@@ -318,7 +366,8 @@ def binding_constraints(
     relative tolerance scaled by 1 + |rhs|."""
     if solution.status != "optimal":
         raise NotOptimal(f"solution status is {solution.status!r}")
-    return _binding(_form(lp), np.asarray(solution.values, dtype=float), eps)
+    form, _ = _prebuilt_for(lp)
+    return _binding(form, np.asarray(solution.values, dtype=float), eps)
 
 
 def alternate_optimum_gap(
@@ -359,9 +408,7 @@ def check_dual_certificate(lp: LinearProgram, solution: LpSolution) -> float:
     and bound-marginal decomposition, in canonical min form."""
     if solution.status != "optimal":
         raise NotOptimal(f"solution status is {solution.status!r}")
-    sign = -1.0 if lp.sense == "max" else 1.0
-    cost = sign * np.asarray(lp.objective, dtype=float)
-    residual = cost.copy()
+    residual = _cost(lp)
     for con in lp.constraints:
         dual = solution.duals[con.label]
         row = np.asarray(con.coeffs, dtype=float)

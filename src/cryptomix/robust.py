@@ -117,7 +117,7 @@ def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTa
     for k, evals in zip(scenarios.budgets, rows):
         util_row = tuple(ev.utility for ev in evals)
         breach_row = tuple(ev.p_succ_star for ev in evals)
-        opt = solve_optimal(build_defender_lp(instance, util_row), f"scenario k={k:g}: LP")
+        opt = solve_optimal(LinearProgram("max", util_row, polytope), f"scenario k={k:g}: LP")
         low = solve_optimal(
             LinearProgram("min", breach_row, polytope), f"scenario k={k:g}: breach LP"
         )

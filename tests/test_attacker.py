@@ -26,7 +26,9 @@ from cryptomix import (
 from cryptomix.attacker import (
     _carry_sets,
     _cell_sets,
+    _cells,
     _chain_indices,
+    _cost_cells,
     _penalty,
     _with_j_first,
     build_dp_table,
@@ -165,6 +167,32 @@ def test_dp_grid_decimals_keep_their_cells():
     alg = bare_algorithm((AttackMethod("a", 0.5, 2.3),))
     assert solve_dp(alg, AttackerParams(value=100.0, budget=2.3)).methods == ("a",)
     assert solve_dp(alg, AttackerParams(value=100.0, budget=2.2)).methods == ()
+
+
+@st.composite
+def scaled_costs(draw):
+    """A cost scale and costs on its grid, off it, on a half cell (a round
+    half to even tie), zero and large."""
+    scale = draw(st.sampled_from([1, 2, 3, 10, 100]))
+    cells = st.integers(0, 10**7)
+    cost = st.one_of(
+        cells.map(lambda k: k / scale),
+        st.floats(min_value=0.0, max_value=1e6),
+        cells.map(lambda k: (k + 0.5) / scale),
+        st.just(0.0),
+        st.floats(min_value=1e15, max_value=1e300),
+    )
+    return draw(st.lists(cost, max_size=20)), scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_costs())
+def test_cost_cells_equal_cells_per_cost(case):
+    costs, scale = case
+    want = tuple(_cells(c, scale, up=True) for c in costs)
+    got = _cost_cells(costs, scale)
+    assert got == want
+    assert all(type(w) is int for w in got)
 
 
 @st.composite

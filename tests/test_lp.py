@@ -1,4 +1,8 @@
+import math
+import random
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +22,7 @@ from cryptomix import (
     binding_constraints,
     check_dual_certificate,
     compare_strategies,
+    defender_polytope,
     scenario_table,
     single_objective_strategy,
     solve_lp,
@@ -134,6 +139,8 @@ def test_free_variables_via_bounds():
     # y >= x and x >= 1, so min y = 1
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0)
+    listed = replace(lp, lower_bounds=[1.0, None], upper_bounds=[2.0, None])
+    assert listed == lp and solve_lp(listed) == sol
 
 
 def test_constraint_validation():
@@ -250,9 +257,10 @@ def programs(draw):
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(programs())
-def test_solve_lp_equals_scipy_linprog(lp):
+def assert_equals_scipy(lp):
+    """solve_lp(lp) against a fresh scipy_reference(lp): the same status and
+    iteration count, and bitwise the same point, objective, duals and bound
+    marginals."""
     runs = []
     original = cryptomix.lp.linprog
 
@@ -283,6 +291,145 @@ def test_solve_lp_equals_scipy_linprog(lp):
     assert bitwise(sol.duals.values()) == bitwise(want.values())
     assert bitwise(sol.reduced_lower) == bitwise(ref.lower.marginals)
     assert bitwise(sol.reduced_upper) == bitwise(ref.upper.marginals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs())
+def test_solve_lp_equals_scipy_linprog(lp):
+    assert_equals_scipy(lp)
+
+
+# ------------------------------------------- one HiGHS object, cached models
+
+_OBJECTIVE_COEFFS = (0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 3.0)
+
+
+@st.composite
+def constraint_sets(draw):
+    """(n, constraints, lower, upper) with signed zeros in the right-hand
+    sides and bounds; a lower bound of +inf is a HiGHS model error."""
+    n = draw(st.integers(1, 4))
+    constraints = tuple(
+        Constraint(
+            tuple(draw(_coeffs) for _ in range(n)),
+            draw(st.sampled_from(("<=", ">=", "="))),
+            draw(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5])),
+            f"row{i}",
+        )
+        for i in range(draw(st.integers(0, 4)))
+    )
+    lower = tuple(draw(st.sampled_from([0.0, -0.0, None, -1.0] * 3 + [math.inf])) for _ in range(n))
+    upper = tuple(draw(st.sampled_from([None, None, 1.0, 3.0, 0.0, -0.0])) for _ in range(n))
+    return n, constraints, lower, upper
+
+
+@st.composite
+def instance_polytopes(draw):
+    """The defender polytope of a random instance, as a constraint set: its
+    rows span several orders of magnitude, as the bundled one's do."""
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    inst = random_feasible_instance(rng)
+    return len(inst.algorithms), defender_polytope(inst), None, None
+
+
+def flip_zeros(shape):
+    """The same constraint set with the sign of every zero rhs and bound
+    flipped: equal by ==, though HiGHS can answer the two differently."""
+    n, constraints, lower, upper = shape
+
+    def flip(v):
+        return -v if v == 0 else v
+
+    def flip_all(bounds):
+        return None if bounds is None else tuple(map(flip, bounds))
+
+    flipped = tuple(replace(con, rhs=flip(con.rhs)) for con in constraints)
+    return n, flipped, flip_all(lower), flip_all(upper)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.one_of(constraint_sets(), instance_polytopes()), min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_solve_lp_is_history_independent(shapes, rng):
+    """Many objectives over a few constraint sets and their signed-zero
+    twins, solved in a shuffled order through the shared HiGHS object and
+    the cached models, each equal to a fresh linprog."""
+    shapes = shapes + [flip_zeros(shape) for shape in shapes]
+    lps = [
+        LinearProgram(
+            rng.choice(("max", "min")),
+            tuple(
+                rng.choice(_OBJECTIVE_COEFFS) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+                for _ in range(n)
+            ),
+            constraints,
+            lower,
+            upper,
+        )
+        for n, constraints, lower, upper in shapes
+        for _ in range(6)
+    ]
+    rng.shuffle(lps)
+    for lp in lps:
+        assert_equals_scipy(lp)
+
+
+def signed_zero_program(zero):
+    """min x + y subject to x - y <= zero, x + y >= zero and x, y >= zero:
+    HiGHS puts the vertex at (zero, zero), keeping the sign of the bound."""
+    return LinearProgram(
+        "min",
+        (1.0, 1.0),
+        (
+            Constraint((1.0, -1.0), "<=", zero, "diff"),
+            Constraint((1.0, 1.0), ">=", zero, "sum"),
+        ),
+        (zero, zero),
+    )
+
+
+def test_negative_zero_program_after_its_zero_twin():
+    # -0.0 == 0.0, so a cache keyed on the tuples alone would serve the
+    # second program the first one's model
+    for zero in (0.0, -0.0, 0.0):
+        sol = solve_lp(signed_zero_program(zero))
+        assert bitwise(sol.values) == bitwise((zero, zero))
+        assert_equals_scipy(signed_zero_program(zero))
+
+
+def test_solve_lp_threads_match_one_thread(instance):
+    rng = random.Random(7)
+    polytope = defender_polytope(instance)
+    n = len(instance.algorithms)
+    lps = [
+        LinearProgram(
+            rng.choice(("max", "min")), tuple(rng.uniform(-1.0, 1.0) for _ in range(n)), polytope
+        )
+        for _ in range(50)
+    ]
+    want = [repr(solve_lp(lp)) for lp in lps]
+    start = threading.Barrier(4)
+
+    def solve_shuffled(seed):
+        order = list(range(len(lps)))
+        random.Random(seed).shuffle(order)
+        got = [""] * len(lps)
+        start.wait()
+        for i in order:
+            got[i] = repr(solve_lp(lps[i]))
+        return got
+
+    # switch threads often, so that unguarded shared state would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(solve_shuffled, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [want] * 4
 
 
 def test_lp_status_cases_are_covered():
