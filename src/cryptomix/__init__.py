@@ -4,17 +4,13 @@ defender LP, budget-uncertainty robustness, and baseline comparisons.
 """
 
 from .attacker import (
-    CalibrationConfig,
-    CalibrationResult,
     DpConfig,
     GreedyConfig,
     HybridResult,
-    calibrate_threshold,
     solve_brute_force,
     solve_dp,
     solve_hybrid,
     solve_sample_greedy,
-    unconstrained_success,
 )
 from .baselines import (
     SINGLE_OBJECTIVES,
@@ -63,7 +59,6 @@ from .lp import (
     LinearProgram,
     LpSolution,
     alternate_optimum_gap,
-    binding_constraints,
     check_dual_certificate,
     solve_lp,
 )

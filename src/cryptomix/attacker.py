@@ -1,5 +1,5 @@
-"""Attacker subgame solvers: exact DP, sampled greedy, hybrid dispatch,
-a brute-force oracle, and a DP runtime calibration.
+"""Attacker subgame solvers: exact DP, sampled greedy, hybrid dispatch and
+a brute-force oracle.
 
 All solvers maximize value * P_succ(S) - phi(sum of costs) over method
 subsets S within the budget, and rank plans identically: higher utility,
@@ -22,7 +22,6 @@ can name other ids.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -37,7 +36,6 @@ from .model import (
     EncryptionAlgorithm,
     make_plan,
     plan_key,
-    success_probability,
 )
 
 
@@ -55,25 +53,6 @@ class GreedyConfig:
 
     accept_prob: float = 0.414
     rng_seed: int = 0
-
-
-@dataclass(frozen=True)
-class CalibrationConfig:
-    """Synthetic-instance sweep used to locate the DP runtime threshold."""
-
-    time_limit: float = 0.2
-    max_methods: int = 500
-    budget: float = 500.0
-    value: float = 1000.0
-    success_range: tuple[float, float] = (0.05, 0.85)
-    cost_range: tuple[float, float] = (40.0, 200.0)
-    rng_seed: int = 0
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    threshold: int
-    series: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -176,28 +155,35 @@ def _with_j_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return first
 
 
-def _cells(amount: float, scale: int, up: bool) -> int:
+def _cells(amount: float, scale: int, up: bool) -> float:
     """amount in 1/scale cost cells: costs round up and budgets down, so a
     set whose cells fit a budget's cells fits the real budget too.
 
     A grid point keeps its cell: the decimal 2.3 is the float nearest 23/10,
     so it stays 23 cells although 2.3 * 10 evaluates to 22.999999999999996.
+    An amount whose scaled value overflows is math.inf cells, more than any
+    table holds; every other amount is an int.
     """
     scaled = amount * scale
+    if math.isinf(scaled):
+        return math.inf
     nearest = round(scaled)
     if nearest / scale == amount:
         return int(nearest)
     return math.ceil(scaled) if up else math.floor(scaled)
 
 
-def _cost_cells(costs: Sequence[float], scale: int) -> tuple[int, ...]:
-    """_cells(cost, scale, up=True) of every cost in one array pass: np.rint
-    rounds half to even, as round does, and the integral floats convert
-    exactly."""
+def _cost_cells(costs: Sequence[float], scale: int, limit: int) -> tuple[int, ...]:
+    """min(_cells(cost, scale, up=True), limit) of every cost in one array
+    pass: np.rint rounds half to even, as round does, and the integral
+    floats up to limit convert exactly. A cost whose scaled value
+    overflows is capped like any other."""
     amount = np.asarray(costs, dtype=float)
-    scaled = amount * scale
+    with np.errstate(over="ignore"):
+        scaled = amount * scale
     nearest = np.rint(scaled)
-    return tuple(map(int, np.where(nearest / scale == amount, nearest, np.ceil(scaled)).tolist()))
+    cells = np.where(nearest / scale == amount, nearest, np.ceil(scaled))
+    return tuple(map(int, np.minimum(cells, limit).tolist()))
 
 
 def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
@@ -210,7 +196,8 @@ def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
 def dp_table_fits(n_methods: int, budget: float, config: DpConfig = DpConfig()) -> bool:
     """The table-size rule shared by every caller of the DP, and the only
     rule that sends an attacker subgame to the DP or the greedy: n methods
-    x (budget cells + 1) within config.max_table_cells."""
+    x (budget cells + 1) within config.max_table_cells. A budget whose
+    scaled value overflows never fits."""
     return n_methods * (_cells(budget, config.cost_scale, up=False) + 1) <= config.max_table_cells
 
 
@@ -255,7 +242,9 @@ def build_dp_table(
             f"{n} methods x {size} cost levels exceeds "
             f"{config.max_table_cells} table cells"
         )
-    weights = _cost_cells([m.cost for m in methods], scale)
+    # a weight at or past the table size reaches no cell and its method is
+    # skipped, so capping weights at the size keeps them small ints
+    weights = _cost_cells([m.cost for m in methods], scale, size)
 
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0
@@ -440,49 +429,3 @@ def solve_hybrid(
     if dp_table_fits(len(algorithm.attacks), params.budget, dp_config):
         return HybridResult(solve_dp(algorithm, params, dp_config), "dp")
     return HybridResult(solve_sample_greedy(algorithm, params, greedy_config), "greedy")
-
-
-def unconstrained_success(algorithm: EncryptionAlgorithm) -> float:
-    """Breach probability when every method is executed (no budget)."""
-    return success_probability(algorithm.attacks)
-
-
-def calibrate_threshold(config: Optional[CalibrationConfig] = None) -> CalibrationResult:
-    """Time the DP on growing synthetic instances and return the first
-    method count whose solve exceeds the time limit.
-
-    The sweep is linear in n and stops at the first crossing; if no solve
-    crosses the limit the threshold is max_methods. The instance sequence
-    is fully determined by rng_seed.
-    """
-    config = config or CalibrationConfig()
-    rng = np.random.default_rng(config.rng_seed)
-    params = AttackerParams(value=config.value, budget=config.budget)
-    # the sweep intentionally exceeds the dispatch bound, so lift the guard
-    dp_config = DpConfig(cost_scale=10, max_table_cells=2**62)
-    series: list[tuple[int, float]] = []
-    for n in range(1, config.max_methods + 1):
-        succ = rng.uniform(*config.success_range, n)
-        cost = rng.uniform(*config.cost_range, n)
-        attacks = tuple(
-            AttackMethod(id=f"m{i:04d}", success=float(succ[i]), cost=float(cost[i]))
-            for i in range(n)
-        )
-        instance = EncryptionAlgorithm(
-            id=f"synthetic-{n}",
-            op_cost=0.0,
-            cpu_cost=0.0,
-            mem_cost=0.0,
-            latency=0.0,
-            resilience=0.0,
-            protected_value=1.0,
-            family=0,
-            attacks=attacks,
-        )
-        started = time.perf_counter()
-        solve_dp(instance, params, dp_config)
-        elapsed = time.perf_counter() - started
-        series.append((n, elapsed))
-        if elapsed > config.time_limit:
-            return CalibrationResult(threshold=n, series=tuple(series))
-    return CalibrationResult(threshold=config.max_methods, series=tuple(series))

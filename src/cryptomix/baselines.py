@@ -13,7 +13,7 @@ import numpy as np
 from .defender import (
     AlgorithmEvaluation,
     StrategyReport,
-    build_defender_lp,
+    _solve_leader,
     defender_polytope,
     evaluate_all,
     make_report,
@@ -84,14 +84,8 @@ def compare_strategies(
     reference row is always included."""
     if evaluations is None:
         evaluations = evaluate_all(instance)
-    program = build_defender_lp(instance, [ev.utility for ev in evaluations])
-    solution = solve_optimal(program, "defender LP")
-    rows = [
-        ComparisonRow(
-            "stackelberg",
-            make_report(instance, solution.values, evaluations, solution.binding),
-        )
-    ]
+    leader = _solve_leader(instance, evaluations, "defender LP")
+    rows = [ComparisonRow("stackelberg", leader.report)]
     for label, probs in strategies:
         rows.append(ComparisonRow(label, make_report(instance, probs, evaluations)))
     rows.sort(key=lambda row: (-row.report.objective, row.label))

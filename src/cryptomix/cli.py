@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: solve-attacker, solve-defender, solve-robust, baselines,
-calibrate, validate. Exit codes: 0 success, 1 parse/validation error,
+validate. Exit codes: 0 success, 1 parse/validation error,
 2 infeasible model, 3 internal error. All output is JSON or CSV with `.`
 decimals; diagnostics go to stderr.
 """
@@ -18,10 +18,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .attacker import (
-    CalibrationConfig,
     DpConfig,
     GreedyConfig,
-    calibrate_threshold,
     solve_brute_force,
     solve_dp,
     solve_hybrid,
@@ -93,10 +91,16 @@ def _int_at_least(text: str, low: int, expected: str) -> int:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and scales: rejected here unless >= 1, so
+def _cost_scale(text: str) -> int:
+    """argparse type for --scale: a positive integer that a float can hold,
+    since the DP multiplies float costs and budgets by it. Checked here so
     the error names the option."""
-    return _int_at_least(text, 1, "a positive integer")
+    value = _int_at_least(text, 1, "a positive integer")
+    if value > sys.float_info.max:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer within float range, got {text!r}"
+        )
+    return value
 
 
 def _non_negative_int(text: str) -> int:
@@ -294,29 +298,6 @@ def cmd_baselines(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    _check_out_file("--csv", args.csv)
-    config = CalibrationConfig(
-        time_limit=args.time_limit,
-        max_methods=args.max_methods,
-        rng_seed=args.seed,
-    )
-    result = calibrate_threshold(config)
-    if args.csv:
-        rows = "".join(f"{n},{seconds!r}\n" for n, seconds in result.series)
-        _save("--csv", args.csv, "n,seconds\n" + rows)
-    _emit(
-        {
-            "threshold": result.threshold,
-            "time_limit": config.time_limit,
-            "max_methods": config.max_methods,
-            "seed": config.rng_seed,
-            "series_length": len(result.series),
-        }
-    )
-    return 0
-
-
 def cmd_validate(args) -> int:
     instance, scenarios = _load(args)
     _emit(
@@ -353,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value", type=_finite_float, default=None)
     p.add_argument("--solver", choices=("dp", "greedy", "hybrid", "brute"), default="hybrid")
     p.add_argument("--seed", type=_non_negative_int, default=0, help="greedy coin seed")
-    p.add_argument("--scale", type=_positive_int, default=10, help="DP cost discretization")
+    p.add_argument("--scale", type=_cost_scale, default=10, help="DP cost discretization")
     p.set_defaults(func=cmd_solve_attacker)
 
     p = sub.add_parser("solve-defender", help="equilibrium mixed deployment strategy")
@@ -383,13 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default=None, help="also write the CSV here")
     p.set_defaults(func=cmd_baselines)
-
-    p = sub.add_parser("calibrate", help="locate the DP runtime threshold")
-    p.add_argument("--time-limit", type=_finite_float, default=0.2)
-    p.add_argument("--max-methods", type=_positive_int, default=500)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--csv", default=None, help="write the n,seconds series here")
-    p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("validate", help="check a scenario file")
     _add_scenario_arg(p)

@@ -185,15 +185,21 @@ def make_report(
     )
 
 
-def solve_stackelberg(instance: GameInstance) -> EquilibriumResult:
-    """Attacker best responses per algorithm, then the leader LP."""
-    evaluations = evaluate_all(instance)
+def _solve_leader(
+    instance: GameInstance, evaluations: Sequence[AlgorithmEvaluation], context: str
+) -> EquilibriumResult:
+    """The leader LP over the given attacker responses; `context` names the
+    program in a solve_optimal error."""
     program = build_defender_lp(instance, [ev.utility for ev in evaluations])
-    solution = solve_optimal(program, "defender LP")
-    report = make_report(instance, solution.values, evaluations, solution.binding)
+    solution = solve_optimal(program, context)
     return EquilibriumResult(
-        report=report,
-        evaluations=evaluations,
+        report=make_report(instance, solution.values, evaluations, solution.binding),
+        evaluations=tuple(evaluations),
         program=program,
         solution=solution,
     )
+
+
+def solve_stackelberg(instance: GameInstance) -> EquilibriumResult:
+    """Attacker best responses per algorithm, then the leader LP."""
+    return _solve_leader(instance, evaluate_all(instance), "defender LP")

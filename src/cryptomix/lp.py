@@ -280,12 +280,12 @@ def _feasible(form: _Form, run: _Run) -> bool:
     )
 
 
-def _binding(form: _Form, x: np.ndarray, eps: float) -> tuple[str, ...]:
+def _binding(form: _Form, x: np.ndarray) -> tuple[str, ...]:
     """Sorted labels of the constraints active at x: every equality, and
-    each inequality within a relative tolerance eps * (1 + |rhs|). A
+    each inequality within a relative tolerance BIND_EPS * (1 + |rhs|). A
     negated >= row has the activity and rhs of its row negated, so the
     same distance."""
-    near = np.abs(form.matrix @ x - form.rhs) <= eps * (1.0 + np.abs(form.rhs))
+    near = np.abs(form.matrix @ x - form.rhs) <= BIND_EPS * (1.0 + np.abs(form.rhs))
     near[form.n_ub :] = True
     return tuple(sorted({label for label, hit in zip(form.labels, near.tolist()) if hit}))
 
@@ -338,7 +338,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         status="optimal",
         values=values,
         objective_value=float(np.dot(lp.objective, run.x)),
-        binding=_binding(form, run.x, BIND_EPS),
+        binding=_binding(form, run.x),
         duals=duals,
         reduced_lower=tuple(float(v) for v in run.marg_lower),
         reduced_upper=tuple(float(v) for v in run.marg_upper),
@@ -357,17 +357,6 @@ def solve_optimal(lp: LinearProgram, context: str) -> LpSolution:
     if solution.status != "optimal":
         raise NotOptimal(f"{context} ended with status {solution.status!r}")
     return solution
-
-
-def binding_constraints(
-    lp: LinearProgram, solution: LpSolution, eps: float = BIND_EPS
-) -> tuple[str, ...]:
-    """Sorted labels of constraints active at the solution, within a
-    relative tolerance scaled by 1 + |rhs|."""
-    if solution.status != "optimal":
-        raise NotOptimal(f"solution status is {solution.status!r}")
-    form, _ = _prebuilt_for(lp)
-    return _binding(form, np.asarray(solution.values, dtype=float), eps)
 
 
 def alternate_optimum_gap(

@@ -16,11 +16,10 @@ from .defender import (
     AlgorithmEvaluation,
     StrategyReport,
     _evaluation,
-    build_defender_lp,
+    _solve_leader,
     defender_polytope,
     evaluate_budgets,
     expected_breach,
-    make_report,
     strategy_usage,
 )
 from .lp import Constraint, LinearProgram, solve_optimal
@@ -99,10 +98,6 @@ class MatrixReport:
             ],
         }
 
-    def save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.as_csv())
-
 
 def _budget_label(k: float) -> str:
     return f"{k:g}"
@@ -138,15 +133,24 @@ def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTa
     )
 
 
-def _extended_polytope(instance: GameInstance, extra_vars: int) -> list[Constraint]:
-    """Polytope constraints padded with zero coefficients for the epigraph
-    variable appended after the probability block."""
-    cons = []
-    for con in defender_polytope(instance):
-        cons.append(
-            Constraint(con.coeffs + (0.0,) * extra_vars, con.relation, con.rhs, con.label)
-        )
-    return cons
+def _epigraph_lp(
+    instance: GameInstance, sense: str, cuts: Sequence[tuple[tuple[float, ...], float, str]]
+) -> LinearProgram:
+    """Optimize t over (p, t), p in the defender polytope and t free in
+    sign, subject to one `<=` row per cut: coefficients over (p, t), the
+    right-hand side and the label."""
+    n = len(instance.algorithms)
+    cons = [
+        Constraint(con.coeffs + (0.0,), con.relation, con.rhs, con.label)
+        for con in defender_polytope(instance)
+    ]
+    cons += [Constraint(row, "<=", rhs, label) for row, rhs, label in cuts]
+    return LinearProgram(
+        sense=sense,
+        objective=(0.0,) * n + (1.0,),
+        constraints=tuple(cons),
+        lower_bounds=(0.0,) * n + (None,),
+    )
 
 
 def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyReport:
@@ -155,18 +159,12 @@ def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyRepor
     The reported objective is the worst-case value z; expected_breach is
     the worst case over scenarios as well.
     """
+    cuts = [
+        (tuple(-u for u in util_row) + (1.0,), 0.0, f"scenario:{_budget_label(k)}")
+        for k, util_row in zip(table.budgets, table.utilities)
+    ]
+    solution = solve_optimal(_epigraph_lp(instance, "max", cuts), "maximin LP")
     n = len(instance.algorithms)
-    cons = _extended_polytope(instance, 1)
-    for k, util_row in zip(table.budgets, table.utilities):
-        row = tuple(-u for u in util_row) + (1.0,)
-        cons.append(Constraint(row, "<=", 0.0, f"scenario:{_budget_label(k)}"))
-    program = LinearProgram(
-        sense="max",
-        objective=(0.0,) * n + (1.0,),
-        constraints=tuple(cons),
-        lower_bounds=(0.0,) * n + (None,),
-    )
-    solution = solve_optimal(program, "maximin LP")
     probs = tuple(solution.values[:n])
     strategy = MixedStrategy(probs=probs)
     worst_breach = max(expected_breach(probs, row) for row in table.breach)
@@ -183,17 +181,11 @@ def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyRepor
 def build_regret_lp(instance: GameInstance, table: ScenarioTable) -> LinearProgram:
     """min t subject to optima[s] - sum_i p_i utilities[s][i] <= t for all
     scenarios; t is free in sign."""
-    n = len(instance.algorithms)
-    cons = _extended_polytope(instance, 1)
-    for k, opt, util_row in zip(table.budgets, table.optima, table.utilities):
-        row = tuple(-u for u in util_row) + (-1.0,)
-        cons.append(Constraint(row, "<=", -opt, f"regret:{_budget_label(k)}"))
-    return LinearProgram(
-        sense="min",
-        objective=(0.0,) * n + (1.0,),
-        constraints=tuple(cons),
-        lower_bounds=(0.0,) * n + (None,),
-    )
+    cuts = [
+        (tuple(-u for u in util_row) + (-1.0,), -opt, f"regret:{_budget_label(k)}")
+        for k, opt, util_row in zip(table.budgets, table.optima, table.utilities)
+    ]
+    return _epigraph_lp(instance, "min", cuts)
 
 
 def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> RegretReport:
@@ -221,22 +213,7 @@ def solve_unconstrained_case(instance: GameInstance) -> StrategyReport:
         )
         for alg in instance.algorithms
     ]
-    program = build_defender_lp(instance, [ev.utility for ev in evals])
-    solution = solve_optimal(program, "unconstrained-case LP")
-    return make_report(instance, solution.values, evals, solution.binding)
-
-
-def _rows_for_matrix(
-    table: ScenarioTable,
-    extra_strategies: Sequence[tuple[str, Sequence[float]]],
-) -> list[tuple[str, tuple[float, ...]]]:
-    rows = [
-        (f"Opt(k={_budget_label(k)})", strat)
-        for k, strat in zip(table.budgets, table.optimal_strategies)
-    ]
-    for label, probs in extra_strategies:
-        rows.append((label, tuple(float(p) for p in probs)))
-    return rows
+    return _solve_leader(instance, evals, "unconstrained-case LP").report
 
 
 def _matrix(
@@ -244,7 +221,11 @@ def _matrix(
     extra_strategies: Sequence[tuple[str, Sequence[float]]],
     cell,
 ) -> MatrixReport:
-    rows = _rows_for_matrix(table, extra_strategies)
+    rows = [
+        (f"Opt(k={_budget_label(k)})", strat)
+        for k, strat in zip(table.budgets, table.optimal_strategies)
+    ]
+    rows += [(label, tuple(float(p) for p in probs)) for label, probs in extra_strategies]
     col_labels = tuple(f"k={_budget_label(k)}" for k in table.budgets) + ("max",)
     cells = []
     for _, probs in rows:

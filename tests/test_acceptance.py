@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from cryptomix import (
-    CalibrationConfig,
     DpConfig,
     GreedyConfig,
     alternate_optimum_gap,
     breach_regret_matrix,
     build_regret_lp,
-    calibrate_threshold,
     compare_strategies,
     make_plan,
     phi,
@@ -288,22 +286,3 @@ def test_criterion_09_equilibrium_dominates_heuristics(instance, equilibrium):
     assert strict >= 45
     for name in SINGLE_OBJECTIVES:
         assert by_label[name] <= opt + 1e-9
-
-
-def test_criterion_10_calibration_reproducible():
-    config = CalibrationConfig(time_limit=0.2, max_methods=24, rng_seed=7)
-    first = calibrate_threshold(config)
-    second = calibrate_threshold(config)
-    assert first.threshold == second.threshold
-    assert [n for n, _ in first.series] == [n for n, _ in second.series]
-    assert first.threshold >= 1
-    # every solve before the stopping point stayed within the limit
-    for n, seconds in first.series[:-1]:
-        assert seconds <= config.time_limit
-    if first.threshold < config.max_methods:
-        assert first.series[-1][1] > config.time_limit
-        assert first.series[-1][0] == first.threshold
-
-    instant = calibrate_threshold(CalibrationConfig(time_limit=0.0, max_methods=24))
-    assert instant.threshold == 1
-    assert len(instant.series) == 1

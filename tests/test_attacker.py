@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -9,19 +10,17 @@ from cryptomix import (
     AttackMethod,
     AttackerParams,
     BudgetNegative,
-    CalibrationConfig,
     CostFunctionSpec,
     DpConfig,
     GreedyConfig,
     HybridResult,
     TableTooLarge,
     TooManyMethods,
-    calibrate_threshold,
+    evaluate_budgets,
     solve_brute_force,
     solve_dp,
     solve_hybrid,
     solve_sample_greedy,
-    unconstrained_success,
 )
 from cryptomix.attacker import (
     _carry_sets,
@@ -32,6 +31,7 @@ from cryptomix.attacker import (
     _penalty,
     _with_j_first,
     build_dp_table,
+    dp_table_fits,
 )
 from cryptomix.model import phi
 from helpers import (
@@ -171,8 +171,8 @@ def test_dp_grid_decimals_keep_their_cells():
 
 @st.composite
 def scaled_costs(draw):
-    """A cost scale and costs on its grid, off it, on a half cell (a round
-    half to even tie), zero and large."""
+    """A cost scale, a cell cap and costs on the grid, off it, on a half
+    cell (a round half to even tie), zero, large and overflowing."""
     scale = draw(st.sampled_from([1, 2, 3, 10, 100]))
     cells = st.integers(0, 10**7)
     cost = st.one_of(
@@ -181,16 +181,18 @@ def scaled_costs(draw):
         cells.map(lambda k: (k + 0.5) / scale),
         st.just(0.0),
         st.floats(min_value=1e15, max_value=1e300),
+        st.just(1e308),
     )
-    return draw(st.lists(cost, max_size=20)), scale
+    limit = draw(st.one_of(st.integers(1, 10**7), st.just(2**53)))
+    return draw(st.lists(cost, max_size=20)), scale, limit
 
 
 @settings(max_examples=150, deadline=None)
 @given(scaled_costs())
 def test_cost_cells_equal_cells_per_cost(case):
-    costs, scale = case
-    want = tuple(_cells(c, scale, up=True) for c in costs)
-    got = _cost_cells(costs, scale)
+    costs, scale, limit = case
+    want = tuple(min(_cells(c, scale, up=True), limit) for c in costs)
+    got = _cost_cells(costs, scale, limit)
     assert got == want
     assert all(type(w) is int for w in got)
 
@@ -572,21 +574,34 @@ def test_hybrid_and_dp_share_the_table_guard():
     assert solve_hybrid(alg, below) == HybridResult(solve_dp(alg, below), "dp")
 
 
-def test_unconstrained_success_uses_every_method(worked_algorithm):
-    expected = 1.0 - (1.0 - 0.20) * (1.0 - 0.35) * (1.0 - 0.42) * (1.0 - 0.25)
-    assert unconstrained_success(worked_algorithm) == pytest.approx(expected)
+def test_overflowing_budget_fits_no_table():
+    # 1e308 * 10 overflows to inf cells: the DP refuses it as too large, and
+    # the hybrid routes it to the greedy instead of raising
+    alg = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.3, 5.0) for i in range(4)))
+    params = AttackerParams(value=300.0, budget=1e308)
+    assert _cells(1e308, 10, up=False) == math.inf
+    assert not dp_table_fits(4, 1e308)
+    assert not dp_table_fits(0, 1e308)
+    with pytest.raises(TableTooLarge):
+        build_dp_table(alg, 1e308)
+    with pytest.raises(TableTooLarge):
+        solve_dp(alg, params)
+    assert solve_hybrid(alg, params) == HybridResult(solve_sample_greedy(alg, params), "greedy")
 
 
-def test_calibration_stops_at_first_crossing_and_is_reproducible():
-    config = CalibrationConfig(time_limit=1e9, max_methods=6, rng_seed=7)
-    first = calibrate_threshold(config)
-    second = calibrate_threshold(config)
-    assert first.threshold == 6
-    assert [n for n, _ in first.series] == [1, 2, 3, 4, 5, 6]
-    assert [n for n, _ in second.series] == [n for n, _ in first.series]
+def test_evaluate_budgets_routes_an_overflowing_budget_to_the_greedy(instance):
+    low, high = evaluate_budgets(instance, (11.0, 1e308))
+    assert low == evaluate_budgets(instance, (11.0,))[0]
+    assert {ev.solver for ev in high} == {"greedy"}
 
-    instant = calibrate_threshold(
-        CalibrationConfig(time_limit=0.0, max_methods=6, rng_seed=7)
-    )
-    assert instant.threshold == 1
-    assert len(instant.series) == 1
+
+@pytest.mark.parametrize("cost", [1e18, 1e308], ids=["past-int64", "past-float"])
+def test_dp_skips_a_method_whose_cost_cells_overflow(cost):
+    # 1e18 is 1e19 cells, past int64, and 1e308 * 10 is inf; neither weight
+    # reaches a cell. The tie between b and d makes the DP build its set
+    # fingerprints, walking every layer down to the costly a.
+    tied = (AttackMethod("b", 0.3, 1.0), AttackMethod("d", 0.3, 1.0))
+    alg = bare_algorithm((AttackMethod("a", 0.5, cost),) + tied)
+    params = AttackerParams(value=300.0, budget=5.0)
+    assert solve_dp(alg, params) == solve_dp(bare_algorithm(tied), params)
+    assert build_dp_table(alg, 5.0).weights == (51, 10, 10)

@@ -80,6 +80,15 @@ def test_stackelberg_row_tops_comparison(instance):
     assert all(r.report.objective <= best + 1e-9 for r in rows)
 
 
+def test_stackelberg_row_is_the_equilibrium_report(instance):
+    eq = solve_stackelberg(instance)
+    for evaluations in (eq.evaluations, None):
+        (row,) = compare_strategies(instance, [], evaluations)
+        assert row.label == "stackelberg"
+        assert row.report == eq.report
+        assert repr(row.report) == repr(eq.report)  # bitwise, signed zeros too
+
+
 def test_comparison_sorted_desc(instance):
     rows = compare_strategies(
         instance, [(f"random-{s}", random_vertex_strategy(instance, s).probs) for s in range(4)]

@@ -157,27 +157,13 @@ def test_baselines_csv(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == text
 
 
-def test_calibrate(tmp_path, capsys):
-    csv_path = tmp_path / "series.csv"
-    payload = run_json(
-        capsys,
-        ["calibrate", "--time-limit", "0.0", "--max-methods", "3", "--csv", str(csv_path)],
-    )
-    assert payload["threshold"] == 1
-    assert payload["series_length"] == 1
-    lines = csv_path.read_text(encoding="utf-8").strip().split("\n")
-    assert lines[0] == "n,seconds"
-    assert len(lines) == 2
-
-
 OUTPUT_OPTIONS = [
     (["solve-defender", "--out"], "--out"),
     (["baselines", "--samples", "1", "--out"], "--out"),
-    (["calibrate", "--max-methods", "1", "--csv"], "--csv"),
 ]
 
 
-@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines", "calibrate"])
+@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines"])
 def test_output_file_in_missing_directory_exits_1_before_solving(tmp_path, capsys, argv, option):
     target = tmp_path / "absent" / "out.txt"
     assert run_cli([*argv, str(target)]) == 1
@@ -187,7 +173,7 @@ def test_output_file_in_missing_directory_exits_1_before_solving(tmp_path, capsy
     assert captured.err == f"error: {option}: directory {target.parent} does not exist\n"
 
 
-@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines", "calibrate"])
+@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines"])
 def test_output_file_that_is_a_directory_exits_1(tmp_path, capsys, argv, option):
     assert run_cli([*argv, str(tmp_path)]) == 1
     captured = capsys.readouterr()
@@ -195,7 +181,7 @@ def test_output_file_that_is_a_directory_exits_1(tmp_path, capsys, argv, option)
     assert captured.err == f"error: {option}: {tmp_path} is a directory\n"
 
 
-@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines", "calibrate"])
+@pytest.mark.parametrize("argv, option", OUTPUT_OPTIONS, ids=["defender", "baselines"])
 def test_unwritable_output_file_exits_1(tmp_path, capsys, argv, option):
     # the directory exists, so only the write itself fails
     target = tmp_path / ("x" * 300)
@@ -245,6 +231,7 @@ def test_parse_error_exit_code(tmp_path, capsys):
 def test_usage_errors(capsys):
     assert run_cli(["solve-defender", "--nope"]) == 1
     assert run_cli(["no-such-command"]) == 1
+    assert run_cli(["calibrate"]) == 1
     assert run_cli([]) == 1
     assert run_cli(["--help"]) == 0
     capsys.readouterr()
@@ -291,7 +278,6 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, edit, path):
         (["solve-defender", "--budget=-inf"], "--budget"),
         (["solve-robust", "--budgets", "nan,20"], "--budgets"),
         (["solve-robust", "--budgets", "11,inf"], "--budgets"),
-        (["calibrate", "--time-limit", "nan"], "--time-limit"),
     ],
 )
 def test_non_finite_options_exit_code(capsys, argv, option):
@@ -299,6 +285,31 @@ def test_non_finite_options_exit_code(capsys, argv, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {option}: expected a finite number" in captured.err
+
+
+def test_overflowing_budget_goes_to_the_greedy(capsys):
+    # budget * scale overflows to inf: no DP table holds it
+    attacker = ["solve-attacker", "--algorithm", "aes256-gcm", "--budget", "1e308"]
+    assert run_json(capsys, attacker)["solver"] == "greedy"
+    defender = run_json(capsys, ["solve-defender", "--budget", "1e308"])
+    assert {a["solver"] for a in defender["attacks"]} == {"greedy"}
+    robust = run_json(capsys, ["solve-robust", "--budgets", "11,1e308"])
+    assert robust["budgets"] == [11.0, 1e308]
+    assert run_cli([*attacker, "--solver", "dp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "table cells" in captured.err
+
+
+def test_overflowing_method_cost_is_never_taken(tmp_path, capsys):
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    costly = payload["algorithms"][0]["attacks"][0]
+    costly["cost"] = 1e308
+    scenario = tmp_path / "costly.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    report = run_json(capsys, ["solve-defender", "--scenario", str(scenario)])
+    assert {a["solver"] for a in report["attacks"]} == {"dp"}
+    assert all(costly["id"] not in a["plan"]["methods"] for a in report["attacks"])
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -329,10 +340,13 @@ def test_cli_import_leaves_scipy_unloaded():
             "argument --seed: expected a non-negative integer, got '-1'",
         ),
         (["baselines", "--seed", "-1"], "argument --seed: expected a non-negative integer"),
-        (["calibrate", "--max-methods", "0"], "argument --max-methods: expected a positive integer"),
         (["solve-robust", "--budgets", "30,20"], "--budgets: scenario budgets must be strictly"),
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--scale", "1" + "0" * 400],
+            "argument --scale: expected a positive integer within float range",
+        ),
     ],
-    ids=["scale-0", "scale-negative", "seed-negative", "baselines-seed", "max-methods-0", "budgets"],
+    ids=["scale-0", "scale-negative", "seed-negative", "baselines-seed", "budgets", "scale-overflow"],
 )
 def test_bad_option_values_exit_code(capsys, argv, message):
     assert run_cli(argv) == 1

@@ -19,7 +19,6 @@ from cryptomix import (
     NotOptimal,
     ScenarioSet,
     alternate_optimum_gap,
-    binding_constraints,
     check_dual_certificate,
     compare_strategies,
     defender_polytope,
@@ -51,27 +50,6 @@ def test_solve_simple_max_vertex():
     assert sol.values == pytest.approx((2.0, 2.0))
     assert sol.objective_value == pytest.approx(10.0)
     assert sol.binding == ("cap", "xcap")
-
-
-def test_binding_constraints_matches_solution():
-    lp = simple_max()
-    sol = solve_lp(lp)
-    assert binding_constraints(lp, sol) == sol.binding
-
-
-def test_binding_requires_optimal_status():
-    lp = LinearProgram(
-        sense="max",
-        objective=(1.0,),
-        constraints=(
-            Constraint((1.0,), "<=", 1.0, "hi"),
-            Constraint((1.0,), ">=", 2.0, "lo"),
-        ),
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "infeasible"
-    with pytest.raises(NotOptimal):
-        binding_constraints(lp, sol)
 
 
 def test_unbounded_detected():
