@@ -73,7 +73,6 @@ from .model import (
     GameInstance,
     MixedStrategy,
     ValidationReport,
-    attacker_utility,
     make_plan,
     phi,
     plan_key,

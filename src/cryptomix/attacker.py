@@ -22,8 +22,8 @@ can name other ids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .model import (
     AttackerParams,
     CostFunctionSpec,
     EncryptionAlgorithm,
+    failure_product,
     make_plan,
     plan_key,
 )
@@ -195,10 +196,12 @@ def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
 
 def dp_table_fits(n_methods: int, budget: float, config: DpConfig = DpConfig()) -> bool:
     """The table-size rule shared by every caller of the DP, and the only
-    rule that sends an attacker subgame to the DP or the greedy: n methods
-    x (budget cells + 1) within config.max_table_cells. A budget whose
-    scaled value overflows never fits."""
-    return n_methods * (_cells(budget, config.cost_scale, up=False) + 1) <= config.max_table_cells
+    rule that sends an attacker subgame to the DP or the greedy: max(n, 1)
+    rows, as build_dp_table allocates one even for no methods, x (budget
+    cells + 1) within config.max_table_cells. A budget whose scaled value
+    overflows never fits."""
+    cells = _cells(budget, config.cost_scale, up=False) + 1
+    return max(n_methods, 1) * cells <= config.max_table_cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,28 +325,20 @@ def solve_dp(
     return dp_plans(build_dp_table(algorithm, params.budget, config), params, (params.budget,))[0]
 
 
-def _coin_source(config: GreedyConfig, coins: Optional[Iterable[float]]) -> Callable[[], float]:
-    """One uniform per call: from the seeded RNG, or replayed from coins,
+def _coins(config: GreedyConfig, coins: Optional[Iterable[float]]) -> Iterator[float]:
+    """One uniform per step: from the seeded RNG, or replayed from coins,
     which raises ValueError when the sequence runs out."""
     if coins is None:
         rng = np.random.default_rng(config.rng_seed)
-        return lambda: float(rng.random())
-    stream: Iterator[float] = iter(coins)
+        while True:
+            yield float(rng.random())
     drawn = 0
-
-    def draw() -> float:
-        nonlocal drawn
-        try:
-            coin = float(next(stream))
-        except StopIteration:
-            raise ValueError(
-                f"coins ran out at draw {drawn + 1}: the greedy needs at least "
-                f"{drawn + 1} coins, one per step, and was given {drawn}"
-            ) from None
-        drawn += 1
-        return coin
-
-    return draw
+    for drawn, coin in enumerate(coins, 1):
+        yield float(coin)
+    raise ValueError(
+        f"coins ran out at draw {drawn + 1}: the greedy needs at least "
+        f"{drawn + 1} coins, one per step, and was given {drawn}"
+    )
 
 
 def solve_sample_greedy(
@@ -370,7 +365,7 @@ def solve_sample_greedy(
     next acceptance walk that ranking in Python.
     """
     config = config or GreedyConfig()
-    draw = _coin_source(config, coins)
+    draw = _coins(config, coins).__next__
     methods = _sorted_methods(algorithm)
     success = np.array([m.success for m in methods], dtype=float)
     cost = np.array([m.cost for m in methods], dtype=float)
@@ -402,9 +397,7 @@ def solve_sample_greedy(
             if draw() < config.accept_prob:
                 chosen.append(i)
                 residual -= methods[i].cost
-                fail_s = 1.0
-                for k in sorted(chosen):
-                    fail_s *= 1.0 - methods[k].success
+                fail_s = failure_product(methods[k] for k in chosen)
                 break
         else:
             break  # every feasible method was discarded
@@ -417,15 +410,36 @@ def solve_sample_greedy(
     return min(candidates, key=plan_key)
 
 
+def hybrid_plans(
+    algorithm: EncryptionAlgorithm,
+    params: AttackerParams,
+    budgets: Sequence[float],
+    dp_config: Optional[DpConfig] = None,
+    greedy_config: Optional[GreedyConfig] = None,
+) -> list[HybridResult]:
+    """The one DP/greedy dispatcher: the best plan at each budget for the
+    value and cost function in params (params.budget is not read). The
+    budgets whose table fits (dp_table_fits) share one DP table, built at
+    the largest of them; every other budget goes to the sampled greedy."""
+    dp_config = dp_config or DpConfig()
+    routed = [k for k in budgets if dp_table_fits(len(algorithm.attacks), k, dp_config)]
+    plans = {}
+    if routed:
+        table = build_dp_table(algorithm, max(routed), dp_config)
+        plans = dict(zip(routed, dp_plans(table, params, routed)))
+    return [
+        HybridResult(plans[k], "dp") if k in plans else HybridResult(
+            solve_sample_greedy(algorithm, replace(params, budget=k), greedy_config), "greedy"
+        )
+        for k in budgets
+    ]
+
+
 def solve_hybrid(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
     dp_config: Optional[DpConfig] = None,
     greedy_config: Optional[GreedyConfig] = None,
 ) -> HybridResult:
-    """Dispatch to the exact DP when its table fits (dp_table_fits),
-    otherwise fall back to the sampled greedy."""
-    dp_config = dp_config or DpConfig()
-    if dp_table_fits(len(algorithm.attacks), params.budget, dp_config):
-        return HybridResult(solve_dp(algorithm, params, dp_config), "dp")
-    return HybridResult(solve_sample_greedy(algorithm, params, greedy_config), "greedy")
+    """hybrid_plans at params.budget alone."""
+    return hybrid_plans(algorithm, params, (params.budget,), dp_config, greedy_config)[0]

@@ -6,10 +6,10 @@ Variable order everywhere matches instance.algorithms order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from .attacker import build_dp_table, dp_plans, dp_table_fits, solve_sample_greedy
+from .attacker import hybrid_plans
 from .lp import Constraint, LinearProgram, LpSolution, solve_optimal
 from .model import (
     AttackPlan,
@@ -90,28 +90,12 @@ def evaluate_budgets(
     instance: GameInstance, budgets: Sequence[float]
 ) -> tuple[tuple[AlgorithmEvaluation, ...], ...]:
     """Best responses at each attacker budget, one row per budget, each
-    bitwise what solve_hybrid returns at that budget.
-
-    Each algorithm gets one DP table, built at the largest of its budgets
-    whose table fits (dp_table_fits), which answers all of those budgets;
-    the other budgets are solved one by one with the sampled greedy.
-    """
+    bitwise what solve_hybrid returns at that budget: hybrid_plans answers
+    every budget of one algorithm at once."""
     columns = []
     for alg in instance.algorithms:
-        routed = [k for k in budgets if dp_table_fits(len(alg.attacks), k)]
-        plans = {}
-        if routed:
-            table = build_dp_table(alg, max(routed))
-            plans = dict(zip(routed, dp_plans(table, instance.attacker, routed)))
-        column = []
-        for k in budgets:
-            if k in plans:
-                plan, solver = plans[k], "dp"
-            else:
-                params = replace(instance.attacker, budget=k)
-                plan, solver = solve_sample_greedy(alg, params), "greedy"
-            column.append(_evaluation(alg, instance.weights, plan, solver))
-        columns.append(column)
+        results = hybrid_plans(alg, instance.attacker, budgets)
+        columns.append([_evaluation(alg, instance.weights, r.plan, r.solver) for r in results])
     return tuple(tuple(col[s] for col in columns) for s in range(len(budgets)))
 
 
@@ -163,18 +147,16 @@ def expected_breach(
     return float(sum(p * b for p, b in zip(probs, breach)))
 
 
-def make_report(
+def _strategy_report(
     instance: GameInstance,
     probs: Sequence[float],
-    evaluations: Sequence[AlgorithmEvaluation],
-    binding_labels: Sequence[str] = (),
+    objective: float,
+    breach: float,
+    binding_labels: Sequence[str],
 ) -> StrategyReport:
-    """Assemble the standard summary for an arbitrary mixed strategy."""
+    """The one StrategyReport constructor, for an objective and breach the
+    caller has worked out."""
     strategy = MixedStrategy(probs=tuple(float(p) for p in probs))
-    objective = float(
-        sum(p * ev.utility for p, ev in zip(strategy.probs, evaluations))
-    )
-    breach = expected_breach(strategy.probs, [ev.p_succ_star for ev in evaluations])
     return StrategyReport(
         strategy=strategy,
         objective=objective,
@@ -183,6 +165,19 @@ def make_report(
         support_size=len(strategy.support(SUPPORT_EPS)),
         binding_labels=tuple(binding_labels),
     )
+
+
+def make_report(
+    instance: GameInstance,
+    probs: Sequence[float],
+    evaluations: Sequence[AlgorithmEvaluation],
+    binding_labels: Sequence[str] = (),
+) -> StrategyReport:
+    """Assemble the standard summary for an arbitrary mixed strategy."""
+    probs = tuple(float(p) for p in probs)
+    objective = float(sum(p * ev.utility for p, ev in zip(probs, evaluations)))
+    breach = expected_breach(probs, [ev.p_succ_star for ev in evaluations])
+    return _strategy_report(instance, probs, objective, breach, binding_labels)
 
 
 def _solve_leader(

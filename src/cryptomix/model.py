@@ -126,26 +126,24 @@ class AttackPlan:
     utility: float
 
 
-def success_probability(methods: Iterable[AttackMethod]) -> float:
-    """Probability that at least one independent method succeeds.
-
-    Empty set yields 0. The failure product is accumulated over methods
-    sorted by id.
-    """
+def failure_product(methods: Iterable[AttackMethod]) -> float:
+    """Probability that every independent method fails, accumulated over
+    methods sorted by id; 1 for the empty set."""
     failure = 1.0
     for m in sorted(methods, key=lambda m: m.id):
         failure *= 1.0 - m.success
-    return 1.0 - failure
+    return failure
+
+
+def success_probability(methods: Iterable[AttackMethod]) -> float:
+    """Probability that at least one independent method succeeds; 0 for
+    the empty set."""
+    return 1.0 - failure_product(methods)
 
 
 def phi(spec: CostFunctionSpec, total_cost: float) -> float:
     """Convex nondecreasing attack cost penalty; phi(0) = 0."""
     return spec.linear_coeff * total_cost + spec.quadratic_coeff * total_cost**2
-
-
-def attacker_utility(methods: Iterable[AttackMethod], params: AttackerParams) -> float:
-    """Expected attacker gain: value * success probability minus cost penalty."""
-    return make_plan(methods, params).utility
 
 
 def make_plan(methods: Iterable[AttackMethod], params: AttackerParams) -> AttackPlan:

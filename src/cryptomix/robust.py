@@ -12,15 +12,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .defender import (
-    SUPPORT_EPS,
     AlgorithmEvaluation,
     StrategyReport,
     _evaluation,
     _solve_leader,
+    _strategy_report,
     defender_polytope,
     evaluate_budgets,
     expected_breach,
-    strategy_usage,
 )
 from .lp import Constraint, LinearProgram, solve_optimal
 from .model import GameInstance, MixedStrategy, make_plan
@@ -165,17 +164,9 @@ def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyRepor
     ]
     solution = solve_optimal(_epigraph_lp(instance, "max", cuts), "maximin LP")
     n = len(instance.algorithms)
-    probs = tuple(solution.values[:n])
-    strategy = MixedStrategy(probs=probs)
+    probs = solution.values[:n]
     worst_breach = max(expected_breach(probs, row) for row in table.breach)
-    return StrategyReport(
-        strategy=strategy,
-        objective=solution.values[n],
-        usage=strategy_usage(instance, probs),
-        expected_breach=worst_breach,
-        support_size=len(strategy.support(SUPPORT_EPS)),
-        binding_labels=solution.binding,
-    )
+    return _strategy_report(instance, probs, solution.values[n], worst_breach, solution.binding)
 
 
 def build_regret_lp(instance: GameInstance, table: ScenarioTable) -> LinearProgram:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from cryptomix.attacker import (
     _with_j_first,
     build_dp_table,
     dp_table_fits,
+    hybrid_plans,
 )
-from cryptomix.model import phi
+from cryptomix.model import make_plan, phi
 from helpers import (
     bare_algorithm,
     random_methods,
@@ -224,6 +226,46 @@ def test_every_solver_keeps_the_real_budget(case):
     }
     for name, plan in plans.items():
         assert plan.total_cost <= params.budget * (1 + 1e-9), name
+
+
+@st.composite
+def off_grid_subgames(draw):
+    reals = st.floats(min_value=0.0, max_value=10.0)
+    methods = tuple(
+        AttackMethod(f"m{i}", draw(st.floats(min_value=0.01, max_value=0.99)), draw(reals))
+        for i in range(draw(st.integers(0, 8)))
+    )
+    params = AttackerParams(
+        value=draw(st.floats(min_value=1.0, max_value=500.0)),
+        budget=draw(st.floats(min_value=0.0, max_value=40.0)),
+        cost_fn=CostFunctionSpec(
+            linear_coeff=draw(st.floats(min_value=0.0, max_value=3.0)),
+            quadratic_coeff=draw(st.floats(min_value=0.0, max_value=0.5)),
+        ),
+    )
+    return bare_algorithm(methods), params, draw(st.sampled_from((1, 2, 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(off_grid_subgames())
+def test_dp_off_grid_loss_stays_within_one_cell_per_method(case):
+    # Each cost rounds up by less than one cell and the budget down by less
+    # than one, so every set of real cost <= B' = B - (n + 1) / scale fits
+    # the grid, and the DP scores a set at a grid cost at most n / scale
+    # above its real cost: phi grows by at most delta over that step.
+    alg, params, scale = case
+    n = len(alg.attacks)
+    budget = params.budget
+    spec = params.cost_fn
+    plan = solve_dp(alg, params, DpConfig(cost_scale=scale, max_table_cells=10**6))
+    assert plan.total_cost <= budget * (1 + 1e-9)
+    assert plan.utility <= solve_brute_force(alg, params).utility + 1e-9
+    shrunk = budget - (n + 1) / scale
+    if shrunk >= 0:
+        step = n / scale
+        delta = step * (spec.linear_coeff + spec.quadratic_coeff * (2 * budget + step))
+        floor = solve_brute_force(alg, replace(params, budget=shrunk)).utility
+        assert plan.utility >= floor - delta - 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -593,6 +635,57 @@ def test_evaluate_budgets_routes_an_overflowing_budget_to_the_greedy(instance):
     low, high = evaluate_budgets(instance, (11.0, 1e308))
     assert low == evaluate_budgets(instance, (11.0,))[0]
     assert {ev.solver for ev in high} == {"greedy"}
+
+
+def test_no_methods_at_a_budget_past_the_cap_go_to_the_greedy():
+    # the table keeps one row with no methods, so 1e300 has no table; the
+    # greedy answers with the empty plan, as the DP does within the cap
+    alg = bare_algorithm(())
+    params = AttackerParams(value=10.0, budget=1e300)
+    assert dp_table_fits(0, 9999.9) and not dp_table_fits(0, 1e4)
+    with pytest.raises(TableTooLarge):
+        build_dp_table(alg, 1e300)
+    assert solve_hybrid(alg, params) == HybridResult(make_plan((), params), "greedy")
+    small = replace(params, budget=5.0)
+    assert solve_hybrid(alg, small) == HybridResult(make_plan((), params), "dp")
+
+
+@st.composite
+def dispatcher_cases(draw):
+    """Tied and zero-cost methods, increasing budgets up to 1e308 and a
+    small table cap, so one call sends some budgets to the DP and others
+    to the greedy, under random solver configs."""
+    pairs = st.tuples(st.sampled_from([0.1, 0.3, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0, 2.5]))
+    real = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 20.0))
+    methods = tuple(
+        AttackMethod(f"m{i}", *draw(st.one_of(pairs, real)))
+        for i in range(draw(st.integers(0, 12)))
+    )
+    budgets = sorted(draw(st.lists(st.floats(0.0, 60.0), max_size=6, unique=True))) + [1e308]
+    params = AttackerParams(
+        value=draw(st.floats(1.0, 500.0)),
+        budget=draw(st.floats(0.0, 60.0)),
+        cost_fn=CostFunctionSpec(
+            linear_coeff=draw(st.sampled_from([0.0, 1.0, 2.5])),
+            quadratic_coeff=draw(st.sampled_from([0.0, 0.05])),
+        ),
+    )
+    dp_config = DpConfig(
+        cost_scale=draw(st.sampled_from([1, 2, 10])), max_table_cells=draw(st.integers(1, 600))
+    )
+    greedy_config = GreedyConfig(
+        accept_prob=draw(st.floats(0.0, 1.0)), rng_seed=draw(st.integers(0, 2**16))
+    )
+    return bare_algorithm(methods), params, budgets, dp_config, greedy_config
+
+
+@settings(max_examples=150, deadline=None)
+@given(dispatcher_cases())
+def test_hybrid_plans_answer_each_budget_as_solve_hybrid(case):
+    alg, params, budgets, dp_config, greedy_config = case
+    got = hybrid_plans(alg, params, budgets, dp_config, greedy_config)
+    want = [solve_hybrid(alg, replace(params, budget=k), dp_config, greedy_config) for k in budgets]
+    assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("cost", [1e18, 1e308], ids=["past-int64", "past-float"])

@@ -301,6 +301,19 @@ def test_overflowing_budget_goes_to_the_greedy(capsys):
     assert "table cells" in captured.err
 
 
+def test_algorithm_without_methods_at_a_huge_budget_exits_0(tmp_path, capsys):
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    payload["algorithms"][7]["attacks"] = []
+    scenario = tmp_path / "emptied.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    emptied = payload["algorithms"][7]["id"]
+    report = run_json(capsys, ["solve-defender", "--scenario", str(scenario), "--budget", "1e300"])
+    row = next(a for a in report["attacks"] if a["algorithm"] == emptied)
+    assert (row["solver"], row["plan"]["methods"]) == ("greedy", [])
+    robust = run_json(capsys, ["solve-robust", "--scenario", str(scenario), "--budgets", "11,1e300"])
+    assert robust["budgets"] == [11.0, 1e300]
+
+
 def test_overflowing_method_cost_is_never_taken(tmp_path, capsys):
     payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
     costly = payload["algorithms"][0]["attacks"][0]

@@ -9,7 +9,6 @@ from cryptomix import (
     AttackPlan,
     AttackerParams,
     CostFunctionSpec,
-    attacker_utility,
     make_plan,
     phi,
     plan_key,
@@ -72,14 +71,6 @@ def test_make_plan_canonical_order_and_fields():
     assert plan.total_cost == 8.0
     assert plan.success_prob == 0.75
     assert plan.utility == 100.0 * 0.75 - 8.0
-
-
-def test_make_plan_agrees_with_attacker_utility():
-    params = AttackerParams(
-        value=321.0, budget=50.0, cost_fn=CostFunctionSpec(1.5, 0.25)
-    )
-    ms = [method(i, 0.2 + 0.1 * i, 3.0 + i) for i in range(4)]
-    assert make_plan(ms, params).utility == attacker_utility(ms, params)
 
 
 def test_plan_key_orders_by_utility_cost_then_ids():
