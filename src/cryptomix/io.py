@@ -3,9 +3,10 @@
 The on-disk format is versioned JSON mirroring the model types field for
 field: the parser and the serialiser both walk the dataclass fields and
 their type hints, so the model types are the schema. Parsing is strict:
-unknown or missing fields and values of the wrong type raise ParseError
-with the JSON path, and the parsed instance must pass validate_instance.
-A field may be left out exactly when its dataclass gives it a default.
+unknown, missing or repeated fields and values of the wrong type raise
+ParseError with the JSON path, and the parsed instance must pass
+validate_instance. A field may be left out exactly when its dataclass
+gives it a default.
 """
 
 from __future__ import annotations
@@ -29,9 +30,32 @@ _BUNDLED_NAME = "reference_scenario.json"
 _ROOT_EXTRAS = ("schema_version", "scenario_budgets")
 
 
+class _Repeated(dict):
+    """A decoded JSON object that gives `key` twice. json would keep the
+    last value without a word, so the parser reports the key when it
+    reaches the object and knows its path."""
+
+    def __init__(self, obj: dict, key: str):
+        super().__init__(obj)
+        self.key = key
+
+
+def _object_pairs(pairs: list) -> dict:
+    """object_pairs_hook for scenario files: the object, as a _Repeated
+    naming the first key it gives twice if there is one."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            return _Repeated(dict(pairs), key)
+        obj[key] = value
+    return obj
+
+
 def _mapping(raw: Any, path: str) -> dict:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected an object, got {type(raw).__name__}")
+    if isinstance(raw, _Repeated):
+        raise ParseError(f"{path}: duplicate field {raw.key!r}")
     return raw
 
 
@@ -136,8 +160,10 @@ def _value(kind: Any, raw: Any, path: str) -> Any:
 
 def parse_scenario(payload: Any) -> tuple[GameInstance, Optional[ScenarioSet]]:
     """Parse an already-decoded JSON document. Raises ParseError on any
-    structural problem; performs no semantic validation. At each level,
-    unknown keys are reported first, then the fields in model order."""
+    structural problem; performs no semantic validation. At each level, a
+    repeated key is reported first (only a document decoded with
+    _object_pairs, as load_scenario does, can show one), then unknown
+    keys, then the fields in model order."""
     root = _mapping(payload, "$")
     _reject_unknown(root, (*_schema(GameInstance), *_ROOT_EXTRAS), "$")
     version = _string(_require(root, "schema_version", "$"), "schema_version")
@@ -166,7 +192,7 @@ def _validated(
 def load_scenario(path) -> tuple[GameInstance, Optional[ScenarioSet]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, object_pairs_hook=_object_pairs)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -180,7 +206,7 @@ def bundled_scenario_path() -> Path:
 
 def load_bundled_scenario() -> tuple[GameInstance, Optional[ScenarioSet]]:
     text = resources.files("cryptomix").joinpath("data", _BUNDLED_NAME).read_text("utf-8")
-    return _validated(*parse_scenario(json.loads(text)))
+    return _validated(*parse_scenario(json.loads(text, object_pairs_hook=_object_pairs)))
 
 
 def to_payload(data: Any) -> Any:

@@ -4,12 +4,22 @@ Programs are built from labeled constraints so downstream reports can name
 which constraints bind at an optimum. The dual simplex returns a basic
 feasible solution, so vertex solutions are deterministic for a fixed
 program.
+
+The layer loads only scipy's HiGHS extension module
+(scipy.optimize._highspy._core), at the first LP, and never
+scipy.optimize: importing that package also loads scipy.sparse, linalg
+and special, about 0.5 s, more than the rest of a CLI command that
+solves an LP.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional, Sequence
@@ -94,30 +104,56 @@ class LpSolution:
 _CHECK_TOL = 10.0 * math.sqrt(1e-9)
 
 
+# scipy's HiGHS bindings, under their own name so that scipy.optimize,
+# imported before or after the first LP, shares the one module object
+_CORE = "scipy.optimize._highspy._core"
+# held while the bindings are looked up and loaded, so threads racing to
+# the first LP load the extension once
+_LOAD_LOCK = threading.Lock()
+
+
+def _load_core():
+    """The HiGHS extension module alone: the one in sys.modules if scipy
+    loaded it already, else the file from scipy's package directory,
+    loaded and registered under _CORE without running the __init__ of
+    scipy.optimize or scipy.optimize._highspy."""
+    with _LOAD_LOCK:
+        core = sys.modules.get(_CORE)
+        if core is not None:
+            return core
+        import scipy  # the top-level package only, which loads no subpackage
+
+        where = [os.path.join(entry, "optimize", "_highspy") for entry in scipy.__path__]
+        spec = importlib.machinery.PathFinder.find_spec(_CORE, where)
+        if spec is None:
+            raise ImportError(
+                f"solve_lp needs scipy >= 1.15 (scipy.optimize._highspy); found {scipy.__version__}"
+            )
+        core = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+        sys.modules[_CORE] = core
+        return core
+
+
 @functools.cache
 def _highs():
-    """scipy's bundled HiGHS bindings and the process's one HiGHS object,
-    holding the options that scipy.optimize.linprog(method="highs-ds")
-    sets, built at the first LP: loading scipy.optimize takes longer than
-    the rest of a CLI command that solves no LP."""
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError as exc:
-        import scipy
-
-        raise ImportError(
-            f"solve_lp needs scipy >= 1.15 (scipy.optimize._highspy); found {scipy.__version__}"
-        ) from exc
-    options = _core.HighsOptions()
+    """scipy's bundled HiGHS bindings (_load_core) and the process's one
+    HiGHS object, holding the options that
+    scipy.optimize.linprog(method="highs-ds") sets, built at the first LP,
+    so a command that solves none loads no part of scipy. The extension
+    alone loads in under 10 ms, after the top-level scipy package (about
+    10-20 ms)."""
+    core = _load_core()
+    options = core.HighsOptions()
     options.presolve = "on"
     options.solver = "simplex"
-    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     options.output_flag = False
     options.log_to_console = False
-    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
-    highs = _core._Highs()
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
+    highs = core._Highs()
     highs.passOptions(options)
-    return _core, highs
+    return core, highs
 
 
 # one LP at a time on the shared HiGHS object and the cached models: held

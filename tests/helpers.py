@@ -1,12 +1,17 @@
-"""Shared random-instance generators for property tests, and the scalar
+"""Shared random-instance generators for property tests, the scalar
 attacker kernels that the array kernels in cryptomix.attacker are checked
-against."""
+against, and a runner for code that needs a fresh interpreter."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+import cryptomix
 from cryptomix import (
     AttackMethod,
     AttackerParams,
@@ -26,6 +31,19 @@ from cryptomix.attacker import (
     _sorted_methods,
     _with_j_first,
 )
+
+
+def run_python(code: str, hash_seed: str = "0") -> str:
+    """Run code in a fresh interpreter that imports this checkout's
+    cryptomix, with string hashing fixed by hash_seed; return its stdout."""
+    src = str(Path(cryptomix.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 def random_methods(rng, n, max_cost=100, integer_costs=True):

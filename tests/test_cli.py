@@ -1,15 +1,11 @@
 import json
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
-import cryptomix
 from cryptomix import bundled_scenario_path, save_scenario
 from cryptomix.cli import run_cli
+from helpers import run_python
 
 
 def run_json(capsys, argv):
@@ -228,6 +224,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_repeated_key_exit_code(tmp_path, capsys):
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    text = json.dumps(payload).replace('"budget": 40.0', '"budget": 1000000000.0, "budget": 40.0')
+    path = tmp_path / "repeated.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(["solve-defender", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "attacker: duplicate field 'budget'" in captured.err
+
+
 def test_usage_errors(capsys):
     assert run_cli(["solve-defender", "--nope"]) == 1
     assert run_cli(["no-such-command"]) == 1
@@ -326,14 +333,17 @@ def test_overflowing_method_cost_is_never_taken(tmp_path, capsys):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize loads on the first LP, so commands without one skip it
-    src = str(Path(cryptomix.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, cryptomix.cli; print('scipy.optimize' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert result.stdout.strip() == "False"
+    # the LP layer loads only scipy's HiGHS extension, never scipy.optimize
+    commands = [["solve-defender"], ["solve-robust", "--mode", "regret"], ["baselines", "--samples", "2"]]
+    for argv in [None, *commands]:
+        code = "import contextlib, io, sys, cryptomix.cli\n"
+        if argv is not None:
+            code += (
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    assert cryptomix.cli.run_cli({argv!r}) == 0\n"
+            )
+        code += "print('scipy.optimize' in sys.modules)"
+        assert run_python(code).strip() == "False", argv
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import cryptomix
 from cryptomix import (
     HybridResult,
     InfeasibleDefender,
@@ -21,7 +16,7 @@ from cryptomix import (
     make_plan,
 )
 
-from helpers import random_feasible_instance, random_methods
+from helpers import random_feasible_instance, random_methods, run_python
 
 
 def test_per_algorithm_utility_formula(instance):
@@ -171,17 +166,8 @@ def test_defender_lp_reuses_polytope(instance):
 def test_equilibrium_repr_is_independent_of_hash_seed():
     # string hashing is randomised per process, so no part of the result
     # may follow a set's iteration order
-    src = str(Path(cryptomix.__file__).resolve().parents[1])
     code = (
         "from cryptomix import load_bundled_scenario, solve_stackelberg; "
         "print(repr(solve_stackelberg(load_bundled_scenario()[0])))"
     )
-    reprs = []
-    for seed in ("1", "2"):
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
-        reprs.append(result.stdout)
-    assert reprs[0] == reprs[1]
+    assert run_python(code, hash_seed="1") == run_python(code, hash_seed="2")

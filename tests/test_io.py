@@ -160,6 +160,49 @@ def test_duplicate_family_key(payload):
         parse_scenario(payload)
 
 
+# a key json.dumps writes once and a test renames in the text, so that
+# the file gives a key twice
+_REPEAT = "__repeat__"
+
+
+def write_repeated_key(path, payload, where, key, first):
+    """Write payload with `key` given twice in the object where(payload):
+    first with value `first`, then last with the payload's own value."""
+    obj = where(payload)
+    obj[_REPEAT] = obj[key]
+    obj[key] = first
+    text = json.dumps(payload).replace(json.dumps(_REPEAT), json.dumps(key))
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "where, key, first, message",
+    [
+        (lambda p: p, "scenario_budgets", [1.0], "$: duplicate field 'scenario_budgets'"),
+        (lambda p: p["attacker"], "budget", 1e9, "attacker: duplicate field 'budget'"),
+        (
+            lambda p: p["algorithms"][2]["attacks"][1],
+            "cost",
+            0.5,
+            "algorithms[2].attacks[1]: duplicate field 'cost'",
+        ),
+        (
+            lambda p: p["budgets"]["family_caps"],
+            "1",
+            0.9,
+            "budgets.family_caps: duplicate field '1'",
+        ),
+    ],
+)
+def test_repeated_key_rejected(tmp_path, payload, where, key, first, message):
+    path = tmp_path / "repeated.json"
+    write_repeated_key(path, payload, where, key, first)
+    # json alone keeps the last value, which here is the bundled one
+    assert parse_scenario(json.loads(path.read_text(encoding="utf-8"))) == load_bundled_scenario()
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_scenario(path)
+
+
 def test_semantic_validation_on_load(tmp_path, payload):
     payload["algorithms"][0]["attacks"][0]["success"] = 1.2
     path = tmp_path / "bad.json"

@@ -30,7 +30,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
-from helpers import random_feasible_instance
+from helpers import random_feasible_instance, run_python
 
 
 def simple_max():
@@ -450,14 +450,84 @@ def test_non_finite_program_rejected():
         solve_lp(LinearProgram("max", (float("inf"),), ()))
 
 
-def test_missing_highs_bindings_name_the_scipy_floor(monkeypatch):
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy", None)
+def test_missing_highs_bindings_name_the_scipy_floor(monkeypatch, tmp_path):
+    # a scipy whose package directory holds no HiGHS extension
+    import scipy
+
+    monkeypatch.delitem(sys.modules, cryptomix.lp._CORE, raising=False)
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     cryptomix.lp._highs.cache_clear()
     try:
         with pytest.raises(ImportError, match=r"scipy >= 1\.15"):
             solve_lp(simple_max())
     finally:
         cryptomix.lp._highs.cache_clear()
+
+
+# each case below starts a fresh interpreter, so that the first LP, or
+# scipy.optimize's first import, happens in the order the case names
+_STACKELBERG = """
+from cryptomix import load_bundled_scenario, solve_stackelberg
+print(repr(solve_stackelberg(load_bundled_scenario()[0])))
+"""
+_LINPROG = """
+from scipy.optimize import linprog
+result = linprog([-1.0, -2.0], A_ub=[[1.0, 1.0], [1.0, 3.0]], b_ub=[4.0, 6.0], method="highs-ds")
+print(result.status, result.nit, [v.hex() for v in result.x], result.fun.hex())
+"""
+_SHARED_CORE = """
+import sys
+import cryptomix.lp
+assert cryptomix.lp._highs()[0] is sys.modules["scipy.optimize._highspy._core"]
+"""
+
+
+def test_highs_bindings_first_then_scipy_optimize():
+    first = run_python(_STACKELBERG + "import sys; assert 'scipy.optimize' not in sys.modules\n")
+    assert run_python(_STACKELBERG + _LINPROG + _SHARED_CORE) == first + run_python(_LINPROG)
+
+
+def test_scipy_optimize_first_then_highs_bindings():
+    code = "import scipy.optimize\n" + _STACKELBERG + _SHARED_CORE
+    assert run_python(code) == run_python(_STACKELBERG)
+
+
+def test_threads_racing_to_the_first_lp_load_the_bindings_once(instance):
+    lp = LinearProgram("max", (1.0,) * len(instance.algorithms), defender_polytope(instance))
+    code = """
+import importlib.machinery, sys
+from concurrent.futures import ThreadPoolExecutor
+import threading
+
+loads = []
+create = importlib.machinery.ExtensionFileLoader.create_module
+
+def counted(self, spec):
+    loads.append(spec.name)
+    return create(self, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = counted
+
+import cryptomix.lp
+from cryptomix import LinearProgram, defender_polytope, load_bundled_scenario, solve_lp
+
+instance = load_bundled_scenario()[0]
+lp = LinearProgram("max", (1.0,) * len(instance.algorithms), defender_polytope(instance))
+cryptomix.lp._highs.cache_clear()
+start = threading.Barrier(4)
+
+def first_solve(_):
+    start.wait()
+    return repr(solve_lp(lp))
+
+sys.setswitchinterval(1e-6)
+with ThreadPoolExecutor(max_workers=4) as pool:
+    answers = list(pool.map(first_solve, range(4)))
+assert loads.count(cryptomix.lp._CORE) == 1, loads
+assert len(set(answers)) == 1, answers
+print(answers[0])
+"""
+    assert run_python(code) == repr(solve_lp(lp)) + "\n"
 
 
 # --------------------------------------------------- dual certificates
