@@ -4,9 +4,8 @@ defender LP, budget-uncertainty robustness, and baseline comparisons.
 """
 
 from .attacker import (
-    DpConfig,
-    GreedyConfig,
     HybridResult,
+    SolverConfig,
     solve_brute_force,
     solve_dp,
     solve_hybrid,
@@ -72,6 +71,7 @@ from .model import (
     EncryptionAlgorithm,
     GameInstance,
     MixedStrategy,
+    ScenarioSet,
     ValidationReport,
     make_plan,
     phi,
@@ -82,7 +82,6 @@ from .model import (
 from .robust import (
     MatrixReport,
     RegretReport,
-    ScenarioSet,
     ScenarioTable,
     breach_regret_matrix,
     build_regret_lp,

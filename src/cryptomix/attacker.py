@@ -40,19 +40,19 @@ from .model import (
 )
 
 
+# The greedy's coin accepts a method with this probability: SampleGreedy's
+# sqrt(2) - 1, kept at 0.414 exactly so that every coin decision is fixed.
+ACCEPT_PROB = 0.414
+
+
 @dataclass(frozen=True)
-class DpConfig:
-    """Cost discretization and table-size guard for the exact DP."""
+class SolverConfig:
+    """The attacker solvers' settings: the DP's cost discretization
+    (cost_scale cells per cost unit), its table-size guard, which is also
+    the DP/greedy dispatch rule (dp_table_fits), and the greedy's RNG seed."""
 
     cost_scale: int = 10
     max_table_cells: int = 100_000
-
-
-@dataclass(frozen=True)
-class GreedyConfig:
-    """Acceptance probability and RNG seed for the sampled greedy."""
-
-    accept_prob: float = 0.414
     rng_seed: int = 0
 
 
@@ -194,7 +194,7 @@ def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
     return spec.linear_coeff * total_cost + spec.quadratic_coeff * np.float_power(total_cost, 2.0)
 
 
-def dp_table_fits(n_methods: int, budget: float, config: DpConfig = DpConfig()) -> bool:
+def dp_table_fits(n_methods: int, budget: float, config: SolverConfig = SolverConfig()) -> bool:
     """The table-size rule shared by every caller of the DP, and the only
     rule that sends an attacker subgame to the DP or the greedy: max(n, 1)
     rows, as build_dp_table allocates one even for no methods, x (budget
@@ -223,7 +223,7 @@ class DpTable:
 
 
 def build_dp_table(
-    algorithm: EncryptionAlgorithm, budget: float, config: Optional[DpConfig] = None
+    algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig = SolverConfig()
 ) -> DpTable:
     """Fill the DP table for every cost cell up to `budget`.
 
@@ -233,7 +233,6 @@ def build_dp_table(
     per-cell set fingerprints, which are built at the first tie and carried
     forward after it, so tie-free tables never build them.
     """
-    config = config or DpConfig()
     if budget < 0:
         raise BudgetNegative(f"budget {budget} is negative")
     methods = tuple(_sorted_methods(algorithm))
@@ -315,7 +314,7 @@ def dp_plans(
 def solve_dp(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
-    config: Optional[DpConfig] = None,
+    config: SolverConfig = SolverConfig(),
 ) -> AttackPlan:
     """Exact optimum under scaled-integer costs: the best value *
     (1 - minfail[c]) - phi(c / scale) over all reachable cells c within the
@@ -325,11 +324,11 @@ def solve_dp(
     return dp_plans(build_dp_table(algorithm, params.budget, config), params, (params.budget,))[0]
 
 
-def _coins(config: GreedyConfig, coins: Optional[Iterable[float]]) -> Iterator[float]:
+def _coins(rng_seed: int, coins: Optional[Iterable[float]]) -> Iterator[float]:
     """One uniform per step: from the seeded RNG, or replayed from coins,
     which raises ValueError when the sequence runs out."""
     if coins is None:
-        rng = np.random.default_rng(config.rng_seed)
+        rng = np.random.default_rng(rng_seed)
         while True:
             yield float(rng.random())
     drawn = 0
@@ -344,7 +343,7 @@ def _coins(config: GreedyConfig, coins: Optional[Iterable[float]]) -> Iterator[f
 def solve_sample_greedy(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
-    config: Optional[GreedyConfig] = None,
+    config: SolverConfig = SolverConfig(),
     coins: Optional[Iterable[float]] = None,
 ) -> AttackPlan:
     """Randomized density greedy with a per-iteration acceptance coin.
@@ -352,11 +351,13 @@ def solve_sample_greedy(
     Phase 1 records the best feasible singleton. Phase 2 repeatedly takes
     the remaining feasible method with the highest marginal density
     (value * marginal success gain - cost) / cost, flips a coin, and either
-    adds it or discards it permanently. The better of the greedy set and
-    the singleton is returned; the empty plan wins ties.
+    adds it (coin < ACCEPT_PROB) or discards it permanently. The better of
+    the greedy set and the singleton is returned; the empty plan wins ties.
+    A negative budget raises BudgetNegative, as in the other solvers.
 
-    `coins` optionally replaces the seeded RNG with an explicit sequence of
-    uniforms for deterministic replay; it must hold one coin per step.
+    The coins come from an RNG seeded with config.rng_seed. `coins`
+    optionally replaces it with an explicit sequence of uniforms for
+    deterministic replay; it must hold one coin per step.
 
     Densities change only when a coin accepts, since only then do the
     failure product and the residual budget move. So one numpy pass per
@@ -364,8 +365,9 @@ def solve_sample_greedy(
     cost, then id order, as a stable sort gives), and the steps until the
     next acceptance walk that ranking in Python.
     """
-    config = config or GreedyConfig()
-    draw = _coins(config, coins).__next__
+    if params.budget < 0:
+        raise BudgetNegative(f"budget {params.budget} is negative")
+    draw = _coins(config.rng_seed, coins).__next__
     methods = _sorted_methods(algorithm)
     success = np.array([m.success for m in methods], dtype=float)
     cost = np.array([m.cost for m in methods], dtype=float)
@@ -394,7 +396,7 @@ def solve_sample_greedy(
         density[c == 0] = np.inf  # zero-cost methods are free improvements
         for i in feasible[np.lexsort((c, -density))].tolist():
             live[i] = False
-            if draw() < config.accept_prob:
+            if draw() < ACCEPT_PROB:
                 chosen.append(i)
                 residual -= methods[i].cost
                 fail_s = failure_product(methods[k] for k in chosen)
@@ -414,22 +416,20 @@ def hybrid_plans(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
     budgets: Sequence[float],
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
+    config: SolverConfig = SolverConfig(),
 ) -> list[HybridResult]:
     """The one DP/greedy dispatcher: the best plan at each budget for the
     value and cost function in params (params.budget is not read). The
     budgets whose table fits (dp_table_fits) share one DP table, built at
     the largest of them; every other budget goes to the sampled greedy."""
-    dp_config = dp_config or DpConfig()
-    routed = [k for k in budgets if dp_table_fits(len(algorithm.attacks), k, dp_config)]
+    routed = [k for k in budgets if dp_table_fits(len(algorithm.attacks), k, config)]
     plans = {}
     if routed:
-        table = build_dp_table(algorithm, max(routed), dp_config)
+        table = build_dp_table(algorithm, max(routed), config)
         plans = dict(zip(routed, dp_plans(table, params, routed)))
     return [
         HybridResult(plans[k], "dp") if k in plans else HybridResult(
-            solve_sample_greedy(algorithm, replace(params, budget=k), greedy_config), "greedy"
+            solve_sample_greedy(algorithm, replace(params, budget=k), config), "greedy"
         )
         for k in budgets
     ]
@@ -438,8 +438,7 @@ def hybrid_plans(
 def solve_hybrid(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
-    dp_config: Optional[DpConfig] = None,
-    greedy_config: Optional[GreedyConfig] = None,
+    config: SolverConfig = SolverConfig(),
 ) -> HybridResult:
     """hybrid_plans at params.budget alone."""
-    return hybrid_plans(algorithm, params, (params.budget,), dp_config, greedy_config)[0]
+    return hybrid_plans(algorithm, params, (params.budget,), config)[0]

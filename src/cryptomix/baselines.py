@@ -6,7 +6,7 @@ against the same fixed attacker best responses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .defender import (
     StrategyReport,
     _solve_leader,
     defender_polytope,
-    evaluate_all,
     make_report,
 )
 from .lp import LinearProgram, solve_optimal
@@ -77,13 +76,11 @@ def single_objective_strategy(instance: GameInstance, objective: str) -> MixedSt
 def compare_strategies(
     instance: GameInstance,
     strategies: Sequence[tuple[str, Sequence[float]]],
-    evaluations: Optional[Sequence[AlgorithmEvaluation]] = None,
+    evaluations: Sequence[AlgorithmEvaluation],
 ) -> list[ComparisonRow]:
     """Score labeled strategies against the fixed attacker best responses
-    and return rows sorted by objective, best first. A 'stackelberg'
-    reference row is always included."""
-    if evaluations is None:
-        evaluations = evaluate_all(instance)
+    in `evaluations` (evaluate_all's) and return rows sorted by objective,
+    best first. A 'stackelberg' reference row is always included."""
     leader = _solve_leader(instance, evaluations, "defender LP")
     rows = [ComparisonRow("stackelberg", leader.report)]
     for label, probs in strategies:

@@ -18,8 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .attacker import (
-    DpConfig,
-    GreedyConfig,
+    SolverConfig,
     solve_brute_force,
     solve_dp,
     solve_hybrid,
@@ -43,9 +42,8 @@ from .errors import (
     ValidationError,
 )
 from .io import bundled_scenario_path, load_bundled_scenario, load_scenario, to_payload
-from .model import GameInstance
+from .model import GameInstance, ScenarioSet
 from .robust import (
-    ScenarioSet,
     breach_regret_matrix,
     regret_matrix,
     scenario_table,
@@ -73,6 +71,24 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _budget(text: str) -> float:
+    """argparse type for --budget: finite, then >= 0, as a scenario file's
+    attacker budget."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
+    return value
+
+
+def _value(text: str) -> float:
+    """argparse type for --value: finite, then > 0, as a scenario file's
+    attacker value."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -153,16 +169,15 @@ def cmd_solve_attacker(args) -> int:
         params = replace(params, budget=args.budget)
     if args.value is not None:
         params = replace(params, value=args.value)
-    dp_config = DpConfig(cost_scale=args.scale)
-    greedy_config = GreedyConfig(rng_seed=args.seed)
+    config = SolverConfig(cost_scale=args.scale, rng_seed=args.seed)
     if args.solver == "dp":
-        plan, tag = solve_dp(algorithm, params, dp_config), "dp"
+        plan, tag = solve_dp(algorithm, params, config), "dp"
     elif args.solver == "greedy":
-        plan, tag = solve_sample_greedy(algorithm, params, greedy_config), "greedy"
+        plan, tag = solve_sample_greedy(algorithm, params, config), "greedy"
     elif args.solver == "brute":
         plan, tag = solve_brute_force(algorithm, params), "brute"
     else:
-        result = solve_hybrid(algorithm, params, dp_config, greedy_config)
+        result = solve_hybrid(algorithm, params, config)
         plan, tag = result.plan, result.solver
     _emit(
         {
@@ -330,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-attacker", help="best attack plan against one algorithm")
     _add_scenario_arg(p)
     p.add_argument("--algorithm", required=True, help="algorithm id from the scenario")
-    p.add_argument("--budget", type=_finite_float, default=None)
-    p.add_argument("--value", type=_finite_float, default=None)
+    p.add_argument("--budget", type=_budget, default=None)
+    p.add_argument("--value", type=_value, default=None)
     p.add_argument("--solver", choices=("dp", "greedy", "hybrid", "brute"), default="hybrid")
     p.add_argument("--seed", type=_non_negative_int, default=0, help="greedy coin seed")
     p.add_argument("--scale", type=_cost_scale, default=10, help="DP cost discretization")
@@ -340,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-defender", help="equilibrium mixed deployment strategy")
     _add_scenario_arg(p)
     p.add_argument(
-        "--budget", type=_finite_float, default=None, help="override attacker budget"
+        "--budget", type=_budget, default=None, help="override attacker budget"
     )
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--csv", action="store_true", help="per-algorithm CSV instead of JSON")

@@ -19,8 +19,6 @@ from .model import (
     MixedStrategy,
 )
 
-SUPPORT_EPS = 1e-7
-
 USAGE_KEYS = ("op", "cpu", "mem", "latency", "resilience")
 
 
@@ -162,7 +160,7 @@ def _strategy_report(
         objective=objective,
         usage=strategy_usage(instance, strategy.probs),
         expected_breach=breach,
-        support_size=len(strategy.support(SUPPORT_EPS)),
+        support_size=len(strategy.support()),
         binding_labels=tuple(binding_labels),
     )
 

@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Any, Optional, get_args, get_origin, get_type_hints
 
 from .errors import ParseError, ValidationError
-from .model import GameInstance, validate_instance
-from .robust import ScenarioSet
+from .model import GameInstance, ScenarioSet, validate_instance
 
 SCHEMA_VERSION = "1"
 _BUNDLED_NAME = "reference_scenario.json"

@@ -22,7 +22,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional, Sequence
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -395,11 +395,7 @@ def solve_optimal(lp: LinearProgram, context: str) -> LpSolution:
     return solution
 
 
-def alternate_optimum_gap(
-    lp: LinearProgram,
-    solution: LpSolution,
-    coords: Optional[Sequence[int]] = None,
-) -> float:
+def alternate_optimum_gap(lp: LinearProgram, solution: LpSolution) -> float:
     """Largest per-coordinate range of the optimal face.
 
     Pins the objective to its optimal value and, for each coordinate,
@@ -409,12 +405,11 @@ def alternate_optimum_gap(
     if solution.status != "optimal":
         raise NotOptimal(f"solution status is {solution.status!r}")
     n = lp.num_vars
-    coords = range(n) if coords is None else coords
     pinned = lp.constraints + (
         Constraint(lp.objective, "=", solution.objective_value, "pinned-objective"),
     )
     gap = 0.0
-    for i in coords:
+    for i in range(n):
         unit = tuple(1.0 if j == i else 0.0 for j in range(n))
         hi = solve_lp(
             LinearProgram("max", unit, pinned, lp.lower_bounds, lp.upper_bounds)

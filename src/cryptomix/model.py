@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+# a probability at or below this is outside a strategy's support
+SUPPORT_EPS = 1e-7
+
 
 @dataclass(frozen=True)
 class AttackMethod:
@@ -104,6 +107,25 @@ class GameInstance:
 
 
 @dataclass(frozen=True)
+class ScenarioSet:
+    """Strictly increasing candidate attacker budgets."""
+
+    budgets: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "budgets", tuple(float(k) for k in self.budgets))
+        if not self.budgets:
+            raise ValueError("scenario set is empty")
+        if any(k < 0 for k in self.budgets):
+            raise ValueError("scenario budgets must be nonnegative")
+        if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
+            raise ValueError("scenario budgets must be strictly increasing")
+
+    def __len__(self) -> int:
+        return len(self.budgets)
+
+
+@dataclass(frozen=True)
 class MixedStrategy:
     """Probability vector aligned with GameInstance.algorithms."""
 
@@ -112,8 +134,8 @@ class MixedStrategy:
     def __post_init__(self) -> None:
         object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
 
-    def support(self, threshold: float = 1e-7) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.probs) if p > threshold)
+    def support(self) -> tuple[int, ...]:
+        return tuple(i for i, p in enumerate(self.probs) if p > SUPPORT_EPS)
 
 
 @dataclass(frozen=True)

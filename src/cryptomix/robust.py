@@ -22,26 +22,7 @@ from .defender import (
     expected_breach,
 )
 from .lp import Constraint, LinearProgram, solve_optimal
-from .model import GameInstance, MixedStrategy, make_plan
-
-
-@dataclass(frozen=True)
-class ScenarioSet:
-    """Strictly increasing candidate attacker budgets."""
-
-    budgets: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "budgets", tuple(float(k) for k in self.budgets))
-        if not self.budgets:
-            raise ValueError("scenario set is empty")
-        if any(k < 0 for k in self.budgets):
-            raise ValueError("scenario budgets must be nonnegative")
-        if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
-            raise ValueError("scenario budgets must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.budgets)
+from .model import GameInstance, MixedStrategy, ScenarioSet, make_plan
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,14 @@ from cryptomix import (
     AttackerParams,
     DefenderBudgets,
     DefenderWeights,
-    DpConfig,
     EncryptionAlgorithm,
     GameInstance,
-    GreedyConfig,
+    SolverConfig,
     make_plan,
     plan_key,
 )
 from cryptomix.attacker import (
+    ACCEPT_PROB,
     _carry_sets,
     _cell_sets,
     _cells,
@@ -118,12 +118,11 @@ def random_feasible_instance(rng):
 def reference_sample_greedy(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
-    config: Optional[GreedyConfig] = None,
+    config: SolverConfig = SolverConfig(),
     coins: Optional[Iterable[float]] = None,
 ):
     """solve_sample_greedy as one Python density per live method per step,
     the oracle for the array version: every plan must be equal by repr."""
-    config = config or GreedyConfig()
     methods = _sorted_methods(algorithm)
     if coins is None:
         rng = np.random.default_rng(config.rng_seed)
@@ -156,7 +155,7 @@ def reference_sample_greedy(
                 return math.inf  # zero-cost methods are free improvements
             return (params.value * fail_s * m.success - m.cost) / m.cost
         best = min(feasible, key=lambda m: (-density(m), m.cost, m.id))
-        if draw() < config.accept_prob:
+        if draw() < ACCEPT_PROB:
             chosen.append(best)
             residual -= best.cost
         remaining.remove(best)
@@ -170,7 +169,7 @@ def reference_sample_greedy(
 
 
 def reference_dp_table(
-    algorithm: EncryptionAlgorithm, budget: float, config: DpConfig = DpConfig()
+    algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """(take, minfail) of build_dp_table, filled with a fresh candidate
     array, one comparison per outcome and np.where per layer: the oracle

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from cryptomix import (
-    DpConfig,
-    GreedyConfig,
+    SolverConfig,
     alternate_optimum_gap,
     breach_regret_matrix,
     build_regret_lp,
@@ -32,6 +31,7 @@ from cryptomix import (
     solve_stackelberg,
     SINGLE_OBJECTIVES,
 )
+from cryptomix.attacker import ACCEPT_PROB
 
 from helpers import bare_algorithm, random_feasible_instance, random_methods
 
@@ -93,9 +93,10 @@ def test_criterion_01_worked_attacker_example(worked_algorithm, worked_params):
 
     coins = np.random.default_rng(9).random(4)
     q = 0.414
+    assert ACCEPT_PROB == q
     # trace the documented run: reject, accept, reject, reject
     assert coins[0] >= q and coins[1] < q and coins[2] >= q and coins[3] >= q
-    config = GreedyConfig(accept_prob=q, rng_seed=9)
+    config = SolverConfig(rng_seed=9)
     greedy = solve_sample_greedy(worked_algorithm, worked_params, config)
     assert greedy == solve_sample_greedy(
         worked_algorithm, worked_params, config, coins=coins
@@ -189,7 +190,7 @@ def test_criterion_05_breach_floors(instance, table, regret):
 
 def test_criterion_06_dp_matches_brute_force():
     rng = np.random.default_rng(20240614)
-    config = DpConfig(cost_scale=1)
+    config = SolverConfig(cost_scale=1)
     start = time.perf_counter()
     for _ in range(200):
         n = int(rng.integers(1, 13))

@@ -12,9 +12,8 @@ from cryptomix import (
     AttackerParams,
     BudgetNegative,
     CostFunctionSpec,
-    DpConfig,
-    GreedyConfig,
     HybridResult,
+    SolverConfig,
     TableTooLarge,
     TooManyMethods,
     evaluate_budgets,
@@ -58,13 +57,18 @@ def test_dp_zero_budget_returns_empty(worked_algorithm):
 
 def test_dp_zero_cost_method_always_taken():
     alg = bare_algorithm((AttackMethod("free", 0.5, 0.0), AttackMethod("paid", 0.5, 50.0)))
-    plan = solve_dp(alg, AttackerParams(value=100.0, budget=0.0), DpConfig(cost_scale=1))
+    plan = solve_dp(alg, AttackerParams(value=100.0, budget=0.0), SolverConfig(cost_scale=1))
     assert plan.methods == ("free",)
 
 
-def test_dp_negative_budget_raises(worked_algorithm):
+@pytest.mark.parametrize(
+    "solve",
+    [solve_dp, solve_sample_greedy, solve_hybrid, solve_brute_force],
+    ids=["dp", "greedy", "hybrid", "brute"],
+)
+def test_every_solver_rejects_a_negative_budget(worked_algorithm, solve):
     with pytest.raises(BudgetNegative):
-        solve_dp(worked_algorithm, AttackerParams(value=10.0, budget=-1.0))
+        solve(worked_algorithm, AttackerParams(value=10.0, budget=-1.0))
 
 
 def test_dp_table_guard(worked_algorithm):
@@ -72,13 +76,13 @@ def test_dp_table_guard(worked_algorithm):
         solve_dp(
             worked_algorithm,
             AttackerParams(value=10.0, budget=500.0),
-            DpConfig(cost_scale=10, max_table_cells=100),
+            SolverConfig(cost_scale=10, max_table_cells=100),
         )
 
 
 def test_dp_guard_overridable(worked_algorithm, worked_params):
     plan = solve_dp(
-        worked_algorithm, worked_params, DpConfig(cost_scale=10, max_table_cells=10**9)
+        worked_algorithm, worked_params, SolverConfig(cost_scale=10, max_table_cells=10**9)
     )
     assert plan.utility == pytest.approx(312.0)
 
@@ -99,7 +103,7 @@ def test_equal_tie_prefers_lexicographic_ids():
         )
     )
     params = AttackerParams(value=100.0, budget=8.0)
-    dp = solve_dp(alg, params, DpConfig(cost_scale=1))
+    dp = solve_dp(alg, params, SolverConfig(cost_scale=1))
     brute = solve_brute_force(alg, params)
     assert dp == brute
     assert dp.methods == ("a", "c")
@@ -125,7 +129,7 @@ def test_tie_rule_in_every_mask_word(pad, pattern, budget, expected):
     )
     padding = tuple(AttackMethod(f"P{i:03d}", 0.5, 100.0) for i in range(pad))
     params = AttackerParams(value=100.0, budget=budget)
-    dp = solve_dp(bare_algorithm(padding + methods), params, DpConfig(cost_scale=1))
+    dp = solve_dp(bare_algorithm(padding + methods), params, SolverConfig(cost_scale=1))
     assert dp == solve_brute_force(bare_algorithm(methods), params)
     assert dp.methods == expected
 
@@ -133,7 +137,7 @@ def test_tie_rule_in_every_mask_word(pad, pattern, budget, expected):
 def test_singleton_tie_prefers_smaller_id():
     alg = bare_algorithm((AttackMethod("b", 0.5, 4.0), AttackMethod("a", 0.5, 4.0)))
     params = AttackerParams(value=100.0, budget=4.0)
-    assert solve_dp(alg, params, DpConfig(cost_scale=1)).methods == ("a",)
+    assert solve_dp(alg, params, SolverConfig(cost_scale=1)).methods == ("a",)
     assert solve_brute_force(alg, params).methods == ("a",)
 
 
@@ -141,7 +145,7 @@ def test_unprofitable_methods_left_out():
     alg = bare_algorithm((AttackMethod("dud", 0.01, 90.0),))
     plan = solve_brute_force(alg, AttackerParams(value=100.0, budget=100.0))
     assert plan.methods == ()
-    plan = solve_dp(alg, AttackerParams(value=100.0, budget=100.0), DpConfig(cost_scale=1))
+    plan = solve_dp(alg, AttackerParams(value=100.0, budget=100.0), SolverConfig(cost_scale=1))
     assert plan.methods == ()
 
 
@@ -217,11 +221,11 @@ def real_valued_subgames(draw):
 @given(real_valued_subgames())
 def test_every_solver_keeps_the_real_budget(case):
     alg, params, scale = case
-    dp_config = DpConfig(cost_scale=scale)
+    config = SolverConfig(cost_scale=scale)
     plans = {
-        "dp": solve_dp(alg, params, dp_config),
+        "dp": solve_dp(alg, params, config),
         "greedy": solve_sample_greedy(alg, params),
-        "hybrid": solve_hybrid(alg, params, dp_config).plan,
+        "hybrid": solve_hybrid(alg, params, config).plan,
         "brute": solve_brute_force(alg, params),
     }
     for name, plan in plans.items():
@@ -257,7 +261,7 @@ def test_dp_off_grid_loss_stays_within_one_cell_per_method(case):
     n = len(alg.attacks)
     budget = params.budget
     spec = params.cost_fn
-    plan = solve_dp(alg, params, DpConfig(cost_scale=scale, max_table_cells=10**6))
+    plan = solve_dp(alg, params, SolverConfig(cost_scale=scale, max_table_cells=10**6))
     assert plan.total_cost <= budget * (1 + 1e-9)
     assert plan.utility <= solve_brute_force(alg, params).utility + 1e-9
     shrunk = budget - (n + 1) / scale
@@ -276,7 +280,7 @@ def test_dp_equals_brute_force_on_random_integer_instances(seed):
     params = AttackerParams(
         value=float(rng.uniform(10, 500)), budget=float(rng.integers(0, 41))
     )
-    dp = solve_dp(alg, params, DpConfig(cost_scale=1))
+    dp = solve_dp(alg, params, SolverConfig(cost_scale=1))
     brute = solve_brute_force(alg, params)
     assert dp == brute
 
@@ -360,7 +364,7 @@ def dp_tables(draw):
     n = len(methods)
     ids = draw(st.lists(st.integers(0, 9999), min_size=n, max_size=n, unique=True))
     alg = bare_algorithm(tuple(AttackMethod(f"m{i:04d}", *sc) for i, sc in zip(ids, methods)))
-    config = DpConfig(cost_scale=draw(st.sampled_from([1, 2, 10])), max_table_cells=10**6)
+    config = SolverConfig(cost_scale=draw(st.sampled_from([1, 2, 10])), max_table_cells=10**6)
     return alg, draw(st.integers(0, 300)) / 10, config
 
 
@@ -455,7 +459,7 @@ def test_dp_identical_methods_take_the_smallest_ids(n):
     plan = solve_dp(
         bare_algorithm(tuple(AttackMethod(i, 0.05, 1.0) for i in ids)),
         AttackerParams(value=1e6, budget=budget),
-        DpConfig(max_table_cells=10**6),
+        SolverConfig(max_table_cells=10**6),
     )
 
     def utility(c):
@@ -467,22 +471,18 @@ def test_dp_identical_methods_take_the_smallest_ids(n):
 
 
 def test_greedy_accept_all_takes_whole_density_order(worked_algorithm, worked_params):
-    plan = solve_sample_greedy(
-        worked_algorithm, worked_params, GreedyConfig(accept_prob=1.0)
-    )
+    plan = solve_sample_greedy(worked_algorithm, worked_params, coins=[0.0] * 5)
     assert plan.methods == ("a1", "a2", "a4")
     assert plan.utility == pytest.approx(312.0)
 
 
 def test_greedy_reject_all_falls_back_to_best_singleton(worked_algorithm, worked_params):
-    plan = solve_sample_greedy(
-        worked_algorithm, worked_params, GreedyConfig(accept_prob=0.0)
-    )
+    plan = solve_sample_greedy(worked_algorithm, worked_params, coins=[0.999] * 5)
     assert plan.methods == ("a3",)
 
 
 def test_greedy_seed_reproducible(worked_algorithm, worked_params):
-    config = GreedyConfig(accept_prob=0.414, rng_seed=123)
+    config = SolverConfig(rng_seed=123)
     first = solve_sample_greedy(worked_algorithm, worked_params, config)
     second = solve_sample_greedy(worked_algorithm, worked_params, config)
     assert first == second
@@ -490,12 +490,7 @@ def test_greedy_seed_reproducible(worked_algorithm, worked_params):
 
 def test_greedy_explicit_coins_control_acceptance(worked_algorithm, worked_params):
     # accept only the second candidate considered
-    plan = solve_sample_greedy(
-        worked_algorithm,
-        worked_params,
-        GreedyConfig(accept_prob=0.414),
-        coins=[0.9, 0.1, 0.9, 0.9],
-    )
+    plan = solve_sample_greedy(worked_algorithm, worked_params, coins=[0.9, 0.1, 0.9, 0.9])
     assert plan.methods == ("a3",)
 
 
@@ -503,7 +498,7 @@ def test_greedy_coins_that_run_out_raise_value_error():
     alg = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.3, 1.0) for i in range(5)))
     params = AttackerParams(value=100.0, budget=10.0)
     with pytest.raises(ValueError, match="coins ran out at draw 2"):
-        solve_sample_greedy(alg, params, GreedyConfig(accept_prob=0.414), coins=[0.1])
+        solve_sample_greedy(alg, params, coins=[0.1])
     with pytest.raises(ValueError, match="coins ran out at draw 1"):
         solve_sample_greedy(alg, params, coins=iter(()))
 
@@ -558,10 +553,7 @@ def greedy_subgames(draw):
             quadratic_coeff=draw(st.sampled_from([0.0, 0.05, 1.7])),
         ),
     )
-    config = GreedyConfig(
-        accept_prob=draw(st.sampled_from([0.0, 0.414, 0.9, 1.0])),
-        rng_seed=draw(st.integers(0, 2**16)),
-    )
+    config = SolverConfig(rng_seed=draw(st.integers(0, 2**16)))
     coins = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n + 1, max_size=n + 1))
     return bare_algorithm(methods), params, config, coins
 
@@ -576,11 +568,9 @@ def test_greedy_equals_the_scalar_reference(case):
 
 
 def test_greedy_never_beats_exact(worked_algorithm, worked_params):
-    exact = solve_dp(worked_algorithm, worked_params, DpConfig(cost_scale=1))
+    exact = solve_dp(worked_algorithm, worked_params, SolverConfig(cost_scale=1))
     for seed in range(25):
-        greedy = solve_sample_greedy(
-            worked_algorithm, worked_params, GreedyConfig(rng_seed=seed)
-        )
+        greedy = solve_sample_greedy(worked_algorithm, worked_params, SolverConfig(rng_seed=seed))
         assert greedy.utility <= exact.utility + 1e-12
         assert greedy.total_cost <= worked_params.budget
 
@@ -599,9 +589,7 @@ def test_hybrid_routes_by_table_size_alone():
 
 
 def test_hybrid_falls_back_on_table_size(worked_algorithm, worked_params):
-    result = solve_hybrid(
-        worked_algorithm, worked_params, dp_config=DpConfig(max_table_cells=100)
-    )
+    result = solve_hybrid(worked_algorithm, worked_params, SolverConfig(max_table_cells=100))
     assert result.solver == "greedy"
 
 
@@ -670,21 +658,20 @@ def dispatcher_cases(draw):
             quadratic_coeff=draw(st.sampled_from([0.0, 0.05])),
         ),
     )
-    dp_config = DpConfig(
-        cost_scale=draw(st.sampled_from([1, 2, 10])), max_table_cells=draw(st.integers(1, 600))
+    config = SolverConfig(
+        cost_scale=draw(st.sampled_from([1, 2, 10])),
+        max_table_cells=draw(st.integers(1, 600)),
+        rng_seed=draw(st.integers(0, 2**16)),
     )
-    greedy_config = GreedyConfig(
-        accept_prob=draw(st.floats(0.0, 1.0)), rng_seed=draw(st.integers(0, 2**16))
-    )
-    return bare_algorithm(methods), params, budgets, dp_config, greedy_config
+    return bare_algorithm(methods), params, budgets, config
 
 
 @settings(max_examples=150, deadline=None)
 @given(dispatcher_cases())
 def test_hybrid_plans_answer_each_budget_as_solve_hybrid(case):
-    alg, params, budgets, dp_config, greedy_config = case
-    got = hybrid_plans(alg, params, budgets, dp_config, greedy_config)
-    want = [solve_hybrid(alg, replace(params, budget=k), dp_config, greedy_config) for k in budgets]
+    alg, params, budgets, config = case
+    got = hybrid_plans(alg, params, budgets, config)
+    want = [solve_hybrid(alg, replace(params, budget=k), config) for k in budgets]
     assert repr(got) == repr(want)
 
 

@@ -82,7 +82,7 @@ def test_stackelberg_row_tops_comparison(instance):
 
 def test_stackelberg_row_is_the_equilibrium_report(instance):
     eq = solve_stackelberg(instance)
-    for evaluations in (eq.evaluations, None):
+    for evaluations in (eq.evaluations, evaluate_all(instance)):
         (row,) = compare_strategies(instance, [], evaluations)
         assert row.label == "stackelberg"
         assert row.report == eq.report
@@ -91,16 +91,16 @@ def test_stackelberg_row_is_the_equilibrium_report(instance):
 
 def test_comparison_sorted_desc(instance):
     rows = compare_strategies(
-        instance, [(f"random-{s}", random_vertex_strategy(instance, s).probs) for s in range(4)]
+        instance,
+        [(f"random-{s}", random_vertex_strategy(instance, s).probs) for s in range(4)],
+        evaluate_all(instance),
     )
     objectives = [r.report.objective for r in rows]
     assert objectives == sorted(objectives, reverse=True)
 
 
 def test_comparison_csv_format(instance):
-    rows = compare_strategies(
-        instance, [("uniform", [1.0 / 8] * 8)]
-    )
+    rows = compare_strategies(instance, [("uniform", [1.0 / 8] * 8)], evaluate_all(instance))
     text = comparison_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "label,objective,breach,op,cpu,mem,latency,resilience"

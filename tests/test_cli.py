@@ -285,6 +285,7 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, edit, path):
         (["solve-defender", "--budget=-inf"], "--budget"),
         (["solve-robust", "--budgets", "nan,20"], "--budgets"),
         (["solve-robust", "--budgets", "11,inf"], "--budgets"),
+        (["solve-attacker", "--algorithm", "aes256-gcm", "--value=-inf"], "--value"),
     ],
 )
 def test_non_finite_options_exit_code(capsys, argv, option):
@@ -368,8 +369,32 @@ def test_cli_import_leaves_scipy_unloaded():
             ["solve-attacker", "--algorithm", "aes256-gcm", "--scale", "1" + "0" * 400],
             "argument --scale: expected a positive integer within float range",
         ),
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--solver", "greedy", "--budget", "-1"],
+            "argument --budget: expected a non-negative number, got '-1'",
+        ),
+        (["solve-defender", "--budget=-0.5"], "argument --budget: expected a non-negative number"),
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--value", "0"],
+            "argument --value: expected a positive number, got '0'",
+        ),
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--value", "-5"],
+            "argument --value: expected a positive number, got '-5'",
+        ),
     ],
-    ids=["scale-0", "scale-negative", "seed-negative", "baselines-seed", "budgets", "scale-overflow"],
+    ids=[
+        "scale-0",
+        "scale-negative",
+        "seed-negative",
+        "baselines-seed",
+        "budgets",
+        "scale-overflow",
+        "budget-negative",
+        "defender-budget-negative",
+        "value-0",
+        "value-negative",
+    ],
 )
 def test_bad_option_values_exit_code(capsys, argv, message):
     assert run_cli(argv) == 1

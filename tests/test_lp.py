@@ -22,6 +22,7 @@ from cryptomix import (
     check_dual_certificate,
     compare_strategies,
     defender_polytope,
+    evaluate_all,
     scenario_table,
     single_objective_strategy,
     solve_lp,
@@ -144,7 +145,7 @@ LP_SITES = [
     ("minimax-regret LP", solve_minimax_regret),
     ("unconstrained-case LP", lambda inst, table: solve_unconstrained_case(inst)),
     ("baseline LP", lambda inst, table: single_objective_strategy(inst, "min_latency")),
-    ("defender LP", lambda inst, table: compare_strategies(inst, [])),
+    ("defender LP", lambda inst, table: compare_strategies(inst, [], evaluate_all(inst))),
 ]
 SITE_IDS = ["stackelberg", "scenario", "maximin", "regret", "unconstrained", "baseline", "compare"]
 
