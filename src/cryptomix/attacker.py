@@ -294,8 +294,10 @@ def dp_plans(
     scale = table.cost_scale
     size = table.minfail.size
     penalty = _penalty(params.cost_fn, np.arange(size) / scale)
-    # unreachable cells (minfail = inf) come out at -inf
-    utility = params.value * (1.0 - table.minfail) - penalty
+    # unreachable cells (minfail = inf) are -inf, whatever the value's sign
+    reachable = table.minfail < np.inf
+    utility = np.full(size, -np.inf)
+    utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
     n = len(table.methods)
     plans = []
     for budget in budgets:

@@ -17,7 +17,7 @@ from .defender import (
     defender_polytope,
     make_report,
 )
-from .lp import LinearProgram, solve_optimal
+from .lp import LinearProgram, solve_lp
 from .model import GameInstance, MixedStrategy
 
 SINGLE_OBJECTIVES = ("min_op_cost", "min_latency", "max_resilience")
@@ -51,7 +51,7 @@ def _solve_over_polytope(
         objective=tuple(objective),
         constraints=defender_polytope(instance),
     )
-    return MixedStrategy(probs=solve_optimal(program, "baseline LP").values)
+    return MixedStrategy(probs=solve_lp(program, "baseline LP").values)
 
 
 def random_vertex_strategy(instance: GameInstance, rng_seed: int) -> MixedStrategy:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .attacker import hybrid_plans
-from .lp import Constraint, LinearProgram, LpSolution, solve_optimal
+from .lp import Constraint, LinearProgram, LpSolution, solve_lp
 from .model import (
     AttackPlan,
     DefenderWeights,
@@ -182,9 +182,9 @@ def _solve_leader(
     instance: GameInstance, evaluations: Sequence[AlgorithmEvaluation], context: str
 ) -> EquilibriumResult:
     """The leader LP over the given attacker responses; `context` names the
-    program in a solve_optimal error."""
+    program in the InfeasibleDefender or NotOptimal that solve_lp raises."""
     program = build_defender_lp(instance, [ev.utility for ev in evaluations])
-    solution = solve_optimal(program, context)
+    solution = solve_lp(program, context)
     return EquilibriumResult(
         report=make_report(instance, solution.values, evaluations, solution.binding),
         evaluations=tuple(evaluations),

@@ -18,10 +18,10 @@ class BudgetNegative(CryptomixError):
 
 
 class NotOptimal(CryptomixError):
-    """Operation requires an optimal LP solution."""
+    """An LP ended without an optimum."""
 
 
-class InfeasibleDefender(CryptomixError):
+class InfeasibleDefender(NotOptimal):
     """Defender constraint set admits no mixed strategy."""
 
 

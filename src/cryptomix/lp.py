@@ -3,7 +3,8 @@
 Programs are built from labeled constraints so downstream reports can name
 which constraints bind at an optimum. The dual simplex returns a basic
 feasible solution, so vertex solutions are deterministic for a fixed
-program.
+program. solve_lp answers only with an optimum: every other outcome
+raises NotOptimal, or its subclass InfeasibleDefender.
 
 The layer loads only scipy's HiGHS extension module
 (scipy.optimize._highspy._core), at the first LP, and never
@@ -21,7 +22,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 import numpy as np
@@ -89,17 +90,18 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal", "infeasible", or "unbounded"
-    values: tuple[float, ...] = ()
-    objective_value: float = float("nan")
-    binding: tuple[str, ...] = ()  # sorted labels of the active constraints
-    duals: dict[str, float] = field(default_factory=dict)
-    reduced_lower: tuple[float, ...] = ()
-    reduced_upper: tuple[float, ...] = ()
+    """A vertex optimum, as solve_lp reports it."""
+
+    values: tuple[float, ...]
+    objective_value: float
+    binding: tuple[str, ...]  # sorted labels of the active constraints
+    duals: dict[str, float]
+    reduced_lower: tuple[float, ...]
+    reduced_upper: tuple[float, ...]
 
 
 # scipy's post-solve check (scipy.optimize._linprog_util._check_result):
-# an "optimal" point must keep to its bounds and rows within
+# an optimal point must keep to its bounds and rows within
 # 10 * sqrt(tol), with linprog's default tol = 1e-9
 _CHECK_TOL = 10.0 * math.sqrt(1e-9)
 
@@ -326,16 +328,19 @@ def _binding(form: _Form, x: np.ndarray) -> tuple[str, ...]:
     return tuple(sorted({label for label, hit in zip(form.labels, near.tolist()) if hit}))
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
     """Solve with HiGHS dual simplex and report a vertex optimum.
 
-    The program, options, status, point, duals and bound marginals are
+    The program, options, outcome, point, duals and bound marginals are
     those of scipy.optimize.linprog(method="highs-ds"), without its
     per-call set-up: one HiGHS object holds the options, each constraint
     set is laid out once (_prebuilt), and the program goes to HiGHS as it
-    is (_form). An optimal point that breaks a bound or row raises, as
-    scipy reports it as failed. Safe to call from several threads; the
-    solves themselves run one at a time.
+    is (_form). Only an optimum is returned. An infeasible program (or a
+    HiGHS model error) raises InfeasibleDefender and an unbounded one
+    NotOptimal, both naming `context` (such as "scenario k=20: breach
+    LP"). Any other solver failure, and an optimal point that breaks a
+    bound or row, which scipy reports as failed, raise RuntimeError. Safe
+    to call from several threads; the solves themselves run one at a time.
 
     Duals are reported in canonical min form regardless of lp.sense, so a
     binding <= constraint always has a nonpositive multiplier effect on
@@ -350,9 +355,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         model.col_cost_ = cost
         run = linprog(model)
     if run.status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
-        return LpSolution(status="infeasible")
+        raise InfeasibleDefender(
+            f"{context} infeasible: no mixed strategy satisfies the resource polytope"
+        )
     if run.status == core.HighsModelStatus.kUnbounded:
-        return LpSolution(status="unbounded")
+        raise NotOptimal(f"{context} ended with status 'unbounded'")
     if run.status != core.HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP solver failed: model status {run.status.name}")
     if not _feasible(form, run):
@@ -371,7 +378,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             # >= rows were negated on the way in; flip the dual back
             duals[con.label] = raw if con.relation == "<=" else -raw
     return LpSolution(
-        status="optimal",
         values=values,
         objective_value=float(np.dot(lp.objective, run.x)),
         binding=_binding(form, run.x),
@@ -381,29 +387,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     )
 
 
-def solve_optimal(lp: LinearProgram, context: str) -> LpSolution:
-    """solve_lp for callers that need an optimum: an infeasible program
-    raises InfeasibleDefender and any other status NotOptimal, both naming
-    `context` (such as "scenario k=20: breach LP")."""
-    solution = solve_lp(lp)
-    if solution.status == "infeasible":
-        raise InfeasibleDefender(
-            f"{context} infeasible: no mixed strategy satisfies the resource polytope"
-        )
-    if solution.status != "optimal":
-        raise NotOptimal(f"{context} ended with status {solution.status!r}")
-    return solution
-
-
 def alternate_optimum_gap(lp: LinearProgram, solution: LpSolution) -> float:
     """Largest per-coordinate range of the optimal face.
 
     Pins the objective to its optimal value and, for each coordinate,
     maximizes and minimizes that coordinate over the optimal face. A gap
-    near zero certifies the optimal vertex is unique.
+    near zero certifies the optimal vertex is unique. A probe that ends
+    without an optimum raises NotOptimal naming it.
     """
-    if solution.status != "optimal":
-        raise NotOptimal(f"solution status is {solution.status!r}")
     n = lp.num_vars
     pinned = lp.constraints + (
         Constraint(lp.objective, "=", solution.objective_value, "pinned-objective"),
@@ -411,14 +402,13 @@ def alternate_optimum_gap(lp: LinearProgram, solution: LpSolution) -> float:
     gap = 0.0
     for i in range(n):
         unit = tuple(1.0 if j == i else 0.0 for j in range(n))
-        hi = solve_lp(
-            LinearProgram("max", unit, pinned, lp.lower_bounds, lp.upper_bounds)
+        hi, lo = (
+            solve_lp(
+                LinearProgram(sense, unit, pinned, lp.lower_bounds, lp.upper_bounds),
+                f"optimal face probe: {sense} x[{i}]",
+            )
+            for sense in ("max", "min")
         )
-        lo = solve_lp(
-            LinearProgram("min", unit, pinned, lp.lower_bounds, lp.upper_bounds)
-        )
-        if hi.status != "optimal" or lo.status != "optimal":
-            raise NotOptimal("optimal face probe failed to solve")
         gap = max(gap, hi.objective_value - lo.objective_value)
     return gap
 
@@ -426,8 +416,6 @@ def alternate_optimum_gap(lp: LinearProgram, solution: LpSolution) -> float:
 def check_dual_certificate(lp: LinearProgram, solution: LpSolution) -> float:
     """Max violation of stationarity: objective minus the constraint-dual
     and bound-marginal decomposition, in canonical min form."""
-    if solution.status != "optimal":
-        raise NotOptimal(f"solution status is {solution.status!r}")
     residual = _cost(lp)
     for con in lp.constraints:
         dual = solution.duals[con.label]

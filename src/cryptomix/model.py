@@ -116,9 +116,10 @@ class ScenarioSet:
         object.__setattr__(self, "budgets", tuple(float(k) for k in self.budgets))
         if not self.budgets:
             raise ValueError("scenario set is empty")
-        if any(k < 0 for k in self.budgets):
+        # written as "not all(...)" so that a NaN budget fails them
+        if not all(k >= 0 for k in self.budgets):
             raise ValueError("scenario budgets must be nonnegative")
-        if any(a >= b for a, b in zip(self.budgets, self.budgets[1:])):
+        if not all(a < b for a, b in zip(self.budgets, self.budgets[1:])):
             raise ValueError("scenario budgets must be strictly increasing")
 
     def __len__(self) -> int:

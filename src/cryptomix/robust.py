@@ -21,7 +21,7 @@ from .defender import (
     evaluate_budgets,
     expected_breach,
 )
-from .lp import Constraint, LinearProgram, solve_optimal
+from .lp import Constraint, LinearProgram, solve_lp
 from .model import GameInstance, MixedStrategy, ScenarioSet, make_plan
 
 
@@ -92,10 +92,8 @@ def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTa
     for k, evals in zip(scenarios.budgets, rows):
         util_row = tuple(ev.utility for ev in evals)
         breach_row = tuple(ev.p_succ_star for ev in evals)
-        opt = solve_optimal(LinearProgram("max", util_row, polytope), f"scenario k={k:g}: LP")
-        low = solve_optimal(
-            LinearProgram("min", breach_row, polytope), f"scenario k={k:g}: breach LP"
-        )
+        opt = solve_lp(LinearProgram("max", util_row, polytope), f"scenario k={k:g}: LP")
+        low = solve_lp(LinearProgram("min", breach_row, polytope), f"scenario k={k:g}: breach LP")
         utilities.append(util_row)
         breach.append(breach_row)
         optima.append(opt.objective_value)
@@ -143,7 +141,7 @@ def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyRepor
         (tuple(-u for u in util_row) + (1.0,), 0.0, f"scenario:{_budget_label(k)}")
         for k, util_row in zip(table.budgets, table.utilities)
     ]
-    solution = solve_optimal(_epigraph_lp(instance, "max", cuts), "maximin LP")
+    solution = solve_lp(_epigraph_lp(instance, "max", cuts), "maximin LP")
     n = len(instance.algorithms)
     probs = solution.values[:n]
     worst_breach = max(expected_breach(probs, row) for row in table.breach)
@@ -162,7 +160,7 @@ def build_regret_lp(instance: GameInstance, table: ScenarioTable) -> LinearProgr
 
 def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> RegretReport:
     program = build_regret_lp(instance, table)
-    solution = solve_optimal(program, "minimax-regret LP")
+    solution = solve_lp(program, "minimax-regret LP")
     n = len(instance.algorithms)
     probs = tuple(solution.values[:n])
     regrets = tuple(

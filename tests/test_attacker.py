@@ -50,6 +50,17 @@ def test_dp_empty_method_list():
     assert plan.utility == 0.0
 
 
+@pytest.mark.parametrize("value", [0.0, -5.0])
+def test_dp_and_hybrid_at_a_nonpositive_value_equal_brute_force(instance, value):
+    # the unreachable cells of the table must stay at -inf: value * (1 - inf)
+    # is nan at value 0 and +inf below it
+    alg = next(a for a in instance.algorithms if a.id == "aes256-gcm")
+    params = AttackerParams(value=value, budget=40.0)
+    want = repr(solve_brute_force(alg, params))
+    assert repr(solve_dp(alg, params)) == want
+    assert repr(solve_hybrid(alg, params).plan) == want
+
+
 def test_dp_zero_budget_returns_empty(worked_algorithm):
     plan = solve_dp(worked_algorithm, AttackerParams(value=1200.0, budget=0.0))
     assert plan.methods == ()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import cryptomix.lp
 from cryptomix import bundled_scenario_path, save_scenario
 from cryptomix.cli import run_cli
 from helpers import run_python
@@ -214,6 +215,17 @@ def test_infeasible_scenario_exit_code(tmp_path, capsys, instance):
     captured = capsys.readouterr()
     assert code == 2
     assert "infeasible" in captured.err
+
+
+def test_unbounded_lp_exit_code(monkeypatch, capsys):
+    # InfeasibleDefender is a NotOptimal; any other NotOptimal exits 3
+    core, _ = cryptomix.lp._highs()
+    unbounded = cryptomix.lp._Run(core.HighsModelStatus.kUnbounded, 0)
+    monkeypatch.setattr(cryptomix.lp, "linprog", lambda model: unbounded)
+    code = run_cli(["solve-defender"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "internal error: defender LP ended with status 'unbounded'\n"
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cryptomix.defender
 import cryptomix.lp
+import cryptomix.robust
 from cryptomix import (
     Constraint,
     InfeasibleDefender,
@@ -47,7 +50,6 @@ def simple_max():
 
 def test_solve_simple_max_vertex():
     sol = solve_lp(simple_max())
-    assert sol.status == "optimal"
     assert sol.values == pytest.approx((2.0, 2.0))
     assert sol.objective_value == pytest.approx(10.0)
     assert sol.binding == ("cap", "xcap")
@@ -55,7 +57,19 @@ def test_solve_simple_max_vertex():
 
 def test_unbounded_detected():
     lp = LinearProgram(sense="max", objective=(1.0,), constraints=())
-    assert solve_lp(lp).status == "unbounded"
+    with pytest.raises(NotOptimal) as raised:
+        solve_lp(lp)
+    assert type(raised.value) is NotOptimal
+    assert str(raised.value) == "LP ended with status 'unbounded'"
+
+
+def test_infeasible_detected():
+    floor = Constraint((1.0,), ">=", 2.0, "floor")
+    lp = LinearProgram("max", (1.0,), (floor,), upper_bounds=(1.0,))
+    with pytest.raises(InfeasibleDefender) as raised:
+        solve_lp(lp, "capped LP")
+    message = "capped LP infeasible: no mixed strategy satisfies the resource polytope"
+    assert str(raised.value) == message
 
 
 def test_equality_and_ge_relations():
@@ -68,7 +82,6 @@ def test_equality_and_ge_relations():
         ),
     )
     sol = solve_lp(lp)
-    assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(2.0)
     assert "sum" in sol.binding
 
@@ -85,9 +98,7 @@ def test_dual_certificate_small_residual():
             ),
         ),
     ):
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert check_dual_certificate(lp, sol) <= 1e-8
+        assert check_dual_certificate(lp, solve_lp(lp)) <= 1e-8
 
 
 def test_alternate_optimum_gap_zero_for_unique_vertex():
@@ -116,7 +127,6 @@ def test_free_variables_via_bounds():
     )
     sol = solve_lp(lp)
     # y >= x and x >= 1, so min y = 1
-    assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0)
     listed = replace(lp, lower_bounds=[1.0, None], upper_bounds=[2.0, None])
     assert listed == lp and solve_lp(listed) == sol
@@ -162,21 +172,44 @@ def test_lp_sites_raise_infeasible(instance, feasible_table, context, site):
         site(tight, feasible_table)
 
 
+def fake_unbounded_runs(monkeypatch, which=None):
+    """Make HiGHS report an unbounded program: on every run from now on, or
+    only on the `which`-th of them, counted from 1."""
+    original = cryptomix.lp.linprog
+    calls = itertools.count(1)
+
+    def run(model):
+        if which is None or next(calls) == which:
+            core, _ = cryptomix.lp._highs()
+            return cryptomix.lp._Run(core.HighsModelStatus.kUnbounded, 0)
+        return original(model)
+
+    monkeypatch.setattr(cryptomix.lp, "linprog", run)
+
+
 @pytest.mark.parametrize("context, site", LP_SITES, ids=SITE_IDS)
 def test_lp_sites_raise_not_optimal(monkeypatch, instance, feasible_table, context, site):
-    monkeypatch.setattr(cryptomix.lp, "solve_lp", lambda lp: LpSolution(status="unbounded"))
-    with pytest.raises(NotOptimal, match=context + " ended with status 'unbounded'"):
+    fake_unbounded_runs(monkeypatch)
+    with pytest.raises(NotOptimal, match=context + " ended with status 'unbounded'") as raised:
         site(instance, feasible_table)
+    assert type(raised.value) is NotOptimal
 
 
 def test_scenario_breach_lp_raises_not_optimal(monkeypatch, instance, scenarios):
-    # the breach LP is the scenario table's only minimisation
-    def unbounded_min(lp):
-        return LpSolution(status="unbounded") if lp.sense == "min" else solve_lp(lp)
-
-    monkeypatch.setattr(cryptomix.lp, "solve_lp", unbounded_min)
+    # the scenario table solves the first budget's utility LP, then its breach LP
+    fake_unbounded_runs(monkeypatch, which=2)
     with pytest.raises(NotOptimal, match="scenario k=11: breach LP ended"):
         scenario_table(instance, scenarios)
+
+
+def test_alternate_optimum_gap_names_a_failed_probe(monkeypatch):
+    lp = simple_max()
+    sol = solve_lp(lp)
+    # the probes run max x[0], min x[0], max x[1], min x[1]
+    fake_unbounded_runs(monkeypatch, which=4)
+    context = r"optimal face probe: min x\[1\]"
+    with pytest.raises(NotOptimal, match=f"^{context} ended with status 'unbounded'$"):
+        alternate_optimum_gap(lp, sol)
 
 
 # ------------------------------------------------ HiGHS bindings vs linprog
@@ -237,9 +270,10 @@ def programs(draw):
 
 
 def assert_equals_scipy(lp):
-    """solve_lp(lp) against a fresh scipy_reference(lp): the same status and
-    iteration count, and bitwise the same point, objective, duals and bound
-    marginals."""
+    """solve_lp(lp) against a fresh scipy_reference(lp): the same outcome
+    (an optimum, InfeasibleDefender for scipy's status 2 or NotOptimal for
+    its status 3) and iteration count, and bitwise the same point,
+    objective, duals and bound marginals."""
     runs = []
     original = cryptomix.lp.linprog
 
@@ -254,9 +288,14 @@ def assert_equals_scipy(lp):
             with pytest.raises(RuntimeError, match="LP solver failed"):
                 solve_lp(lp)
             return
-        sol = solve_lp(lp)
+        if ref.status != 0:
+            error = {2: InfeasibleDefender, 3: NotOptimal}[ref.status]
+            with pytest.raises(error) as raised:
+                solve_lp(lp)
+            assert type(raised.value) is error
+        else:
+            sol = solve_lp(lp)
     assert len(runs) == 1 and runs[0].nit == ref.nit
-    assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
     if ref.status != 0:
         return
     assert bitwise(sol.values) == bitwise(ref.x)
@@ -412,16 +451,19 @@ def test_solve_lp_threads_match_one_thread(instance):
 
 
 def test_lp_status_cases_are_covered():
-    """The random programs above reach every status the solver reports."""
+    """The random programs above reach every outcome the solver reports."""
     seen = set()
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(programs())
     def collect(lp):
-        seen.add(solve_lp(lp).status)
+        try:
+            seen.add(type(solve_lp(lp)))
+        except NotOptimal as exc:
+            seen.add(type(exc))
 
     collect()
-    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert seen == {LpSolution, InfeasibleDefender, NotOptimal}
 
 
 @pytest.mark.parametrize(
@@ -543,14 +585,14 @@ def test_dual_certificates_on_random_instances(seed):
     inst = random_feasible_instance(rng)
     budgets = tuple(sorted({float(k) for k in rng.integers(0, 61, 3)}))
     solved = []
-    original = cryptomix.lp.solve_lp
 
-    def recording(lp):
-        solved.append((lp, original(lp)))
+    def recording(lp, context="LP"):
+        solved.append((lp, solve_lp(lp, context)))
         return solved[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cryptomix.lp, "solve_lp", recording)
+        for layer in (cryptomix.defender, cryptomix.robust):
+            mp.setattr(layer, "solve_lp", recording)
         solve_stackelberg(inst)
         table = scenario_table(inst, ScenarioSet(budgets))
         solve_minimax_regret(inst, table)
@@ -559,5 +601,4 @@ def test_dual_certificates_on_random_instances(seed):
     # 1 + 2 per budget (utility and breach LPs) + regret, maximin, unconstrained
     assert len(solved) == 1 + 2 * len(budgets) + 3
     for lp, sol in solved:
-        assert sol.status == "optimal"
         assert check_dual_certificate(lp, sol) <= 1e-7

@@ -41,6 +41,14 @@ def test_scenario_set_validation():
     assert len(ScenarioSet(budgets=(1.0, 2.0))) == 2
 
 
+@pytest.mark.parametrize(
+    "budgets", [(math.nan, 10.0, 20.0), (5.0, math.nan, 20.0), (5.0, 10.0, math.nan)]
+)
+def test_scenario_set_rejects_a_nan_budget(budgets):
+    with pytest.raises(ValueError):
+        ScenarioSet(budgets=budgets)
+
+
 def test_table_shapes(instance, scenarios, table):
     n = len(instance.algorithms)
     s = len(scenarios)
@@ -170,8 +178,7 @@ def test_regret_lp_structure(instance, table):
     labels = [c.label for c in lp.constraints]
     for k in table.budgets:
         assert f"regret:{k:g}" in labels
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
+    assert solve_lp(lp).objective_value >= 0.0  # every regret is nonnegative
 
 
 def test_regret_matrix_diagonal_zero(instance, table):
