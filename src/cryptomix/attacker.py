@@ -16,11 +16,33 @@ sets it would grow into are compared. Rounded multiplication is monotone,
 so the DP never loses utility by this: where costs lie on its grid and
 add up exactly in floats (such as multiples of 0.5 at the default scale),
 its plan has the utility and total cost of solve_brute_force's, but it
-can name other ids.
+can name other ids. At a value <= 0, with phi's coefficients >= 0, the
+empty plan is the unique best and the DP returns it.
+
+hybrid_plans shrinks the DP before it builds a table (bound, reduce, then
+DP). With a_i = -log1p(-s_i), the DP's objective of a set of w cells is
+value * (1 - exp(-sum a_i)) - phi(w / scale), concave in (w, sum a_i).
+Its relaxation over fractional sets is bounded along the fractional
+knapsack frontier in a_i / w_i order (Dantzig, 1957), and the tangent
+plane at the relaxation's peak bounds every set that holds a given
+method. A method whose bound falls below the objective of a known set
+within the budget, the best ratio-order prefix, by more than a margin
+for float error is left out (Ingargiola and Korsh, 1973). No set that
+holds it can then be the DP's best cell. A cell whose set holds no
+left-out method keeps its failure product bit for bit (the minimum over
+fewer sets, one of which reached it), and every other cell can only fall
+further below the best, so the DP over the rest picks the same best
+cell, and there the same set unless an exact product tie broke the other
+way over fewer candidates. tests/test_attacker.py checks the bound
+against brute force and the plans against the unreduced DP by repr. The
+reduction is skipped where the bound does not hold: a value <= 0, a phi
+coefficient < 0 or a success outside [0, 1]. solve_dp never reduces; it
+is the exact oracle.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
@@ -43,6 +65,16 @@ from .model import (
 # The greedy's coin accepts a method with this probability: SampleGreedy's
 # sqrt(2) - 1, kept at 0.414 exactly so that every coin decision is fixed.
 ACCEPT_PROB = 0.414
+
+# hybrid_plans leaves a method out only where its forced-in bound falls
+# below a known plan's objective by more than this share of value +
+# phi(budget); the float error of the bound, of the known objective and
+# of the DP's own utilities is some 1e-13 of that.
+_BOUND_MARGIN = 1e-9
+# The bound caps a method's mass -log1p(-s) at that of the float just
+# below 1, so that s = 1 stays finite; value * 2**-53 is far below the
+# margin.
+_SURE_MASS = 53 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -143,16 +175,19 @@ def _with_j_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for otherwise b is a prefix of it. If d is in b, or the sets are equal,
     b comes first. With unique ids, index order is id order.
     """
-    first = np.zeros(a.shape[1], dtype=bool)
-    b_above = np.zeros(a.shape[1], dtype=bool)  # b has a method in a higher word
+    first = b_above = None  # b_above: b has a method in a higher word
     # from the top word down, so the word holding d decides last
     for a_k, b_k in zip(a[::-1], b[::-1]):
         diff = a_k ^ b_k
         low = diff & -diff  # bit d if d lies in this word
         # with d outside b, b's word holds a bit above d iff it exceeds bit d
-        decided = ((a_k & low) != 0) & (b_above | (b_k > low))
-        first = np.where(diff != 0, decided, first)
-        b_above |= b_k != 0
+        above = b_k > low
+        if b_above is None:
+            first = ((a_k & low) != 0) & above  # diff = 0 leaves low = 0
+            b_above = b_k != 0
+        else:
+            first = np.where(diff != 0, ((a_k & low) != 0) & (b_above | above), first)
+            b_above |= b_k != 0
     return first
 
 
@@ -194,14 +229,18 @@ def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
     return spec.linear_coeff * total_cost + spec.quadratic_coeff * np.float_power(total_cost, 2.0)
 
 
+def _fits(n_methods: int, cells: float, config: SolverConfig) -> bool:
+    """dp_table_fits for a budget of `cells` cells."""
+    return max(n_methods, 1) * (cells + 1) <= config.max_table_cells
+
+
 def dp_table_fits(n_methods: int, budget: float, config: SolverConfig = SolverConfig()) -> bool:
     """The table-size rule shared by every caller of the DP, and the only
     rule that sends an attacker subgame to the DP or the greedy: max(n, 1)
     rows, as build_dp_table allocates one even for no methods, x (budget
     cells + 1) within config.max_table_cells. A budget whose scaled value
     overflows never fits."""
-    cells = _cells(budget, config.cost_scale, up=False) + 1
-    return max(n_methods, 1) * cells <= config.max_table_cells
+    return _fits(n_methods, _cells(budget, config.cost_scale, up=False), config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +286,15 @@ def build_dp_table(
     # a weight at or past the table size reaches no cell and its method is
     # skipped, so capping weights at the size keeps them small ints
     weights = _cost_cells([m.cost for m in methods], scale, size)
+    return _fill_table(methods, weights, size, scale)
 
+
+def _fill_table(
+    methods: tuple[AttackMethod, ...], weights: tuple[int, ...], size: int, scale: int
+) -> DpTable:
+    """build_dp_table's layer loop over methods in id order, whose weights
+    are capped at or past size."""
+    n = len(methods)
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0
     take = np.zeros((max(n, 1), size), dtype=bool)
@@ -290,26 +337,40 @@ def dp_plans(
     The utility value * (1 - minfail[c]) - phi(c / scale) is computed once
     for every cell; a budget's answer is the first cell of highest utility
     among the cells it covers, then the chain walk from that cell.
+
+    At a value <= 0, with phi's coefficients >= 0, no method adds utility
+    and none costs less than nothing, so the ranking's unique best plan is
+    the empty one, and it is the answer: the smallest failure product at
+    a cell is then the worst set there, not the best.
     """
     scale = table.cost_scale
     size = table.minfail.size
-    penalty = _penalty(params.cost_fn, np.arange(size) / scale)
-    # unreachable cells (minfail = inf) are -inf, whatever the value's sign
-    reachable = table.minfail < np.inf
-    utility = np.full(size, -np.inf)
-    utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
+    spec = params.cost_fn
+    empty = params.value <= 0 and spec.linear_coeff >= 0 and spec.quadratic_coeff >= 0
+    if not empty:
+        penalty = _penalty(spec, np.arange(size) / scale)
+        # unreachable cells (minfail = inf) are -inf, whatever the value's sign
+        reachable = table.minfail < np.inf
+        utility = np.full(size, -np.inf)
+        utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
     n = len(table.methods)
     plans = []
+    made: dict[int, AttackPlan] = {}  # by best cell: budgets often share one
     for budget in budgets:
         if budget < 0:
             raise BudgetNegative(f"budget {budget} is negative")
         cells = _cells(budget, scale, up=False) + 1
         if cells > size:
             raise ValueError(f"budget {budget} needs {cells} cost cells, the table has {size}")
+        if empty:
+            plans.append(make_plan((), params))
+            continue
         # cell 0 is not necessarily the empty set: zero-cost methods land there
-        best = int(np.argmax(utility[:cells]))
-        chosen = _chain_indices(table.take, table.weights, n - 1, best) if n else []
-        plans.append(make_plan([table.methods[i] for i in chosen], params))
+        best = int(utility[:cells].argmax())
+        if best not in made:
+            chosen = _chain_indices(table.take, table.weights, n - 1, best) if n else []
+            made[best] = make_plan([table.methods[i] for i in chosen], params)
+        plans.append(made[best])
     return plans
 
 
@@ -414,6 +475,143 @@ def solve_sample_greedy(
     return min(candidates, key=plan_key)
 
 
+def _forced_bounds(
+    methods: Sequence[AttackMethod],
+    weights: Sequence[int],
+    params: AttackerParams,
+    budget_cells: Sequence[int],
+    scale: int,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(bound, known, margin) for the DP objective value * (1 - failure
+    product) - phi(cells / scale) at each budget of budget_cells cells:
+    bound[b, i] is at least the objective of every set that holds method
+    i and fits budget b's cells (-inf if none does), known[b] is the
+    objective of a set that fits them, and margin[b] covers the float
+    error of both. None where the bound does not hold: a value <= 0, a phi
+    coefficient < 0 or a success outside [0, 1].
+
+    With a_i = -log1p(-s_i), a set of w cells and mass A = sum a_i has the
+    objective G(w, A) = value * (1 - exp(-A)) - phi(w / scale), concave in
+    (w, A). The most mass within w cells, A*(w), is the fractional
+    knapsack in a_i / w_i order (Dantzig), concave and piecewise linear.
+    The relaxation max G(w, A*(w)) over w <= K is reached at t0 = min(peak,
+    K). For a slope sigma that supports A* at t0, a set holding i has
+    A <= A*(t0) + sigma (w - t0) + min(0, a_i - sigma w_i), and the tangent
+    plane of G at (t0, A*(t0)) turns that into the bound, one vector
+    expression for every method. known is the best ratio-order prefix
+    within K cells.
+    """
+    value, spec = params.value, params.cost_fn
+    alpha, beta = spec.linear_coeff, spec.quadratic_coeff
+    if not (value > 0 and alpha >= 0 and beta >= 0):
+        return None
+    # column 0 is the frontier's origin; columns 1.. hold each method's
+    # cells and, from its success s, its mass -log1p(-s), computed in
+    # place, so that the views w and mass see it
+    steps = np.zeros((2, len(methods) + 1))
+    steps[0, 1:] = weights
+    steps[1, 1:] = [m.success for m in methods]
+    w, mass = steps[0, 1:, None], steps[1, 1:, None]
+    with np.errstate(all="ignore"):
+        np.log1p(np.negative(steps[1], out=steps[1]), out=steps[1])
+        if not steps[1].max() <= 0:  # a success below 0, above 1 or nan
+            return None
+        np.negative(np.maximum(steps[1], -_SURE_MASS, out=steps[1]), out=steps[1])
+        # a free method comes first (inf), after the origin; a free one of no
+        # mass (nan) is 0
+        ratio = np.fmax(steps[1] / steps[0], 0.0)
+        ratio[0] = np.inf
+        order = np.argsort(-ratio, kind="stable")
+        # breakpoint k of the frontier holds the first k methods in ratio
+        # order, and slope[k] is A*'s slope left of it: inf at 0 and 0 past
+        # the last. Free methods repeat breakpoints at cell 0.
+        cells, frontier = steps[:, order].cumsum(axis=1)
+        # phi(c / scale) = c * (linear + quadratic * c)
+        linear, quadratic = alpha / scale, beta / scale**2
+        relaxed = -value * np.expm1(-frontier) - cells * (linear + quadratic * cells)
+        best = np.maximum.accumulate(relaxed).tolist()
+        cells_at, mass_at = cells.tolist(), frontier.tolist()
+        slope = ratio[order].tolist() + [0.0]
+        j = int(relaxed.argmax())
+        peak = _relaxation_peak(cells_at, mass_at, slope, j, value, linear, quadratic)
+
+        def tangent(t0: float) -> tuple[float, float, float, float]:
+            """(dG/dA, sigma, dG along sigma, G) at t0 cells on the frontier."""
+            at = bisect.bisect_right(cells_at, t0) - 1  # the last breakpoint <= t0
+            if cells_at[at] == t0:
+                mass0, left, right = mass_at[at], slope[at], slope[at + 1]
+            else:
+                share = (t0 - cells_at[at]) / (cells_at[at + 1] - cells_at[at])
+                mass0 = mass_at[at] + share * (mass_at[at + 1] - mass_at[at])
+                left = right = slope[at + 1]
+            lam = value * math.exp(-mass0)
+            mu = linear + 2.0 * quadratic * t0  # -dG/dw
+            # of the slopes that support A* at t0, the one closest to where
+            # G is flat along it
+            sigma = min(max(mu / lam, right), left) if lam > 0 else right
+            top = -value * math.expm1(-mass0) - t0 * (linear + quadratic * t0)
+            return lam, sigma, lam * sigma - mu, top
+
+        at_peak = tangent(peak)
+        rows = []
+        for limit in budget_cells:
+            t0 = min(peak, limit)
+            lam, sigma, tilt, top = at_peak if t0 == peak else tangent(t0)
+            # tilt * (w - t0) at its largest over w in [w_i, limit] is
+            # base + per_cell * w_i
+            if tilt > 0:
+                base, per_cell = top + tilt * (limit - t0), 0.0
+            else:
+                base, per_cell = top - tilt * t0, tilt
+            known = best[bisect.bisect_right(cells_at, limit) - 1]
+            margin = _BOUND_MARGIN * (value + limit * (linear + quadratic * limit))
+            rows.append((base, per_cell, lam, sigma, known, margin, limit))
+        base, per_cell, lam, sigma, known, margin, limit = np.array(rows).T
+        # one column per budget, then transposed
+        bound = base + per_cell * w + lam * np.minimum(0.0, mass - sigma * w)
+        np.putmask(bound, w > limit, -np.inf)  # no set within the budget holds it
+    return bound.T, known, margin
+
+
+def _relaxation_peak(
+    cells: list[float],
+    frontier: list[float],
+    slope: list[float],
+    j: int,
+    value: float,
+    linear: float,
+    quadratic: float,
+) -> float:
+    """The cells w in [0, cells[-1]] that maximize the concave relaxation
+    value * (1 - exp(-A*(w))) - w * (linear + quadratic * w), given its
+    best breakpoint j: that breakpoint, or a Newton search on the segment
+    next to it where the slope changes sign. Newton from the segment's left
+    end rises monotonically to the root, as the slope is convex in w; any w
+    is sound for the bound, so the search needs no exact root."""
+    lam = value * math.exp(-frontier[j])
+    dphi = linear + 2.0 * quadratic * cells[j]
+    if lam * slope[j + 1] > dphi:
+        seg = j + 1
+    elif j > 0 and lam * slope[j] < dphi:
+        seg = j
+    else:
+        return cells[j]
+    lo, hi = cells[seg - 1], cells[seg]
+    base, r = frontier[seg - 1], slope[seg]
+    t = lo
+    for _ in range(30):
+        gain = value * r * math.exp(-(base + r * (t - lo)))
+        grad = gain - linear - 2.0 * quadratic * t
+        curve = r * gain + 2.0 * quadratic
+        if not (grad > 0 and curve > 0):
+            break
+        nxt = min(t + grad / curve, hi)
+        if not nxt > t:  # no progress, or a nan from overflow
+            break
+        t = nxt
+    return t
+
+
 def hybrid_plans(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
@@ -421,19 +619,61 @@ def hybrid_plans(
     config: SolverConfig = SolverConfig(),
 ) -> list[HybridResult]:
     """The one DP/greedy dispatcher: the best plan at each budget for the
-    value and cost function in params (params.budget is not read). The
-    budgets whose table fits (dp_table_fits) share one DP table, built at
-    the largest of them; every other budget goes to the sampled greedy."""
-    routed = [k for k in budgets if dp_table_fits(len(algorithm.attacks), k, config)]
-    plans = {}
-    if routed:
-        table = build_dp_table(algorithm, max(routed), config)
-        plans = dict(zip(routed, dp_plans(table, params, routed)))
+    value and cost function in params (params.budget is not read).
+
+    At each budget, a method whose forced-in bound (_forced_bounds) falls
+    below a known plan's objective by more than the margin is left out.
+    Every budget whose table over the methods kept fits (dp_table_fits)
+    goes to the DP, and every other budget to the sampled greedy on the
+    whole algorithm. The DP budgets share one table over the union of
+    their kept methods, built at the largest of them, where that fits the
+    cell cap; otherwise each builds its own. A table over any superset of
+    a budget's kept methods gives the plan the unreduced DP gives there.
+    """
+    if any(k < 0 for k in budgets):
+        raise BudgetNegative(f"budget {min(budgets)} is negative")
+    methods = tuple(_sorted_methods(algorithm))
+    scale = config.cost_scale
+    cells = [_cells(k, scale, up=False) for k in budgets]
+    # a budget whose one-row table does not fit goes to the greedy
+    tabled = sorted((c, b) for b, c in enumerate(cells) if _fits(0, c, config))
+    plans: dict[int, AttackPlan] = {}
+    if tabled:
+        limits = [c for c, _ in tabled]
+        # capped at the cell cap, past every table, and not at the largest
+        # budget, so that the bound at one budget never depends on another
+        weights = _cost_cells([m.cost for m in methods], scale, config.max_table_cells)
+        bounds = _forced_bounds(methods, weights, params, limits, scale)
+        if bounds is None:
+            kept = np.ones((len(limits), len(methods)), dtype=bool)
+        else:
+            bound, known, margin = bounds
+            # written so that a nan bound keeps its method
+            kept = ~(bound < (known - margin)[:, None])
+        counts = kept.sum(axis=1).tolist()
+        routed = [row for row, n in enumerate(counts) if _fits(n, limits[row], config)]
+        groups = []
+        if routed:
+            union = kept[routed].any(axis=0)
+            if _fits(int(np.count_nonzero(union)), limits[routed[-1]], config):
+                groups = [(routed, union)]
+            else:
+                groups = [([row], kept[row]) for row in routed]
+        for rows, keep in groups:
+            at = np.flatnonzero(keep).tolist()
+            table = _fill_table(
+                tuple(methods[i] for i in at),
+                tuple(weights[i] for i in at),
+                limits[rows[-1]] + 1,
+                scale,
+            )
+            group = [tabled[row][1] for row in rows]
+            plans.update(zip(group, dp_plans(table, params, [budgets[b] for b in group])))
     return [
-        HybridResult(plans[k], "dp") if k in plans else HybridResult(
+        HybridResult(plans[b], "dp") if b in plans else HybridResult(
             solve_sample_greedy(algorithm, replace(params, budget=k), config), "greedy"
         )
-        for k in budgets
+        for b, k in enumerate(budgets)
     ]
 
 

@@ -57,6 +57,23 @@ def random_methods(rng, n, max_cost=100, integer_costs=True):
     return tuple(methods)
 
 
+def wide_methods(rng, n):
+    """n methods shaped like the benchmark's wide subgames: success
+    U(0.05, 0.6) and cost U(0.5, 20) with one decimal, on the DP's grid."""
+    return tuple(
+        AttackMethod(
+            f"m{i:03d}", float(rng.uniform(0.05, 0.6)), round(float(rng.uniform(0.5, 20.0)), 1)
+        )
+        for i in range(n)
+    )
+
+
+def identical_methods(n):
+    """n methods of success 0.3 and cost 1.0: no forced-in bound tells one
+    from another, so the attacker reduction keeps all or none of them."""
+    return tuple(AttackMethod(f"m{i:03d}", 0.3, 1.0) for i in range(n))
+
+
 def bare_algorithm(methods, alg_id="target"):
     """Algorithm wrapper when only the attack subgame matters."""
     return EncryptionAlgorithm(

@@ -28,6 +28,7 @@ from cryptomix.attacker import (
     _cells,
     _chain_indices,
     _cost_cells,
+    _forced_bounds,
     _penalty,
     _with_j_first,
     build_dp_table,
@@ -40,6 +41,7 @@ from helpers import (
     random_methods,
     reference_dp_table,
     reference_sample_greedy,
+    wide_methods,
 )
 
 
@@ -56,6 +58,18 @@ def test_dp_and_hybrid_at_a_nonpositive_value_equal_brute_force(instance, value)
     # is nan at value 0 and +inf below it
     alg = next(a for a in instance.algorithms if a.id == "aes256-gcm")
     params = AttackerParams(value=value, budget=40.0)
+    want = repr(solve_brute_force(alg, params))
+    assert repr(solve_dp(alg, params)) == want
+    assert repr(solve_hybrid(alg, params).plan) == want
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0])
+def test_a_free_method_at_a_nonpositive_value_is_left_out(value):
+    # the smallest failure product per cell is the worst set when the
+    # value is <= 0: the DP took the free method at utility -2.5 (value -5)
+    # or tied brute force's empty plan on ids (value 0)
+    alg = bare_algorithm((AttackMethod("free", 0.5, 0.0), AttackMethod("paid", 0.5, 5.0)))
+    params = AttackerParams(value=value, budget=10.0)
     want = repr(solve_brute_force(alg, params))
     assert repr(solve_dp(alg, params)) == want
     assert repr(solve_hybrid(alg, params).plan) == want
@@ -696,3 +710,104 @@ def test_dp_skips_a_method_whose_cost_cells_overflow(cost):
     params = AttackerParams(value=300.0, budget=5.0)
     assert solve_dp(alg, params) == solve_dp(bare_algorithm(tied), params)
     assert build_dp_table(alg, 5.0).weights == (51, 10, 10)
+
+
+@st.composite
+def reduction_subgames(draw, values=st.floats(1.0, 500.0)):
+    """Up to 12 methods drawn from a few (success, cost) pairs, so that
+    many tie, with zero costs, success 0 or 1 and real-valued costs; a
+    quadratic phi; several increasing budgets; a table cap that is often
+    small."""
+    pairs = st.tuples(
+        st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0, 2.5])
+    )
+    real = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 20.0))
+    methods = tuple(
+        AttackMethod(f"m{i}", *draw(st.one_of(pairs, real)))
+        for i in range(draw(st.integers(0, 12)))
+    )
+    budgets = sorted(draw(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5, unique=True)))
+    params = AttackerParams(
+        value=draw(values),
+        budget=0.0,
+        cost_fn=CostFunctionSpec(
+            linear_coeff=draw(st.sampled_from([0.0, 1.0, 2.5])),
+            quadratic_coeff=draw(st.sampled_from([0.0, 0.05, 1.0])),
+        ),
+    )
+    config = SolverConfig(
+        cost_scale=draw(st.sampled_from([1, 2, 10])),
+        max_table_cells=draw(st.sampled_from([20, 100, 600, 100_000])),
+    )
+    return bare_algorithm(methods), params, budgets, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduction_subgames())
+def test_forced_bound_covers_every_plan_holding_the_method(case):
+    # every subset that holds method i and fits a budget's cells, scored
+    # as the DP scores it (phi at its cells / scale), stays within the
+    # margin below the bound; the known plan's objective is one of them
+    alg, params, budgets, config = case
+    scale = config.cost_scale
+    methods = tuple(sorted(alg.attacks, key=lambda m: m.id))
+    cells = [_cells(k, scale, up=False) for k in budgets]
+    weights = _cost_cells([m.cost for m in methods], scale, config.max_table_cells)
+    bound, known, margin = _forced_bounds(methods, weights, params, cells, scale)
+    n = len(methods)
+    masks = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    keep = np.array([1.0 - m.success for m in methods])
+    cost = masks @ np.array(weights, dtype=float)
+    scored = params.value * (1.0 - np.where(masks, keep, 1.0).prod(axis=1)) - _penalty(
+        params.cost_fn, cost / scale
+    )
+    for b, limit in enumerate(cells):
+        fits = cost <= limit
+        assert known[b] <= scored[fits].max() + margin[b]
+        for i in range(n):
+            holding = scored[fits & masks[:, i]]
+            if holding.size:
+                assert holding.max() <= bound[b, i] + margin[b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduction_subgames(st.one_of(st.floats(1.0, 500.0), st.sampled_from([0.0, -5.0]))))
+def test_hybrid_plans_equal_the_unreduced_dp(case):
+    # every budget the unreduced table fits goes to the DP, and every DP
+    # answer is the unreduced DP's plan, by repr
+    alg, params, budgets, config = case
+    unbounded = replace(config, max_table_cells=10**9)
+    for k, result in zip(budgets, hybrid_plans(alg, params, budgets, config)):
+        fits = dp_table_fits(len(alg.attacks), k, config)
+        assert result.solver == "dp" or not fits
+        if result.solver == "dp":
+            want = solve_dp(alg, replace(params, budget=k), unbounded)
+            assert repr(result.plan) == repr(want)
+
+
+def test_a_budgets_route_does_not_depend_on_a_larger_budget():
+    # m6's 110 cells reach no table at budget 10.25 (102 cells); the bound
+    # there once read them capped at the largest budget's table, which
+    # left m5 out beside budget 11 but not alone, and so changed the route
+    free = tuple(AttackMethod(f"m{i}", 0.1, 0.0) for i in range(4))
+    paid = (
+        AttackMethod("m4", 0.3, 2.5),
+        AttackMethod("m5", 0.0, 9.75),
+        AttackMethod("m6", 0.46875, 11.0),
+    )
+    alg = bare_algorithm(free + paid)
+    params = AttackerParams(value=1.0, budget=0.0, cost_fn=CostFunctionSpec(0.0, 0.0))
+    config = SolverConfig(cost_scale=10, max_table_cells=515)
+    alone = hybrid_plans(alg, params, (10.25,), config)
+    assert hybrid_plans(alg, params, (10.25, 11.0), config)[:1] == alone
+
+
+def test_utility_never_falls_as_the_budget_grows():
+    # 400 methods: the unreduced table fits no budget from 25 on, where the
+    # greedy's utility fell as the budget grew; the reduced ones all fit
+    alg = bare_algorithm(wide_methods(np.random.default_rng(1), 400))
+    params = AttackerParams(value=300.0, budget=0.0)
+    results = hybrid_plans(alg, params, (10.0, 20.0, 25.0, 30.0, 40.0))
+    assert [r.solver for r in results] == ["dp"] * 5
+    utilities = [r.plan.utility for r in results]
+    assert utilities == sorted(utilities)

@@ -16,7 +16,7 @@ from cryptomix import (
     make_plan,
 )
 
-from helpers import random_feasible_instance, random_methods, run_python
+from helpers import identical_methods, random_feasible_instance, random_methods, run_python
 
 
 def test_per_algorithm_utility_formula(instance):
@@ -73,12 +73,16 @@ def test_evaluate_all_order_and_solver(instance):
         )
 
 
-@pytest.mark.parametrize("budget, solver", [(30.0, "dp"), (50.0, "greedy")])
+@pytest.mark.parametrize("budget, solver", [(30.0, "dp"), (50.0, "dp"), (50.0, "greedy")])
 def test_evaluate_all_equals_solve_hybrid(instance, budget, solver):
-    # 250 methods: the table fits the cell cap at budget 30, not at 50
-    wide = replace(
-        instance.algorithms[0], attacks=random_methods(np.random.default_rng(8), 250, max_cost=30)
-    )
+    # 250 random methods reduce to a handful, whose table fits at either
+    # budget; 250 identical methods cannot be reduced, and their table of
+    # 501 cells does not fit the cell cap
+    if solver == "dp":
+        attacks = random_methods(np.random.default_rng(8), 250, max_cost=30)
+    else:
+        attacks = identical_methods(250)
+    wide = replace(instance.algorithms[0], attacks=attacks)
     inst = replace(
         instance,
         algorithms=(wide,) + instance.algorithms[1:],

@@ -1,6 +1,11 @@
 import inspect
+from pathlib import Path
+
+import pytest
 
 import cryptomix
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # every public name the package exports, submodules aside; a change to the
 # package's surface shows here first
@@ -91,3 +96,10 @@ def test_public_names_are_pinned():
 
 def test_scenario_set_is_a_model_type():
     assert cryptomix.ScenarioSet is cryptomix.model.ScenarioSet
+
+
+def test_distribution_is_named_after_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+    assert project["name"] == "cryptomix"
+    assert project["version"] == cryptomix.__version__

@@ -21,7 +21,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
-from helpers import random_feasible_instance, random_methods
+from helpers import identical_methods, random_feasible_instance, random_methods
 
 
 @pytest.fixture(scope="module")
@@ -73,18 +73,26 @@ def per_budget_evaluations(instance, budgets):
     )
 
 
-def with_wide_algorithm(instance, rng, n):
-    """instance with its first algorithm's attacks replaced by n random
-    methods; at n = 250 the default 100k-cell cap admits budgets up to 39.9."""
-    wide = replace(instance.algorithms[0], attacks=random_methods(rng, n, max_cost=30))
-    return replace(instance, algorithms=(wide,) + instance.algorithms[1:])
+def with_wide_algorithms(instance, rng, n):
+    """instance with the attacks of its first algorithm replaced by n
+    random methods and those of its second by n identical ones. The random
+    ones reduce to a handful, whose table fits every budget here; the
+    identical ones cannot be reduced, and at n = 250 the default 100k-cell
+    cap admits their table at budgets up to 39.9."""
+    first, second = instance.algorithms[:2]
+    wide = (
+        replace(first, attacks=random_methods(rng, n, max_cost=30)),
+        replace(second, attacks=identical_methods(n)),
+    )
+    return replace(instance, algorithms=wide + instance.algorithms[2:])
 
 
 def test_table_evaluations_equal_evaluate_all_per_budget(instance):
-    wide = with_wide_algorithm(instance, np.random.default_rng(3), 250)
+    wide = with_wide_algorithms(instance, np.random.default_rng(3), 250)
     scenarios = ScenarioSet(budgets=(10.0, 30.0, 40.0))
     tbl = scenario_table(wide, scenarios)
-    assert [row[0].solver for row in tbl.evaluations] == ["dp", "dp", "greedy"]
+    assert [row[0].solver for row in tbl.evaluations] == ["dp", "dp", "dp"]
+    assert [row[1].solver for row in tbl.evaluations] == ["dp", "dp", "greedy"]
     assert repr(tbl.evaluations) == repr(per_budget_evaluations(wide, scenarios.budgets))
 
 
@@ -95,12 +103,16 @@ def test_table_evaluations_equal_evaluate_all_per_budget(instance):
     st.lists(st.integers(40, 60), min_size=1, max_size=2, unique=True),
 )
 def test_table_evaluations_equal_evaluate_all_on_random_instances(seed, fit, wide_only):
-    # budgets below 40 build the wide algorithm's table, those from 40 on send it to the greedy
+    # the random wide algorithm goes to the DP at every budget; the
+    # identical one builds its table below 40 and goes to the greedy from 40 on
     rng = np.random.default_rng(seed)
-    instance = with_wide_algorithm(random_feasible_instance(rng), rng, 250)
+    instance = with_wide_algorithms(random_feasible_instance(rng), rng, 250)
     scenario_set = ScenarioSet(budgets=tuple(sorted(fit + wide_only)))
     tbl = scenario_table(instance, scenario_set)
-    assert {row[0].solver for row in tbl.evaluations} == {"dp", "greedy"}
+    assert {row[0].solver for row in tbl.evaluations} == {"dp"}
+    assert [row[1].solver for row in tbl.evaluations] == [
+        "dp" if k < 40 else "greedy" for k in scenario_set.budgets
+    ]
     assert repr(tbl.evaluations) == repr(
         per_budget_evaluations(instance, scenario_set.budgets)
     )
