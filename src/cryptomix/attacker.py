@@ -2,21 +2,24 @@
 a brute-force oracle.
 
 All solvers maximize value * P_succ(S) - phi(sum of costs) over method
-subsets S within the budget, and rank plans identically: higher utility,
-then lower total cost, then lexicographically smallest id set.
+subsets S within the budget, and rank plans identically (model.plan_key):
+higher utility, then lower total cost, then the colexicographically
+smallest id set, whose ids are compared from the largest down.
 
 The DP applies that last rule to failure products, not to utilities. At
 each cost cell it keeps the set whose failure product, as computed along
 the id-order chain (one multiplication per method, ascending ids), is
-smaller; only products that are exactly equal as so computed fall to the
-id rule. Two sets whose products differ by an ulp can still round to the
-same success probability and utility (1 - 0.8 is 0.19999999999999996
-while 0.5 * 0.4 is 0.2), and a prefix an ulp higher is dropped before the
-sets it would grow into are compared. Rounded multiplication is monotone,
-so the DP never loses utility by this: where costs lie on its grid and
-add up exactly in floats (such as multiples of 0.5 at the default scale),
-its plan has the utility and total cost of solve_brute_force's, but it
-can name other ids. At a value <= 0, with phi's coefficients >= 0, the
+smaller; on products that are exactly equal as so computed it keeps the
+set without the newer method, which is the colex rule. Two sets whose
+products differ by an ulp can still round to the same success
+probability and utility (1 - 0.8 is 0.19999999999999996 while 0.5 * 0.4
+is 0.2), and a prefix an ulp higher is dropped before the sets it would
+grow into are compared; a method of success 1 makes every product 0, so
+sets grown from prefixes dropped earlier would tie again. Rounded
+multiplication is monotone, so the DP never loses utility by this: where
+costs lie on its grid and add up exactly in floats (such as multiples of
+0.5 at the default scale), its plan has the utility and total cost of
+solve_brute_force's, but it can name other ids. At a value <= 0, with phi's coefficients >= 0, the
 empty plan is the unique best and the DP returns it.
 
 hybrid_plans shrinks the DP before it builds a table (bound, reduce, then
@@ -106,9 +109,9 @@ def solve_brute_force(
     Every subset is scored by make_plan and ranked by plan_key, so ties
     are between final utilities: sets whose failure products differ but
     round to the same utility tie here and go to the smaller total cost,
-    then the smaller ids. The DP ranks those products before rounding (see
-    the module docstring), so on such ties the two agree on utility and
-    cost but not always on ids.
+    then the colexicographically smaller ids. The DP ranks those products
+    before rounding (see the module docstring), so on such ties the two
+    agree on utility and cost but not always on ids.
     """
     methods = _sorted_methods(algorithm)
     if len(methods) > 25:
@@ -138,57 +141,6 @@ def _chain_indices(take: np.ndarray, weights: Sequence[int], layer: int, cell: i
             cell -= weights[i]
     chosen.reverse()
     return chosen
-
-
-def _bit(i: int) -> np.uint64:
-    return np.uint64(1 << (i % 64))
-
-
-def _cell_sets(take: np.ndarray, weights: Sequence[int], layer: int, words: int) -> np.ndarray:
-    """The chain set of every cell at `layer` as bit masks, in one vectorised
-    backward pass over `take`: bit i % 64 of word i // 64 stands for method i
-    in id order, so masks[:, c] holds what _chain_indices(take, weights,
-    layer, c) returns."""
-    masks = np.zeros((words, take.shape[1]), dtype=np.uint64)
-    cell = np.arange(take.shape[1])
-    for i in range(layer, -1, -1):
-        hit = take[i, cell]
-        masks[i // 64, hit] |= _bit(i)
-        cell = cell - weights[i] * hit
-    return masks
-
-
-def _carry_sets(masks: np.ndarray, take_row: np.ndarray, j: int, w: int) -> np.ndarray:
-    """The cell sets at layer j from those at layer j - 1 and take[j]."""
-    with_j = np.zeros_like(masks)
-    with_j[:, w:] = masks[:, : masks.shape[1] - w]
-    with_j[j // 64] |= _bit(j)
-    return np.where(take_row, with_j, masks)
-
-
-def _with_j_first(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each column, whether set a plus method j has a smaller id tuple
-    than set b, where both sets hold only methods below j.
-
-    Let d be the lowest method in exactly one of the sets; below d the two
-    tuples agree. If d is in a, a + {j} comes first iff b goes on past d,
-    for otherwise b is a prefix of it. If d is in b, or the sets are equal,
-    b comes first. With unique ids, index order is id order.
-    """
-    first = b_above = None  # b_above: b has a method in a higher word
-    # from the top word down, so the word holding d decides last
-    for a_k, b_k in zip(a[::-1], b[::-1]):
-        diff = a_k ^ b_k
-        low = diff & -diff  # bit d if d lies in this word
-        # with d outside b, b's word holds a bit above d iff it exceeds bit d
-        above = b_k > low
-        if b_above is None:
-            first = ((a_k & low) != 0) & above  # diff = 0 leaves low = 0
-            b_above = b_k != 0
-        else:
-            first = np.where(diff != 0, ((a_k & low) != 0) & (b_above | above), first)
-            b_above |= b_k != 0
-    return first
 
 
 def _cells(amount: float, scale: int, up: bool) -> float:
@@ -267,10 +219,9 @@ def build_dp_table(
     """Fill the DP table for every cost cell up to `budget`.
 
     Failure products accumulate over methods in ascending id order, matching
-    make_plan bit for bit. An exact tie in the failure product keeps the
-    lexicographically smaller id set. Ties are decided a layer at a time on
-    per-cell set fingerprints, which are built at the first tie and carried
-    forward after it, so tie-free tables never build them.
+    make_plan bit for bit. An exact tie in the failure product keeps the set
+    without the new method, the colexicographically smaller id set
+    (plan_key).
     """
     if budget < 0:
         raise BudgetNegative(f"budget {budget} is negative")
@@ -293,37 +244,28 @@ def _fill_table(
     methods: tuple[AttackMethod, ...], weights: tuple[int, ...], size: int, scale: int
 ) -> DpTable:
     """build_dp_table's layer loop over methods in id order, whose weights
-    are capped at or past size."""
+    are capped at or past size. Method j is taken at a cell only where its
+    candidate product is strictly smaller: every set at layer j - 1 holds
+    methods below j only, so on an exact tie the set kept, the one without
+    j, is the colex-smaller, and adding j to the sets of a lower cell keeps
+    their order. Where products carry no rounding, each cell's set is the
+    colex-first of the sets of least product there."""
     n = len(methods)
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0
     take = np.zeros((max(n, 1), size), dtype=bool)
-    masks: Optional[np.ndarray] = None
-    # one candidate and one difference buffer for the whole table; cells
-    # below a method's weight are never written, as it cannot reach them
+    # one candidate buffer for the whole table; cells below a method's
+    # weight are never written, as it cannot reach them
     cand = np.empty(size)
-    diff = np.empty(size)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # inf * 0 when success is 1
         for j, (m, w) in enumerate(zip(methods, weights)):
             if w >= size:
                 continue
-            reach, prev, gap = cand[w:], minfail[w:], diff[w:]
+            reach, prev = cand[w:], minfail[w:]
             np.multiply(minfail[: size - w], 1.0 - m.success, out=reach)
-            # reach - prev is < 0 exactly where reach < prev, and 0 exactly
-            # where the two are equal and finite: inf - inf and a nan
-            # candidate (inf * 0) give nan, which is neither
-            np.subtract(reach, prev, out=gap)
-            np.less(gap, 0.0, out=take[j, w:])
-            if np.count_nonzero(gap) < gap.size:  # a zero: some cell ties
-                ties = np.flatnonzero(gap == 0.0) + w
-                if masks is None:
-                    masks = _cell_sets(take, weights, j - 1, (n + 63) // 64)
-                live = j // 64 + 1  # the sets hold methods below j only
-                take[j, ties] = _with_j_first(masks[:live, ties - w], masks[:live, ties])
-            if masks is not None:
-                masks = _carry_sets(masks, take[j], j, w)
-            # tied cells hold equal values, so the smaller is the taken one;
-            # fmin passes over a nan candidate, which is never taken
+            # a nan candidate (inf * 0) is never less, so never taken
+            np.less(reach, prev, out=take[j, w:])
+            # fmin passes over a nan candidate
             np.fmin(prev, reach, out=prev)
     return DpTable(methods, weights, scale, minfail, take)
 

@@ -191,8 +191,12 @@ def make_plan(methods: Iterable[AttackMethod], params: AttackerParams) -> Attack
 
 def plan_key(plan: AttackPlan) -> tuple[float, float, tuple[str, ...]]:
     """Total order used to break ties everywhere: higher utility first,
-    then lower total cost, then lexicographically smallest id tuple."""
-    return (-plan.utility, plan.total_cost, plan.methods)
+    then lower total cost, then the colexicographically smallest id set,
+    its ids compared from the largest down. Adding one id above all of a
+    set's ids keeps that order, and a set without an id comes before
+    every set that has it and no larger id, so the DP decides the rule
+    by keeping, on an exact tie, the set without the new method."""
+    return (-plan.utility, plan.total_cost, plan.methods[::-1])
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,7 @@ from cryptomix import (
     make_plan,
     plan_key,
 )
-from cryptomix.attacker import (
-    ACCEPT_PROB,
-    _carry_sets,
-    _cell_sets,
-    _cells,
-    _sorted_methods,
-    _with_j_first,
-)
+from cryptomix.attacker import ACCEPT_PROB, _cells, _sorted_methods
 
 
 def run_python(code: str, hash_seed: str = "0") -> str:
@@ -189,8 +182,11 @@ def reference_dp_table(
     algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """(take, minfail) of build_dp_table, filled with a fresh candidate
-    array, one comparison per outcome and np.where per layer: the oracle
-    for the in-place layer loop."""
+    array, one comparison and np.where per layer: the oracle for the
+    in-place layer loop. A cell takes method j only on a strictly smaller
+    product, so an exact tie keeps the set without j, the colex rule of
+    plan_key; nothing here is shared with the code it checks but the
+    cost cells and the id sort."""
     methods = tuple(_sorted_methods(algorithm))
     n = len(methods)
     scale = config.cost_scale
@@ -200,7 +196,6 @@ def reference_dp_table(
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0
     take = np.zeros((max(n, 1), size), dtype=bool)
-    masks = None
     for j, (m, w) in enumerate(zip(methods, weights)):
         if w >= size:
             continue
@@ -209,13 +204,5 @@ def reference_dp_table(
         with np.errstate(invalid="ignore"):  # inf * 0 when success is 1
             cand[w:] = minfail[: size - w] * keep
         take[j] = cand < minfail
-        ties = np.flatnonzero((cand == minfail) & np.isfinite(minfail))
-        if ties.size:
-            if masks is None:
-                masks = _cell_sets(take, weights, j - 1, (n + 63) // 64)
-            live = j // 64 + 1  # the sets hold methods below j only
-            take[j, ties] = _with_j_first(masks[:live, ties - w], masks[:live, ties])
-        if masks is not None:
-            masks = _carry_sets(masks, take[j], j, w)
         minfail = np.where(take[j], cand, minfail)
     return take, minfail

@@ -23,14 +23,10 @@ from cryptomix import (
     solve_sample_greedy,
 )
 from cryptomix.attacker import (
-    _carry_sets,
-    _cell_sets,
     _cells,
-    _chain_indices,
     _cost_cells,
     _forced_bounds,
     _penalty,
-    _with_j_first,
     build_dp_table,
     dp_table_fits,
     hybrid_plans,
@@ -118,8 +114,9 @@ def test_brute_force_method_guard():
         solve_brute_force(alg, AttackerParams(value=10.0, budget=5.0))
 
 
-def test_equal_tie_prefers_lexicographic_ids():
-    # {a, c} and {b} reach the same success and cost exactly (dyadic floats)
+def test_equal_tie_prefers_colexicographic_ids():
+    # {a, c} and {b} reach the same success and cost exactly (dyadic
+    # floats); compared from the largest id down, (b) comes before (c, a)
     alg = bare_algorithm(
         (
             AttackMethod("a", 0.5, 4.0),
@@ -129,9 +126,9 @@ def test_equal_tie_prefers_lexicographic_ids():
     )
     params = AttackerParams(value=100.0, budget=8.0)
     dp = solve_dp(alg, params, SolverConfig(cost_scale=1))
-    brute = solve_brute_force(alg, params)
-    assert dp == brute
-    assert dp.methods == ("a", "c")
+    assert dp == solve_brute_force(alg, params)
+    assert solve_hybrid(alg, params, SolverConfig(cost_scale=1)) == HybridResult(dp, "dp")
+    assert dp.methods == ("b",)
 
 
 @pytest.mark.parametrize("pad", [1, 62, 63, 64, 127, 130])
@@ -139,15 +136,16 @@ def test_equal_tie_prefers_lexicographic_ids():
     "pattern, budget, expected",
     [
         # {a, c} ties {b}
-        ("xyx", 8.0, ("a", "c")),
-        # {a, b, d} ties {a, c}, a set formed after the first tie
-        ("xxyx", 12.0, ("a", "b", "d")),
+        ("xyx", 8.0, ("b",)),
+        # {a, c} ties {a, b, d}, {b, c} and {c, d}, some of them formed
+        # after the first tie
+        ("xxyx", 12.0, ("a", "c")),
     ],
 )
 def test_tie_rule_in_every_mask_word(pad, pattern, budget, expected):
     # x and y reach the same success and cost exactly as x + x (dyadic
-    # floats); `pad` unaffordable methods with smaller ids move the tied
-    # methods up the 64-bit mask words
+    # floats); `pad` unaffordable methods with smaller ids take part in no
+    # set but move the tied methods' table rows past 64 and 128
     kinds = {"x": (0.5, 4.0), "y": (0.75, 8.0)}
     methods = tuple(
         AttackMethod(chr(ord("a") + i), *kinds[k]) for i, k in enumerate(pattern)
@@ -310,7 +308,7 @@ def test_dp_equals_brute_force_on_random_integer_instances(seed):
     assert dp == brute
 
 
-TIE_SUCCESSES = [k / 8 for k in range(1, 8)]
+TIE_SUCCESSES = [k / 8 for k in range(0, 8)]
 TIE_COSTS = [k / 2 for k in range(0, 7)]
 
 
@@ -319,9 +317,11 @@ TIE_COSTS = [k / 2 for k in range(0, 7)]
 def test_dp_equals_brute_force_on_tie_heavy_instances(data):
     """Methods repeat two or three (success, cost) pairs, so many sets tie
     exactly and only the id rule separates them. Successes are multiples
-    of 1/8 and costs multiples of 0.5 (on the DP's 1/10 grid, 0 included):
-    failure products and cost sums then carry no rounding, so the oracle
-    sees the same exact ties."""
+    of 1/8 below 1 and costs multiples of 0.5 (on the DP's 1/10 grid), 0
+    included in both: failure products and cost sums then carry no
+    rounding, so the oracle sees the same exact ties. Success 1 stays
+    out: its failure factor 0 collapses products the DP dropped earlier,
+    so the two can name other ids."""
     pairs = data.draw(
         st.lists(
             st.tuples(st.sampled_from(TIE_SUCCESSES), st.sampled_from(TIE_COSTS)),
@@ -360,11 +360,30 @@ def test_dp_ranks_failure_products_before_they_round_to_utility():
     assert brute.methods == ("m0", "m1")
 
 
+@pytest.mark.parametrize(
+    "useless, value, budget",
+    [((1e-17, 0.0), 10.0, 1.0), ((0.0, 0.0), 1.0, 0.0)],
+    ids=["rounds-to-nothing", "success-0"],
+)
+def test_a_method_that_adds_nothing_ties_without_it(useless, value, budget):
+    """1 - 1e-17 rounds to 1, as 1 - 0 is 1, so m000 adds nothing to m001
+    at no cost, and {m001} ties {m000, m001} exactly. Lexicographic ids
+    would want the pair, which the DP drops at cell 0 before m001 is
+    tried; the colex rule wants {m001}, and every solver names it."""
+    alg = bare_algorithm((AttackMethod("m000", *useless), AttackMethod("m001", 0.5, budget)))
+    params = AttackerParams(value=value, budget=budget)
+    config = SolverConfig(cost_scale=1)
+    dp = solve_dp(alg, params, config)
+    assert repr(dp) == repr(solve_brute_force(alg, params))
+    assert repr(solve_hybrid(alg, params, config).plan) == repr(dp)
+    assert dp.methods == ("m001",)
+
+
 @st.composite
 def dp_tables(draw):
     """Tie-heavy instances (a few repeated (success, cost) pairs, up to 130
-    methods so the tie fingerprints span three mask words) or random ones
-    with real successes and costs; both can hold success 1 and cost 0."""
+    methods) or random ones with real successes and costs; both can hold
+    success 1 and cost 0."""
     if draw(st.booleans()):
         pairs = draw(
             st.lists(
@@ -418,66 +437,10 @@ def test_dp_penalty_curve_is_phi_bitwise(linear, quadratic, scale, size):
     assert curve.tobytes() == np.array([phi(spec, c / scale) for c in range(size)]).tobytes()
 
 
-def _words(members, words):
-    column = [0] * words
-    for i in members:
-        column[i // 64] |= 1 << (i % 64)
-    return column
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(1, 200).flatmap(
-        lambda j: st.tuples(
-            st.just(j),
-            st.lists(
-                st.tuples(*[st.sets(st.integers(0, j - 1), max_size=12)] * 3),
-                min_size=1,
-                max_size=10,
-            ),
-        )
-    )
-)
-def test_tie_rule_orders_id_tuples(case):
-    # columns a = shared | only_a and b = shared | only_b, as in tied cells
-    j, columns = case
-    words = j // 64 + 1
-    sets_a = [shared | only_a for shared, only_a, _ in columns]
-    sets_b = [shared | only_b for shared, _, only_b in columns]
-    a = np.array([_words(s, words) for s in sets_a], dtype=np.uint64).T
-    b = np.array([_words(s, words) for s in sets_b], dtype=np.uint64).T
-    want = [sorted(sa) + [j] < sorted(sb) for sa, sb in zip(sets_a, sets_b)]
-    assert _with_j_first(a, b).tolist() == want
-
-
-def _members(column):
-    return [64 * k + i for k, word in enumerate(column.tolist()) for i in range(64) if word >> i & 1]
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10_000), st.integers(1, 140))
-def test_cell_sets_match_the_chain_walk(seed, n):
-    # fingerprints from the backward pass and from carrying them forward
-    # both hold the chain set of every cell
-    rng = np.random.default_rng(seed)
-    size = 30
-    weights = [int(w) for w in rng.integers(0, 8, n)]
-    take = np.zeros((n, size), dtype=bool)
-    for i, w in enumerate(weights):
-        take[i, w:] = rng.random(size - w) < 0.3
-    words = (n + 63) // 64
-    masks = _cell_sets(take, weights, -1, words)
-    for j in range(n):
-        masks = _carry_sets(masks, take[j], j, weights[j])
-        if j % 16 == 0 or j == n - 1:
-            assert np.array_equal(masks, _cell_sets(take, weights, j, words))
-            for c in range(size):
-                assert _members(masks[:, c]) == _chain_indices(take, weights, j, c)
-
-
 @pytest.mark.parametrize("n", [70, 130])
 def test_dp_identical_methods_take_the_smallest_ids(n):
-    # every reachable cell ties; 70 and 130 methods need 2 and 3 mask words
+    # every reachable cell ties, and of sets of one size the colex first
+    # holds the smallest ids
     rng = random.Random(n)
     ids = [f"x{i:06d}" for i in rng.sample(range(10**6), n)]
     budget = float(n - 5)
@@ -703,8 +666,7 @@ def test_hybrid_plans_answer_each_budget_as_solve_hybrid(case):
 @pytest.mark.parametrize("cost", [1e18, 1e308], ids=["past-int64", "past-float"])
 def test_dp_skips_a_method_whose_cost_cells_overflow(cost):
     # 1e18 is 1e19 cells, past int64, and 1e308 * 10 is inf; neither weight
-    # reaches a cell. The tie between b and d makes the DP build its set
-    # fingerprints, walking every layer down to the costly a.
+    # reaches a cell, so the costly a changes nothing beside the tied b and d
     tied = (AttackMethod("b", 0.3, 1.0), AttackMethod("d", 0.3, 1.0))
     alg = bare_algorithm((AttackMethod("a", 0.5, cost),) + tied)
     params = AttackerParams(value=300.0, budget=5.0)

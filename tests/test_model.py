@@ -78,9 +78,13 @@ def test_plan_key_orders_by_utility_cost_then_ids():
     low = AttackPlan(("y",), 0.5, 10.0, 39.0)
     cheap = AttackPlan(("y",), 0.5, 9.0, 40.0)
     lex = AttackPlan(("w",), 0.5, 10.0, 40.0)
+    # ids compare from the largest down: ("b",) before ("a", "x")
+    colex = AttackPlan(("b",), 0.5, 10.0, 40.0)
+    pair = AttackPlan(("a", "x"), 0.5, 10.0, 40.0)
     assert plan_key(high) < plan_key(low)
     assert plan_key(cheap) < plan_key(high)
     assert plan_key(lex) < plan_key(high)
+    assert plan_key(colex) < plan_key(pair)
 
 
 def test_validate_accepts_bundled(instance):

@@ -1,4 +1,6 @@
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,24 @@ def test_distribution_is_named_after_the_package():
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     assert project["name"] == "cryptomix"
     assert project["version"] == cryptomix.__version__
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # under the repo's filterwarnings, the deprecation warning that
+    # hypothesis' report hook raises must not end the run in INTERNALERROR
+    # before the falsifying example is printed
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n",
+        encoding="utf-8",
+    )
+    command = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(PYPROJECT)]
+    command += ["--rootdir", str(tmp_path), "test_fails.py"]
+    result = subprocess.run(command, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
