@@ -223,6 +223,11 @@ def build_dp_table(
     without the new method, the colexicographically smaller id set
     (plan_key).
     """
+    return _fill_table(*_table_shape(algorithm, budget, config), config.cost_scale)
+
+
+def _table_shape(algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig):
+    """build_dp_table's methods, weights and table size, and its errors."""
     if budget < 0:
         raise BudgetNegative(f"budget {budget} is negative")
     methods = tuple(_sorted_methods(algorithm))
@@ -236,8 +241,7 @@ def build_dp_table(
         )
     # a weight at or past the table size reaches no cell and its method is
     # skipped, so capping weights at the size keeps them small ints
-    weights = _cost_cells([m.cost for m in methods], scale, size)
-    return _fill_table(methods, weights, size, scale)
+    return methods, _cost_cells([m.cost for m in methods], scale, size), size
 
 
 def _fill_table(
@@ -278,23 +282,16 @@ def dp_plans(
 
     The utility value * (1 - minfail[c]) - phi(c / scale) is computed once
     for every cell; a budget's answer is the first cell of highest utility
-    among the cells it covers, then the chain walk from that cell.
-
-    At a value <= 0, with phi's coefficients >= 0, no method adds utility
-    and none costs less than nothing, so the ranking's unique best plan is
-    the empty one, and it is the answer: the smallest failure product at
-    a cell is then the worst set there, not the best.
+    among the cells it covers, then the chain walk from that cell. Callers
+    answer params where _empty_best holds themselves, without a table.
     """
     scale = table.cost_scale
     size = table.minfail.size
-    spec = params.cost_fn
-    empty = params.value <= 0 and spec.linear_coeff >= 0 and spec.quadratic_coeff >= 0
-    if not empty:
-        penalty = _penalty(spec, np.arange(size) / scale)
-        # unreachable cells (minfail = inf) are -inf, whatever the value's sign
-        reachable = table.minfail < np.inf
-        utility = np.full(size, -np.inf)
-        utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
+    penalty = _penalty(params.cost_fn, np.arange(size) / scale)
+    # unreachable cells (minfail = inf) are -inf, whatever the value's sign
+    reachable = table.minfail < np.inf
+    utility = np.full(size, -np.inf)
+    utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
     n = len(table.methods)
     plans = []
     made: dict[int, AttackPlan] = {}  # by best cell: budgets often share one
@@ -304,9 +301,6 @@ def dp_plans(
         cells = _cells(budget, scale, up=False) + 1
         if cells > size:
             raise ValueError(f"budget {budget} needs {cells} cost cells, the table has {size}")
-        if empty:
-            plans.append(make_plan((), params))
-            continue
         # cell 0 is not necessarily the empty set: zero-cost methods land there
         best = int(utility[:cells].argmax())
         if best not in made:
@@ -326,7 +320,19 @@ def solve_dp(
     budget, from a table built at that budget. Costs are rounded up to
     whole cells and the budget down (_cells), so the plan keeps to the real
     budget; on the 1/scale grid nothing is rounded."""
-    return dp_plans(build_dp_table(algorithm, params.budget, config), params, (params.budget,))[0]
+    shape = _table_shape(algorithm, params.budget, config)
+    if _empty_best(params):
+        return make_plan((), params)
+    return dp_plans(_fill_table(*shape, config.cost_scale), params, (params.budget,))[0]
+
+
+def _empty_best(params: AttackerParams) -> bool:
+    """At a value <= 0, with phi's coefficients >= 0, no method adds utility
+    and none costs less than nothing: the empty plan is the unique best at
+    every budget, and dp_plans' ranking does not apply (the smallest
+    failure product at a cell is then the worst set there, not the best)."""
+    spec = params.cost_fn
+    return params.value <= 0 and spec.linear_coeff >= 0 and spec.quadratic_coeff >= 0
 
 
 def _coins(rng_seed: int, coins: Optional[Iterable[float]]) -> Iterator[float]:
@@ -601,6 +607,9 @@ def hybrid_plans(
                 groups = [(routed, union)]
             else:
                 groups = [([row], kept[row]) for row in routed]
+        if _empty_best(params):  # the answer at every DP budget, without a table
+            plans.update((tabled[row][1], make_plan((), params)) for row in routed)
+            groups = []
         for rows, keep in groups:
             at = np.flatnonzero(keep).tolist()
             table = _fill_table(

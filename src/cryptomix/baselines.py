@@ -17,7 +17,7 @@ from .defender import (
     defender_polytope,
     make_report,
 )
-from .lp import LinearProgram, solve_lp
+from .lp import LinearProgram, _optimal_point
 from .model import GameInstance, MixedStrategy
 
 SINGLE_OBJECTIVES = ("min_op_cost", "min_latency", "max_resilience")
@@ -46,12 +46,8 @@ class ComparisonRow:
 def _solve_over_polytope(
     instance: GameInstance, sense: str, objective: Sequence[float]
 ) -> MixedStrategy:
-    program = LinearProgram(
-        sense=sense,
-        objective=tuple(objective),
-        constraints=defender_polytope(instance),
-    )
-    return MixedStrategy(probs=solve_lp(program, "baseline LP").values)
+    program = LinearProgram(sense, tuple(objective), defender_polytope(instance))
+    return MixedStrategy(probs=_optimal_point(program, "baseline LP")[0])
 
 
 def random_vertex_strategy(instance: GameInstance, rng_seed: int) -> MixedStrategy:

@@ -99,7 +99,14 @@ def evaluate_budgets(
 
 def defender_polytope(instance: GameInstance) -> tuple[Constraint, ...]:
     """Labeled constraints of the feasible deployment region: simplex,
-    four resource caps, a resilience floor, and one cap per family."""
+    four resource caps, a resilience floor, and one cap per family.
+
+    Built once per instance and kept on it, as the instance is frozen down
+    to its family caps, so every LP over one instance shares the tuple and
+    finds its cached model (lp._prebuilt) by identity."""
+    polytope = vars(instance).get("_polytope")
+    if polytope is not None:
+        return polytope
     algs = instance.algorithms
     n = len(algs)
     b = instance.budgets
@@ -114,7 +121,10 @@ def defender_polytope(instance: GameInstance) -> tuple[Constraint, ...]:
     for fam in sorted({a.family for a in algs}):
         row = tuple(1.0 if a.family == fam else 0.0 for a in algs)
         cons.append(Constraint(row, "<=", instance.budgets.cap(fam), f"family:{fam}"))
-    return tuple(cons)
+    polytope = tuple(cons)
+    # threads racing to the first call may each build one; all are equal
+    object.__setattr__(instance, "_polytope", polytope)
+    return polytope
 
 
 def build_defender_lp(

@@ -3,8 +3,14 @@
 Programs are built from labeled constraints so downstream reports can name
 which constraints bind at an optimum. The dual simplex returns a basic
 feasible solution, so vertex solutions are deterministic for a fixed
-program. solve_lp answers only with an optimum: every other outcome
-raises NotOptimal, or its subclass InfeasibleDefender.
+program. Every LP takes one path (_optimum): its cost on the model of its
+constraint set, built once (_prebuilt, an LRU of 64 keyed by content; the
+defender polytope, kept per instance, hits it by identity), one cold
+HiGHS run, and the status and feasibility checks. Only an optimum comes
+back: every other outcome raises NotOptimal, or its subclass
+InfeasibleDefender. solve_lp reads it into a full LpSolution: point,
+objective, binding labels, duals and bound marginals. _optimal_point
+reads only the point and objective, for callers that need nothing else.
 
 The layer loads only scipy's HiGHS extension module
 (scipy.optimize._highspy._core), at the first LP, and never
@@ -167,9 +173,10 @@ class _Form(NamedTuple):
     """The rows and bounds of a program as scipy.optimize.linprog hands
     them to HiGHS: the <= rows and the negated >= rows (the first n_ub rows
     of matrix, at most rhs), then the = rows, and lower <= x <= upper with
-    None bounds as -inf/+inf. labels names the rows in that order. The
-    objective is not part of it (_cost), so one form serves every program
-    over the same constraints and bounds."""
+    None bounds as -inf/+inf. The objective is not part of it (_cost), so
+    one form serves every program over the same constraints and bounds.
+    labels names the constraints in program order; rows[k] is the row of
+    constraint k and sign[k] is -1.0 where that row was negated."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -177,6 +184,8 @@ class _Form(NamedTuple):
     lower: np.ndarray
     upper: np.ndarray
     labels: tuple[str, ...]
+    rows: np.ndarray
+    sign: np.ndarray
 
 
 _NOT_FINITE = "LP objective, coefficients and right-hand sides must be finite"
@@ -184,9 +193,10 @@ _NOT_FINITE = "LP objective, coefficients and right-hand sides must be finite"
 
 def _form(lp: LinearProgram) -> _Form:
     n = lp.num_vars
-    rows = [con for con in lp.constraints if con.relation != "="]
-    n_ub = len(rows)
-    rows += [con for con in lp.constraints if con.relation == "="]
+    # the inequality rows, then the equalities, each in program order
+    order = sorted(range(len(lp.constraints)), key=lambda k: lp.constraints[k].relation == "=")
+    rows = [lp.constraints[k] for k in order]
+    n_ub = sum(con.relation != "=" for con in rows)
     matrix = np.array([con.coeffs for con in rows], dtype=float).reshape(len(rows), n)
     rhs = np.array([con.rhs for con in rows], dtype=float)
     negated = np.array([con.relation == ">=" for con in rows], dtype=bool)
@@ -200,9 +210,12 @@ def _form(lp: LinearProgram) -> _Form:
     lower, upper = np.array(lp.bounds_list(), dtype=float).T  # None becomes NaN
     lower[np.isnan(lower)] = -np.inf
     upper[np.isnan(upper)] = np.inf
-    for array in (matrix, rhs, lower, upper):
+    row_of = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.intp)
+    sign = np.array([-1.0 if con.relation == ">=" else 1.0 for con in lp.constraints])
+    for array in (matrix, rhs, lower, upper, row_of, sign):
         array.setflags(write=False)
-    return _Form(matrix, rhs, n_ub, lower, upper, tuple(con.label for con in rows))
+    labels = tuple(con.label for con in lp.constraints)
+    return _Form(matrix, rhs, n_ub, lower, upper, labels, row_of, sign)
 
 
 def _cost(lp: LinearProgram) -> np.ndarray:
@@ -254,16 +267,16 @@ def _prebuilt_for(lp: LinearProgram):
 
 
 class _Run(NamedTuple):
-    """What one HiGHS run reports; the point, the row duals and the bound
-    marginals are None unless the model status is optimal."""
+    """What one HiGHS run reports; past the iteration count, None unless
+    the model status is optimal. solution and basis are HiGHS's records,
+    copied, whose duals and column statuses only solve_lp reads."""
 
     status: Any  # HighsModelStatus
     nit: int
     x: Optional[np.ndarray] = None
     fun: float = math.nan
-    row_dual: Optional[np.ndarray] = None
-    marg_lower: Optional[np.ndarray] = None
-    marg_upper: Optional[np.ndarray] = None
+    solution: Any = None  # HighsSolution
+    basis: Any = None  # HighsBasis
 
 
 def linprog(model) -> _Run:
@@ -278,43 +291,34 @@ def linprog(model) -> _Run:
     if highs.run() == core.HighsStatus.kError:
         return _Run(highs.getModelStatus(), 0)
     status = highs.getModelStatus()
-    info = highs.getInfo()
-    nit = info.simplex_iteration_count or info.ipm_iteration_count
     if status != core.HighsModelStatus.kOptimal:
-        return _Run(status, nit)
+        info = highs.getInfo()
+        return _Run(status, info.simplex_iteration_count or info.ipm_iteration_count)
+    # an optimum's info is valid, so these single reads give the fields of
+    # getInfo() without copying the whole record
+    nit = highs.getInfoValue("simplex_iteration_count")[1]
+    nit = nit or highs.getInfoValue("ipm_iteration_count")[1]
     solution = highs.getSolution()
-    col_dual = solution.col_dual
-    # bound marginals from the basis column status, as scipy reports them
-    marg_lower = np.zeros(model.num_col_)
-    marg_upper = np.zeros(model.num_col_)
-    for j, col_status in enumerate(highs.getBasis().col_status):
-        if col_status == core.HighsBasisStatus.kLower:
-            marg_lower[j] = col_dual[j]
-        elif col_status == core.HighsBasisStatus.kUpper:
-            marg_upper[j] = col_dual[j]
     return _Run(
         status,
         nit,
         np.array(solution.col_value),
-        info.objective_function_value,
-        np.array(solution.row_dual),
-        marg_lower,
-        marg_upper,
+        highs.getObjectiveValue(),
+        solution,
+        highs.getBasis(),
     )
 
 
 def _feasible(form: _Form, run: _Run) -> bool:
     """scipy's _check_result for an optimal run: no NaN, and x within its
-    bounds and rows up to _CHECK_TOL."""
+    bounds and rows up to _CHECK_TOL (a NaN fails every comparison)."""
     x = run.x
     slack = form.rhs - form.matrix @ x
-    if np.isnan(x).any() or math.isnan(run.fun) or np.isnan(slack).any():
-        return False
-    return not (
-        (x < form.lower - _CHECK_TOL).any()
-        or (x > form.upper + _CHECK_TOL).any()
-        or (slack[: form.n_ub] < -_CHECK_TOL).any()
-        or (np.abs(slack[form.n_ub :]) > _CHECK_TOL).any()
+    return not math.isnan(run.fun) and bool(
+        (x >= form.lower - _CHECK_TOL).all()
+        and (x <= form.upper + _CHECK_TOL).all()
+        and (slack[: form.n_ub] >= -_CHECK_TOL).all()
+        and (np.abs(slack[form.n_ub :]) <= _CHECK_TOL).all()
     )
 
 
@@ -325,27 +329,13 @@ def _binding(form: _Form, x: np.ndarray) -> tuple[str, ...]:
     same distance."""
     near = np.abs(form.matrix @ x - form.rhs) <= BIND_EPS * (1.0 + np.abs(form.rhs))
     near[form.n_ub :] = True
-    return tuple(sorted({label for label, hit in zip(form.labels, near.tolist()) if hit}))
+    hits = near[form.rows].tolist()
+    return tuple(sorted({label for label, hit in zip(form.labels, hits) if hit}))
 
 
-def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
-    """Solve with HiGHS dual simplex and report a vertex optimum.
-
-    The program, options, outcome, point, duals and bound marginals are
-    those of scipy.optimize.linprog(method="highs-ds"), without its
-    per-call set-up: one HiGHS object holds the options, each constraint
-    set is laid out once (_prebuilt), and the program goes to HiGHS as it
-    is (_form). Only an optimum is returned. An infeasible program (or a
-    HiGHS model error) raises InfeasibleDefender and an unbounded one
-    NotOptimal, both naming `context` (such as "scenario k=20: breach
-    LP"). Any other solver failure, and an optimal point that breaks a
-    bound or row, which scipy reports as failed, raise RuntimeError. Safe
-    to call from several threads; the solves themselves run one at a time.
-
-    Duals are reported in canonical min form regardless of lp.sense, so a
-    binding <= constraint always has a nonpositive multiplier effect on
-    the minimized objective.
-    """
+def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run]:
+    """The one solve path of every LP: the cost on the cached model, one
+    cold run under _LOCK, and solve_lp's outcomes; returns only optima."""
     core, _ = _highs()
     form, model = _prebuilt_for(lp)
     cost = _cost(lp)
@@ -366,24 +356,49 @@ def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
         raise RuntimeError(
             f"LP solver failed: its optimal point breaks a bound or row by more than {_CHECK_TOL:.2E}"
         )
+    return form, run
 
-    values = tuple(float(v) for v in run.x)
-    duals: dict[str, float] = {}
-    ineq_duals, eq_duals = iter(run.row_dual[: form.n_ub]), iter(run.row_dual[form.n_ub :])
-    for con in lp.constraints:
-        if con.relation == "=":
-            duals[con.label] = float(next(eq_duals))
-        else:
-            raw = float(next(ineq_duals))
-            # >= rows were negated on the way in; flip the dual back
-            duals[con.label] = raw if con.relation == "<=" else -raw
+
+def _optimal_point(lp: LinearProgram, context: str) -> tuple[tuple[float, ...], float]:
+    """solve_lp's values and objective_value alone, for callers that read
+    no duals, binding labels or bound marginals."""
+    _, run = _optimum(lp, context)
+    return tuple(run.x.tolist()), float(np.dot(lp.objective, run.x))
+
+
+def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
+    """Solve with HiGHS dual simplex and report a vertex optimum.
+
+    The program, options, outcome, point, duals and bound marginals are
+    those of scipy.optimize.linprog(method="highs-ds"), without its
+    per-call set-up: one HiGHS object holds the options, and the program
+    goes to HiGHS as it is (_form). An infeasible program (or a HiGHS
+    model error) raises InfeasibleDefender and an unbounded one
+    NotOptimal, both naming `context` (such as "scenario k=20: breach
+    LP"). Any other solver failure, and an optimal point that breaks a
+    bound or row, which scipy reports as failed, raise RuntimeError. Safe
+    to call from several threads; the solves themselves run one at a time.
+
+    Duals are reported in canonical min form regardless of lp.sense, so a
+    binding <= constraint always has a nonpositive multiplier effect on
+    the minimized objective.
+    """
+    core, _ = _highs()
+    form, run = _optimum(lp, context)
+    # >= rows were negated on the way in; their duals are flipped back
+    duals = (np.array(run.solution.row_dual)[form.rows] * form.sign).tolist()
+    # bound marginals from the basis column status, as scipy reports them
+    col_dual = np.array(run.solution.col_dual)
+    col_status = np.array([int(status) for status in run.basis.col_status])
+    at_lower = col_status == int(core.HighsBasisStatus.kLower)
+    at_upper = col_status == int(core.HighsBasisStatus.kUpper)
     return LpSolution(
-        values=values,
+        values=tuple(run.x.tolist()),
         objective_value=float(np.dot(lp.objective, run.x)),
         binding=_binding(form, run.x),
-        duals=duals,
-        reduced_lower=tuple(float(v) for v in run.marg_lower),
-        reduced_upper=tuple(float(v) for v in run.marg_upper),
+        duals=dict(zip(form.labels, duals)),
+        reduced_lower=tuple(np.where(at_lower, col_dual, 0.0).tolist()),
+        reduced_upper=tuple(np.where(at_upper, col_dual, 0.0).tolist()),
     )
 
 
@@ -393,23 +408,26 @@ def alternate_optimum_gap(lp: LinearProgram, solution: LpSolution) -> float:
     Pins the objective to its optimal value and, for each coordinate,
     maximizes and minimizes that coordinate over the optimal face. A gap
     near zero certifies the optimal vertex is unique. A probe that ends
-    without an optimum raises NotOptimal naming it.
+    without an optimum raises NotOptimal naming it, also an infeasible
+    one: the face holds the optimum, so that is a solver fault.
     """
     n = lp.num_vars
     pinned = lp.constraints + (
         Constraint(lp.objective, "=", solution.objective_value, "pinned-objective"),
     )
+
+    def probe(sense: str, i: int) -> float:
+        unit = tuple(1.0 if j == i else 0.0 for j in range(n))
+        context = f"optimal face probe: {sense} x[{i}]"
+        program = LinearProgram(sense, unit, pinned, lp.lower_bounds, lp.upper_bounds)
+        try:
+            return _optimal_point(program, context)[1]
+        except InfeasibleDefender:
+            raise NotOptimal(f"{context} ended infeasible or with a model error") from None
+
     gap = 0.0
     for i in range(n):
-        unit = tuple(1.0 if j == i else 0.0 for j in range(n))
-        hi, lo = (
-            solve_lp(
-                LinearProgram(sense, unit, pinned, lp.lower_bounds, lp.upper_bounds),
-                f"optimal face probe: {sense} x[{i}]",
-            )
-            for sense in ("max", "min")
-        )
-        gap = max(gap, hi.objective_value - lo.objective_value)
+        gap = max(gap, probe("max", i) - probe("min", i))
     return gap
 
 

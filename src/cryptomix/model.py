@@ -10,6 +10,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 # a probability at or below this is outside a strategy's support
@@ -81,6 +82,15 @@ class DefenderBudgets:
     t_max: float
     r_min: float
     family_caps: Mapping[int, float]
+
+    def __post_init__(self) -> None:
+        # read-only over a copy: a polytope kept on the instance stays valid
+        object.__setattr__(self, "family_caps", MappingProxyType(dict(self.family_caps)))
+
+    def __reduce__(self):
+        # a mappingproxy neither pickles nor deep-copies: rebuild from a dict
+        caps = (self.c_op_max, self.c_cpu_max, self.c_mem_max, self.t_max, self.r_min)
+        return type(self), (*caps, dict(self.family_caps))
 
     def cap(self, family: int) -> float:
         # families without a declared cap are uncapped

@@ -21,7 +21,7 @@ from .defender import (
     evaluate_budgets,
     expected_breach,
 )
-from .lp import Constraint, LinearProgram, solve_lp
+from .lp import Constraint, LinearProgram, _optimal_point, solve_lp
 from .model import GameInstance, MixedStrategy, ScenarioSet, make_plan
 
 
@@ -92,13 +92,14 @@ def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTa
     for k, evals in zip(scenarios.budgets, rows):
         util_row = tuple(ev.utility for ev in evals)
         breach_row = tuple(ev.p_succ_star for ev in evals)
-        opt = solve_lp(LinearProgram("max", util_row, polytope), f"scenario k={k:g}: LP")
-        low = solve_lp(LinearProgram("min", breach_row, polytope), f"scenario k={k:g}: breach LP")
+        label = f"scenario k={k:g}"
+        best, optimum = _optimal_point(LinearProgram("max", util_row, polytope), f"{label}: LP")
+        _, floor = _optimal_point(LinearProgram("min", breach_row, polytope), f"{label}: breach LP")
         utilities.append(util_row)
         breach.append(breach_row)
-        optima.append(opt.objective_value)
-        strategies.append(opt.values)
-        min_breach.append(low.objective_value)
+        optima.append(optimum)
+        strategies.append(best)
+        min_breach.append(floor)
         evals_all.append(evals)
     return ScenarioTable(
         budgets=scenarios.budgets,
@@ -159,10 +160,9 @@ def build_regret_lp(instance: GameInstance, table: ScenarioTable) -> LinearProgr
 
 
 def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> RegretReport:
-    program = build_regret_lp(instance, table)
-    solution = solve_lp(program, "minimax-regret LP")
+    values, _ = _optimal_point(build_regret_lp(instance, table), "minimax-regret LP")
     n = len(instance.algorithms)
-    probs = tuple(solution.values[:n])
+    probs = values[:n]
     regrets = tuple(
         opt - sum(p * u for p, u in zip(probs, util_row))
         for opt, util_row in zip(table.optima, table.utilities)
@@ -170,7 +170,7 @@ def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> Regret
     return RegretReport(
         strategy=MixedStrategy(probs=probs),
         per_scenario_regret=regrets,
-        max_regret=solution.values[n],
+        max_regret=values[n],
     )
 
 

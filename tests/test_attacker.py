@@ -31,6 +31,7 @@ from cryptomix.attacker import (
     dp_table_fits,
     hybrid_plans,
 )
+import cryptomix.attacker
 from cryptomix.model import make_plan, phi
 from helpers import (
     bare_algorithm,
@@ -69,6 +70,30 @@ def test_a_free_method_at_a_nonpositive_value_is_left_out(value):
     want = repr(solve_brute_force(alg, params))
     assert repr(solve_dp(alg, params)) == want
     assert repr(solve_hybrid(alg, params).plan) == want
+
+
+@pytest.mark.parametrize("value", [0.0, -5.0])
+def test_a_nonpositive_value_fills_no_table(monkeypatch, instance, value):
+    """dp_plans answers the empty plan at such a value without reading the
+    table, so neither solve_dp nor hybrid_plans fills one; the budget and
+    table-size errors stay."""
+
+    def fail(*args):
+        raise AssertionError("a DP table was filled")
+
+    monkeypatch.setattr(cryptomix.attacker, "_fill_table", fail)
+    alg = next(a for a in instance.algorithms if a.id == "aes256-gcm")
+    params = AttackerParams(value=value, budget=40.0)
+    empty = repr(make_plan((), params))
+    assert repr(solve_dp(alg, params)) == empty
+    results = hybrid_plans(alg, params, (0.0, 12.5, 40.0))
+    assert [(repr(r.plan), r.solver) for r in results] == [(empty, "dp")] * 3
+    with pytest.raises(BudgetNegative):
+        solve_dp(alg, replace(params, budget=-1.0))
+    with pytest.raises(BudgetNegative):
+        hybrid_plans(alg, params, (5.0, -1.0))
+    with pytest.raises(TableTooLarge):
+        solve_dp(alg, params, SolverConfig(max_table_cells=100))
 
 
 def test_dp_zero_budget_returns_empty(worked_algorithm):

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cryptomix.defender
+import cryptomix.baselines
 import cryptomix.lp
 import cryptomix.robust
 from cryptomix import (
+    SINGLE_OBJECTIVES,
     Constraint,
     InfeasibleDefender,
     LinearProgram,
@@ -22,10 +23,14 @@ from cryptomix import (
     NotOptimal,
     ScenarioSet,
     alternate_optimum_gap,
+    breach_regret_matrix,
     check_dual_certificate,
     compare_strategies,
     defender_polytope,
     evaluate_all,
+    load_bundled_scenario,
+    random_vertex_strategy,
+    regret_matrix,
     scenario_table,
     single_objective_strategy,
     solve_lp,
@@ -172,16 +177,16 @@ def test_lp_sites_raise_infeasible(instance, feasible_table, context, site):
         site(tight, feasible_table)
 
 
-def fake_unbounded_runs(monkeypatch, which=None):
-    """Make HiGHS report an unbounded program: on every run from now on, or
-    only on the `which`-th of them, counted from 1."""
+def fake_runs(monkeypatch, which=None, status="kUnbounded"):
+    """Make HiGHS report a model status, unbounded unless named: on every
+    run from now on, or only on the `which`-th of them, counted from 1."""
     original = cryptomix.lp.linprog
     calls = itertools.count(1)
 
     def run(model):
         if which is None or next(calls) == which:
             core, _ = cryptomix.lp._highs()
-            return cryptomix.lp._Run(core.HighsModelStatus.kUnbounded, 0)
+            return cryptomix.lp._Run(getattr(core.HighsModelStatus, status), 0)
         return original(model)
 
     monkeypatch.setattr(cryptomix.lp, "linprog", run)
@@ -189,7 +194,7 @@ def fake_unbounded_runs(monkeypatch, which=None):
 
 @pytest.mark.parametrize("context, site", LP_SITES, ids=SITE_IDS)
 def test_lp_sites_raise_not_optimal(monkeypatch, instance, feasible_table, context, site):
-    fake_unbounded_runs(monkeypatch)
+    fake_runs(monkeypatch)
     with pytest.raises(NotOptimal, match=context + " ended with status 'unbounded'") as raised:
         site(instance, feasible_table)
     assert type(raised.value) is NotOptimal
@@ -197,7 +202,7 @@ def test_lp_sites_raise_not_optimal(monkeypatch, instance, feasible_table, conte
 
 def test_scenario_breach_lp_raises_not_optimal(monkeypatch, instance, scenarios):
     # the scenario table solves the first budget's utility LP, then its breach LP
-    fake_unbounded_runs(monkeypatch, which=2)
+    fake_runs(monkeypatch, which=2)
     with pytest.raises(NotOptimal, match="scenario k=11: breach LP ended"):
         scenario_table(instance, scenarios)
 
@@ -206,10 +211,23 @@ def test_alternate_optimum_gap_names_a_failed_probe(monkeypatch):
     lp = simple_max()
     sol = solve_lp(lp)
     # the probes run max x[0], min x[0], max x[1], min x[1]
-    fake_unbounded_runs(monkeypatch, which=4)
+    fake_runs(monkeypatch, which=4)
     context = r"optimal face probe: min x\[1\]"
     with pytest.raises(NotOptimal, match=f"^{context} ended with status 'unbounded'$"):
         alternate_optimum_gap(lp, sol)
+
+
+@pytest.mark.parametrize("status", ["kInfeasible", "kModelError"])
+def test_alternate_optimum_gap_reports_an_infeasible_probe_as_not_optimal(monkeypatch, status):
+    # the optimal face holds the solution, so an infeasible probe is a
+    # solver fault (exit 3), not an empty resource polytope (exit 2)
+    lp = simple_max()
+    sol = solve_lp(lp)
+    fake_runs(monkeypatch, which=2, status=status)
+    context = r"optimal face probe: min x\[0\]"
+    with pytest.raises(NotOptimal, match=f"^{context} ended infeasible or with a model error$") as raised:
+        alternate_optimum_gap(lp, sol)
+    assert type(raised.value) is NotOptimal
 
 
 # ------------------------------------------------ HiGHS bindings vs linprog
@@ -576,29 +594,116 @@ print(answers[0])
 # --------------------------------------------------- dual certificates
 
 
+def record_programs(mp):
+    """Record every program that reaches the LP layer's one solve path,
+    whichever reader called it; returns the list it appends to."""
+    programs = []
+    original = cryptomix.lp._optimum
+
+    def recording(lp, context):
+        programs.append(lp)
+        return original(lp, context)
+
+    mp.setattr(cryptomix.lp, "_optimum", recording)
+    return programs
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_dual_certificates_on_random_instances(seed):
     """Every LP of the defender and robust layers, through solve_lp's dual
-    and bound-marginal extraction, satisfies stationarity."""
+    and bound-marginal extraction, satisfies stationarity. The layers read
+    only the point of some of them, so each recorded program is solved
+    again through solve_lp."""
     rng = np.random.default_rng(seed)
     inst = random_feasible_instance(rng)
     budgets = tuple(sorted({float(k) for k in rng.integers(0, 61, 3)}))
-    solved = []
-
-    def recording(lp, context="LP"):
-        solved.append((lp, solve_lp(lp, context)))
-        return solved[-1][1]
-
     with pytest.MonkeyPatch.context() as mp:
-        for layer in (cryptomix.defender, cryptomix.robust):
-            mp.setattr(layer, "solve_lp", recording)
+        programs = record_programs(mp)
         solve_stackelberg(inst)
         table = scenario_table(inst, ScenarioSet(budgets))
         solve_minimax_regret(inst, table)
         solve_maximin(inst, table)
         solve_unconstrained_case(inst)
     # 1 + 2 per budget (utility and breach LPs) + regret, maximin, unconstrained
-    assert len(solved) == 1 + 2 * len(budgets) + 3
-    for lp, sol in solved:
-        assert check_dual_certificate(lp, sol) <= 1e-7
+    assert len(programs) == 1 + 2 * len(budgets) + 3
+    for lp in programs:
+        assert check_dual_certificate(lp, solve_lp(lp)) <= 1e-7
+
+
+# ------------------------------------- point-only reads and one polytope
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.randoms(use_true_random=False))
+def test_point_reads_equal_solve_lp(seed, rng):
+    """Every LP whose caller reads only the point and objective (scenario,
+    minimax-regret, baseline and optimal-face programs) answers bitwise
+    what solve_lp answers for the same program, solved again in a shuffled
+    order; the polytope is kept per instance and equals a fresh build."""
+    nprng = np.random.default_rng(seed)
+    inst = random_feasible_instance(nprng)
+    budgets = tuple(sorted({float(k) for k in nprng.integers(0, 61, 3)}))
+    polytope = defender_polytope(inst)
+    assert defender_polytope(inst) is polytope
+    assert defender_polytope(replace(inst)) == polytope
+    assert defender_polytope(replace(inst)) is not polytope
+
+    read = []
+    original = cryptomix.lp._optimal_point
+
+    def recording(lp, context):
+        read.append((lp, original(lp, context)))
+        return read[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cryptomix.lp, cryptomix.baselines, cryptomix.robust):
+            mp.setattr(module, "_optimal_point", recording)
+        table = scenario_table(inst, ScenarioSet(budgets))
+        solve_minimax_regret(inst, table)
+        for s in range(3):
+            random_vertex_strategy(inst, s)
+        for name in SINGLE_OBJECTIVES:
+            single_objective_strategy(inst, name)
+        eq = solve_stackelberg(inst)
+        alternate_optimum_gap(eq.program, eq.solution)
+    n = len(inst.algorithms)
+    assert len(read) == 2 * len(budgets) + 1 + 3 + len(SINGLE_OBJECTIVES) + 2 * n
+    rng.shuffle(read)
+    for lp, (values, objective) in read:
+        full = solve_lp(lp)
+        assert bitwise(values) == bitwise(full.values)
+        assert objective.hex() == full.objective_value.hex()
+
+
+def test_reference_session_lp_and_polytope_counts():
+    """The analyst session of the benchmark's reference workload on the
+    bundled scenario, with 50 fixed vertex seeds: 68 HiGHS runs, and every
+    LP over the defender polytope on the one tuple built for the
+    instance."""
+    inst, scenarios = load_bundled_scenario()  # a fresh instance, no polytope kept
+    runs = []
+    original = cryptomix.lp.linprog
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cryptomix.lp, "linprog", lambda model: runs.append(model) or original(model))
+        programs = record_programs(mp)
+        eq = solve_stackelberg(inst)
+        table = scenario_table(inst, scenarios)
+        mmr = solve_minimax_regret(inst, table)
+        maximin = solve_maximin(inst, table)
+        solve_unconstrained_case(inst)
+        extras = [("mmr", mmr.strategy.probs), ("maximin", maximin.strategy.probs)]
+        regret_matrix(inst, table, extras)
+        breach_regret_matrix(inst, table, extras)
+        strategies = [(f"random-{s}", random_vertex_strategy(inst, s).probs) for s in range(50)]
+        strategies += [
+            (name, single_objective_strategy(inst, name).probs) for name in SINGLE_OBJECTIVES
+        ]
+        compare_strategies(inst, strategies, eq.evaluations)
+    # stackelberg, 2 per scenario, regret, maximin, unconstrained, 50
+    # vertices, 3 single objectives and the comparison's leader LP
+    assert len(runs) == len(programs) == 1 + 2 * len(scenarios) + 3 + 50 + 3 + 1 == 68
+    polytope = defender_polytope(inst)
+    over_polytope = [lp for lp in programs if lp.num_vars == len(inst.algorithms)]
+    assert len(over_polytope) == 66  # all but the two epigraph LPs
+    assert all(lp.constraints is polytope for lp in over_polytope)

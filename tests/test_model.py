@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from cryptomix import (
     AttackPlan,
     AttackerParams,
     CostFunctionSpec,
+    defender_polytope,
     make_plan,
     phi,
     plan_key,
@@ -142,6 +145,39 @@ def test_validate_flags_negative_attacker_budget(instance):
     attacker = dataclasses.replace(instance.attacker, budget=-1.0)
     report = validate_instance(dataclasses.replace(instance, attacker=attacker))
     assert any("attacker budget" in v for v in report.violations)
+
+
+def test_family_caps_are_read_only(instance):
+    caps = {1: 0.5}
+    budgets = dataclasses.replace(instance.budgets, family_caps=caps)
+    caps[1] = 0.9  # the budgets hold a copy
+    assert budgets.cap(1) == 0.5
+    with pytest.raises(TypeError):
+        budgets.family_caps[1] = 0.9
+    with pytest.raises(TypeError):
+        del instance.budgets.family_caps[next(iter(instance.budgets.family_caps))]
+    assert budgets.family_caps == {1: 0.5}
+
+
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy])
+def test_instances_pickle_and_deep_copy(instance, clone):
+    polytope = defender_polytope(instance)
+    twin = clone(instance)
+    assert twin == instance and repr(twin) == repr(instance)
+    assert defender_polytope(twin) == polytope
+    with pytest.raises(TypeError):
+        twin.budgets.family_caps[1] = 0.9
+
+
+def test_replaced_budgets_get_their_own_polytope(instance):
+    caps = {fam: 0.5 for fam in instance.budgets.family_caps}
+    tighter = dataclasses.replace(
+        instance, budgets=dataclasses.replace(instance.budgets, family_caps=caps)
+    )
+    polytope = defender_polytope(tighter)
+    assert polytope is not defender_polytope(instance)
+    assert {con.rhs for con in polytope if con.label.startswith("family:")} == {0.5}
+    assert defender_polytope(tighter) is polytope
 
 
 def test_uncapped_family_defaults_to_one(instance):
