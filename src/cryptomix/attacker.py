@@ -84,7 +84,7 @@ _SURE_MASS = 53 * math.log(2.0)
 class SolverConfig:
     """The attacker solvers' settings: the DP's cost discretization
     (cost_scale cells per cost unit), its table-size guard, which is also
-    the DP/greedy dispatch rule (dp_table_fits), and the greedy's RNG seed."""
+    the DP/greedy dispatch rule (_fits), and the greedy's RNG seed."""
 
     cost_scale: int = 10
     max_table_cells: int = 100_000
@@ -116,8 +116,7 @@ def solve_brute_force(
     methods = _sorted_methods(algorithm)
     if len(methods) > 25:
         raise TooManyMethods(f"{len(methods)} methods exceeds the 2^25 guard")
-    if params.budget < 0:
-        raise BudgetNegative(f"budget {params.budget} is negative")
+    _check_budget(params.budget)
     best = make_plan((), params)
     best_key = plan_key(best)
     for mask in range(1, 1 << len(methods)):
@@ -181,79 +180,49 @@ def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
     return spec.linear_coeff * total_cost + spec.quadratic_coeff * np.float_power(total_cost, 2.0)
 
 
+def _check_budget(budget: float) -> None:
+    """The one budget check of every solver, written so that a NaN budget
+    fails it too."""
+    if not budget >= 0:
+        raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
+
+
 def _fits(n_methods: int, cells: float, config: SolverConfig) -> bool:
-    """dp_table_fits for a budget of `cells` cells."""
+    """The table-size rule that solve_dp enforces and the only rule that
+    sends an attacker subgame to the DP or the greedy: max(n, 1) rows, as
+    _fill_table allocates one even for no methods, x (cells + 1) within
+    config.max_table_cells. A budget whose scaled value overflows is
+    math.inf cells and never fits."""
     return max(n_methods, 1) * (cells + 1) <= config.max_table_cells
-
-
-def dp_table_fits(n_methods: int, budget: float, config: SolverConfig = SolverConfig()) -> bool:
-    """The table-size rule shared by every caller of the DP, and the only
-    rule that sends an attacker subgame to the DP or the greedy: max(n, 1)
-    rows, as build_dp_table allocates one even for no methods, x (budget
-    cells + 1) within config.max_table_cells. A budget whose scaled value
-    overflows never fits."""
-    return _fits(n_methods, _cells(budget, config.cost_scale, up=False), config)
 
 
 @dataclass(frozen=True, eq=False)
 class DpTable:
-    """The exact DP solved once up to a budget.
+    """The exact DP solved once up to a table size.
 
     minfail[c] is the smallest failure product among subsets whose scaled
     costs sum to exactly c, and take[j, c] says whether the set chosen at
     (method j, cell c) contains method j. Neither depends on any cell above
-    c, so one table answers every budget up to the one it was built at,
-    bitwise as a table built at that budget would.
+    c, so one table answers every budget below its size, bitwise as a
+    table of that budget's size would.
     """
 
     methods: tuple[AttackMethod, ...]
     weights: tuple[int, ...]
-    cost_scale: int
     minfail: np.ndarray
     take: np.ndarray
 
 
-def build_dp_table(
-    algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig = SolverConfig()
-) -> DpTable:
-    """Fill the DP table for every cost cell up to `budget`.
-
-    Failure products accumulate over methods in ascending id order, matching
-    make_plan bit for bit. An exact tie in the failure product keeps the set
-    without the new method, the colexicographically smaller id set
-    (plan_key).
-    """
-    return _fill_table(*_table_shape(algorithm, budget, config), config.cost_scale)
-
-
-def _table_shape(algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig):
-    """build_dp_table's methods, weights and table size, and its errors."""
-    if budget < 0:
-        raise BudgetNegative(f"budget {budget} is negative")
-    methods = tuple(_sorted_methods(algorithm))
-    n = len(methods)
-    scale = config.cost_scale
-    size = _cells(budget, scale, up=False) + 1
-    if not dp_table_fits(n, budget, config):
-        raise TableTooLarge(
-            f"{n} methods x {size} cost levels exceeds "
-            f"{config.max_table_cells} table cells"
-        )
-    # a weight at or past the table size reaches no cell and its method is
-    # skipped, so capping weights at the size keeps them small ints
-    return methods, _cost_cells([m.cost for m in methods], scale, size), size
-
-
-def _fill_table(
-    methods: tuple[AttackMethod, ...], weights: tuple[int, ...], size: int, scale: int
-) -> DpTable:
-    """build_dp_table's layer loop over methods in id order, whose weights
-    are capped at or past size. Method j is taken at a cell only where its
-    candidate product is strictly smaller: every set at layer j - 1 holds
-    methods below j only, so on an exact tie the set kept, the one without
-    j, is the colex-smaller, and adding j to the sets of a lower cell keeps
-    their order. Where products carry no rounding, each cell's set is the
-    colex-first of the sets of least product there."""
+def _fill_table(methods: tuple[AttackMethod, ...], weights: tuple[int, ...], size: int) -> DpTable:
+    """The DP's layer loop over methods in id order, so that failure
+    products accumulate as make_plan computes them, bit for bit. A weight
+    at or past size reaches no cell and its method is skipped. Method j is
+    taken at a cell only where its candidate product is strictly smaller:
+    every set at layer j - 1 holds methods below j only, so on an exact tie
+    the set kept, the one without j, is the colex-smaller (plan_key), and
+    adding j to the sets of a lower cell keeps their order. Where products
+    carry no rounding, each cell's set is the colex-first of the sets of
+    least product there."""
     n = len(methods)
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0
@@ -271,41 +240,42 @@ def _fill_table(
             np.less(reach, prev, out=take[j, w:])
             # fmin passes over a nan candidate
             np.fmin(prev, reach, out=prev)
-    return DpTable(methods, weights, scale, minfail, take)
+    return DpTable(methods, weights, minfail, take)
 
 
-def dp_plans(
-    table: DpTable, params: AttackerParams, budgets: Sequence[float]
+def _dp_plans(
+    methods: tuple[AttackMethod, ...],
+    weights: tuple[int, ...],
+    params: AttackerParams,
+    budget_cells: Sequence[int],
+    scale: int,
 ) -> list[AttackPlan]:
-    """Best plan at each budget, none above the table's, for the value and
-    cost function in params (params.budget is not read).
-
-    The utility value * (1 - minfail[c]) - phi(c / scale) is computed once
-    for every cell; a budget's answer is the first cell of highest utility
-    among the cells it covers, then the chain walk from that cell. Callers
-    answer params where _empty_best holds themselves, without a table.
-    """
-    scale = table.cost_scale
+    """The DP's best plan at each budget of budget_cells cells, over
+    methods in id order, for the value and cost function in params
+    (params.budget is not read). Where _empty_best holds that is the empty
+    plan, without a table. Otherwise one table is filled up to the largest
+    budget, the utility value * (1 - minfail[c]) - phi(c / scale) is
+    computed once for every cell, and a budget's answer is the first cell
+    of highest utility among the cells it covers, then the chain walk from
+    that cell."""
+    if _empty_best(params):
+        return [make_plan((), params)] * len(budget_cells)
+    table = _fill_table(methods, weights, max(budget_cells) + 1)
     size = table.minfail.size
     penalty = _penalty(params.cost_fn, np.arange(size) / scale)
     # unreachable cells (minfail = inf) are -inf, whatever the value's sign
     reachable = table.minfail < np.inf
     utility = np.full(size, -np.inf)
     utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
-    n = len(table.methods)
+    n = len(methods)
     plans = []
     made: dict[int, AttackPlan] = {}  # by best cell: budgets often share one
-    for budget in budgets:
-        if budget < 0:
-            raise BudgetNegative(f"budget {budget} is negative")
-        cells = _cells(budget, scale, up=False) + 1
-        if cells > size:
-            raise ValueError(f"budget {budget} needs {cells} cost cells, the table has {size}")
+    for cells in budget_cells:
         # cell 0 is not necessarily the empty set: zero-cost methods land there
-        best = int(utility[:cells].argmax())
+        best = int(utility[: cells + 1].argmax())
         if best not in made:
-            chosen = _chain_indices(table.take, table.weights, n - 1, best) if n else []
-            made[best] = make_plan([table.methods[i] for i in chosen], params)
+            chosen = _chain_indices(table.take, weights, n - 1, best) if n else []
+            made[best] = make_plan([methods[i] for i in chosen], params)
         plans.append(made[best])
     return plans
 
@@ -317,19 +287,27 @@ def solve_dp(
 ) -> AttackPlan:
     """Exact optimum under scaled-integer costs: the best value *
     (1 - minfail[c]) - phi(c / scale) over all reachable cells c within the
-    budget, from a table built at that budget. Costs are rounded up to
-    whole cells and the budget down (_cells), so the plan keeps to the real
-    budget; on the 1/scale grid nothing is rounded."""
-    shape = _table_shape(algorithm, params.budget, config)
-    if _empty_best(params):
-        return make_plan((), params)
-    return dp_plans(_fill_table(*shape, config.cost_scale), params, (params.budget,))[0]
+    budget, over every method. Costs are rounded up to whole cells and the
+    budget down (_cells), so the plan keeps to the real budget; on the
+    1/scale grid nothing is rounded. A table past config.max_table_cells
+    (_fits) raises TableTooLarge."""
+    _check_budget(params.budget)
+    methods = tuple(_sorted_methods(algorithm))
+    scale = config.cost_scale
+    cells = _cells(params.budget, scale, up=False)
+    if not _fits(len(methods), cells, config):
+        raise TableTooLarge(
+            f"{len(methods)} methods x {cells + 1} cost levels exceeds "
+            f"{config.max_table_cells} table cells"
+        )
+    weights = _cost_cells([m.cost for m in methods], scale, config.max_table_cells)
+    return _dp_plans(methods, weights, params, (cells,), scale)[0]
 
 
 def _empty_best(params: AttackerParams) -> bool:
     """At a value <= 0, with phi's coefficients >= 0, no method adds utility
     and none costs less than nothing: the empty plan is the unique best at
-    every budget, and dp_plans' ranking does not apply (the smallest
+    every budget, and _dp_plans' ranking does not apply (the smallest
     failure product at a cell is then the worst set there, not the best)."""
     spec = params.cost_fn
     return params.value <= 0 and spec.linear_coeff >= 0 and spec.quadratic_coeff >= 0
@@ -376,8 +354,7 @@ def solve_sample_greedy(
     cost, then id order, as a stable sort gives), and the steps until the
     next acceptance walk that ranking in Python.
     """
-    if params.budget < 0:
-        raise BudgetNegative(f"budget {params.budget} is negative")
+    _check_budget(params.budget)
     draw = _coins(config.rng_seed, coins).__next__
     methods = _sorted_methods(algorithm)
     success = np.array([m.success for m in methods], dtype=float)
@@ -571,15 +548,16 @@ def hybrid_plans(
 
     At each budget, a method whose forced-in bound (_forced_bounds) falls
     below a known plan's objective by more than the margin is left out.
-    Every budget whose table over the methods kept fits (dp_table_fits)
-    goes to the DP, and every other budget to the sampled greedy on the
-    whole algorithm. The DP budgets share one table over the union of
-    their kept methods, built at the largest of them, where that fits the
-    cell cap; otherwise each builds its own. A table over any superset of
-    a budget's kept methods gives the plan the unreduced DP gives there.
+    Every budget whose table over the methods kept fits (_fits) goes to
+    the DP, and every other budget to the sampled greedy on the whole
+    algorithm. The DP budgets share one _dp_plans call, so one table, over
+    the union of their kept methods, built at the largest of them, where
+    that fits the cell cap; otherwise each has its own. A table over any
+    superset of a budget's kept methods gives the plan the unreduced DP
+    gives there.
     """
-    if any(k < 0 for k in budgets):
-        raise BudgetNegative(f"budget {min(budgets)} is negative")
+    for budget in budgets:
+        _check_budget(budget)
     methods = tuple(_sorted_methods(algorithm))
     scale = config.cost_scale
     cells = [_cells(k, scale, up=False) for k in budgets]
@@ -600,26 +578,21 @@ def hybrid_plans(
             kept = ~(bound < (known - margin)[:, None])
         counts = kept.sum(axis=1).tolist()
         routed = [row for row, n in enumerate(counts) if _fits(n, limits[row], config)]
-        groups = []
-        if routed:
+        groups = [([row], kept[row]) for row in routed]
+        if len(routed) > 1:
             union = kept[routed].any(axis=0)
             if _fits(int(np.count_nonzero(union)), limits[routed[-1]], config):
                 groups = [(routed, union)]
-            else:
-                groups = [([row], kept[row]) for row in routed]
-        if _empty_best(params):  # the answer at every DP budget, without a table
-            plans.update((tabled[row][1], make_plan((), params)) for row in routed)
-            groups = []
         for rows, keep in groups:
             at = np.flatnonzero(keep).tolist()
-            table = _fill_table(
+            found = _dp_plans(
                 tuple(methods[i] for i in at),
                 tuple(weights[i] for i in at),
-                limits[rows[-1]] + 1,
+                params,
+                [limits[row] for row in rows],
                 scale,
             )
-            group = [tabled[row][1] for row in rows]
-            plans.update(zip(group, dp_plans(table, params, [budgets[b] for b in group])))
+            plans.update(zip((tabled[row][1] for row in rows), found))
     return [
         HybridResult(plans[b], "dp") if b in plans else HybridResult(
             solve_sample_greedy(algorithm, replace(params, budget=k), config), "greedy"

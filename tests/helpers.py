@@ -181,12 +181,12 @@ def reference_sample_greedy(
 def reference_dp_table(
     algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(take, minfail) of build_dp_table, filled with a fresh candidate
-    array, one comparison and np.where per layer: the oracle for the
-    in-place layer loop. A cell takes method j only on a strictly smaller
-    product, so an exact tie keeps the set without j, the colex rule of
-    plan_key; nothing here is shared with the code it checks but the
-    cost cells and the id sort."""
+    """(take, minfail) of the table that solve_dp fills at `budget`, here
+    filled with a fresh candidate array, one comparison and np.where per
+    layer: the oracle for the in-place layer loop, attacker._fill_table. A
+    cell takes method j only on a strictly smaller product, so an exact
+    tie keeps the set without j, the colex rule of plan_key; nothing here
+    is shared with the code it checks but the cost cells and the id sort."""
     methods = tuple(_sorted_methods(algorithm))
     n = len(methods)
     scale = config.cost_scale

@@ -16,6 +16,7 @@ from cryptomix import (
     SolverConfig,
     TableTooLarge,
     TooManyMethods,
+    evaluate_all,
     evaluate_budgets,
     solve_brute_force,
     solve_dp,
@@ -25,10 +26,9 @@ from cryptomix import (
 from cryptomix.attacker import (
     _cells,
     _cost_cells,
+    _fits,
     _forced_bounds,
     _penalty,
-    build_dp_table,
-    dp_table_fits,
     hybrid_plans,
 )
 import cryptomix.attacker
@@ -74,8 +74,8 @@ def test_a_free_method_at_a_nonpositive_value_is_left_out(value):
 
 @pytest.mark.parametrize("value", [0.0, -5.0])
 def test_a_nonpositive_value_fills_no_table(monkeypatch, instance, value):
-    """dp_plans answers the empty plan at such a value without reading the
-    table, so neither solve_dp nor hybrid_plans fills one; the budget and
+    """_dp_plans answers the empty plan at such a value without a table,
+    so neither solve_dp nor hybrid_plans fills one; the budget and
     table-size errors stay."""
 
     def fail(*args):
@@ -115,6 +115,27 @@ def test_dp_zero_cost_method_always_taken():
 def test_every_solver_rejects_a_negative_budget(worked_algorithm, solve):
     with pytest.raises(BudgetNegative):
         solve(worked_algorithm, AttackerParams(value=10.0, budget=-1.0))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [solve_dp, solve_sample_greedy, solve_hybrid, solve_brute_force],
+    ids=["dp", "greedy", "hybrid", "brute"],
+)
+def test_every_solver_rejects_a_nan_budget(instance, solve):
+    # brute force once answered a plan of cost 30.0 here and the greedy the
+    # empty plan, while the DP and the hybrid raised ValueError from round
+    alg = instance.algorithm("rsa-2048")
+    with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
+        solve(alg, AttackerParams(value=300.0, budget=math.nan))
+
+
+def test_hybrid_plans_name_the_budget_that_fails(worked_algorithm, worked_params):
+    # min(budgets), named once, is -1.0 here, not the nan
+    with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
+        hybrid_plans(worked_algorithm, worked_params, (5.0, math.nan, -1.0))
+    with pytest.raises(BudgetNegative, match="^budget -1.0 is negative$"):
+        hybrid_plans(worked_algorithm, worked_params, (5.0, -1.0))
 
 
 def test_dp_table_guard(worked_algorithm):
@@ -437,11 +458,43 @@ def dp_tables(draw):
     return alg, draw(st.integers(0, 300)) / 10, config
 
 
+def record_tables(mp):
+    """Wrap attacker._fill_table so that every table it fills is kept in
+    the returned list."""
+    tables = []
+    fill = cryptomix.attacker._fill_table
+
+    def record(*args):
+        tables.append(fill(*args))
+        return tables[-1]
+
+    mp.setattr(cryptomix.attacker, "_fill_table", record)
+    return tables
+
+
+def test_one_table_per_algorithm(monkeypatch, instance, scenarios):
+    # every DP budget of an algorithm shares one table: evaluate_budgets and
+    # evaluate_all fill one per bundled algorithm, and solve_dp fills one
+    tables = record_tables(monkeypatch)
+    evaluate_budgets(instance, scenarios.budgets)
+    assert len(tables) == len(instance.algorithms) == 8
+    tables.clear()
+    evaluate_all(instance)
+    assert len(tables) == 8
+    tables.clear()
+    solve_dp(instance.algorithm("aes256-gcm"), instance.attacker)
+    assert len(tables) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(dp_tables())
 def test_dp_table_matches_the_reference_loop(case):
+    # the one table solve_dp fills at this budget
     alg, budget, config = case
-    table = build_dp_table(alg, budget, config)
+    with pytest.MonkeyPatch.context() as mp:
+        tables = record_tables(mp)
+        solve_dp(alg, AttackerParams(value=1.0, budget=budget), config)
+    [table] = tables
     take, minfail = reference_dp_table(alg, budget, config)
     assert np.array_equal(table.take, take)
     assert table.minfail.tobytes() == minfail.tobytes()
@@ -455,7 +508,7 @@ def test_dp_table_matches_the_reference_loop(case):
     st.integers(1, 5000),
 )
 def test_dp_penalty_curve_is_phi_bitwise(linear, quadratic, scale, size):
-    # dp_plans' curve; np.power(x, 2) would square as x * x, which differs
+    # _dp_plans' curve; np.power(x, 2) would square as x * x, which differs
     # from Python's x**2 in the last bit for some x
     spec = CostFunctionSpec(linear_coeff=linear, quadratic_coeff=quadratic)
     curve = _penalty(spec, np.arange(size) / scale)
@@ -623,10 +676,8 @@ def test_overflowing_budget_fits_no_table():
     alg = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.3, 5.0) for i in range(4)))
     params = AttackerParams(value=300.0, budget=1e308)
     assert _cells(1e308, 10, up=False) == math.inf
-    assert not dp_table_fits(4, 1e308)
-    assert not dp_table_fits(0, 1e308)
-    with pytest.raises(TableTooLarge):
-        build_dp_table(alg, 1e308)
+    assert not _fits(4, math.inf, SolverConfig())
+    assert not _fits(0, math.inf, SolverConfig())
     with pytest.raises(TableTooLarge):
         solve_dp(alg, params)
     assert solve_hybrid(alg, params) == HybridResult(solve_sample_greedy(alg, params), "greedy")
@@ -643,9 +694,11 @@ def test_no_methods_at_a_budget_past_the_cap_go_to_the_greedy():
     # greedy answers with the empty plan, as the DP does within the cap
     alg = bare_algorithm(())
     params = AttackerParams(value=10.0, budget=1e300)
-    assert dp_table_fits(0, 9999.9) and not dp_table_fits(0, 1e4)
+    config = SolverConfig()
+    assert _fits(0, _cells(9999.9, 10, up=False), config)
+    assert not _fits(0, _cells(1e4, 10, up=False), config)
     with pytest.raises(TableTooLarge):
-        build_dp_table(alg, 1e300)
+        solve_dp(alg, params)
     assert solve_hybrid(alg, params) == HybridResult(make_plan((), params), "greedy")
     small = replace(params, budget=5.0)
     assert solve_hybrid(alg, small) == HybridResult(make_plan((), params), "dp")
@@ -689,14 +742,17 @@ def test_hybrid_plans_answer_each_budget_as_solve_hybrid(case):
 
 
 @pytest.mark.parametrize("cost", [1e18, 1e308], ids=["past-int64", "past-float"])
-def test_dp_skips_a_method_whose_cost_cells_overflow(cost):
+def test_dp_skips_a_method_whose_cost_cells_overflow(monkeypatch, cost):
     # 1e18 is 1e19 cells, past int64, and 1e308 * 10 is inf; neither weight
     # reaches a cell, so the costly a changes nothing beside the tied b and d
     tied = (AttackMethod("b", 0.3, 1.0), AttackMethod("d", 0.3, 1.0))
     alg = bare_algorithm((AttackMethod("a", 0.5, cost),) + tied)
     params = AttackerParams(value=300.0, budget=5.0)
     assert solve_dp(alg, params) == solve_dp(bare_algorithm(tied), params)
-    assert build_dp_table(alg, 5.0).weights == (51, 10, 10)
+    tables = record_tables(monkeypatch)
+    solve_dp(alg, params)
+    # a's weight is capped at max_table_cells, past the 51-cell table
+    assert [t.weights for t in tables] == [(100_000, 10, 10)]
 
 
 @st.composite
@@ -765,7 +821,7 @@ def test_hybrid_plans_equal_the_unreduced_dp(case):
     alg, params, budgets, config = case
     unbounded = replace(config, max_table_cells=10**9)
     for k, result in zip(budgets, hybrid_plans(alg, params, budgets, config)):
-        fits = dp_table_fits(len(alg.attacks), k, config)
+        fits = _fits(len(alg.attacks), _cells(k, config.cost_scale, up=False), config)
         assert result.solver == "dp" or not fits
         if result.solver == "dp":
             want = solve_dp(alg, replace(params, budget=k), unbounded)
