@@ -19,8 +19,11 @@ sets grown from prefixes dropped earlier would tie again. Rounded
 multiplication is monotone, so the DP never loses utility by this: where
 costs lie on its grid and add up exactly in floats (such as multiples of
 0.5 at the default scale), its plan has the utility and total cost of
-solve_brute_force's, but it can name other ids. At a value <= 0, with phi's coefficients >= 0, the
-empty plan is the unique best and the DP returns it.
+solve_brute_force's, but it can name other ids. At a value <= 0, with
+phi's coefficients >= 0, the empty plan is the unique best and the DP
+returns it. solve_dp and hybrid_plans both fill and read DP tables
+through one routine, _dp_plans, the only caller of the layer loop
+_fill_table.
 
 hybrid_plans shrinks the DP before it builds a table (bound, reduce, then
 DP). With a_i = -log1p(-s_i), the DP's objective of a set of w cells is
@@ -585,13 +588,8 @@ def hybrid_plans(
                 groups = [(routed, union)]
         for rows, keep in groups:
             at = np.flatnonzero(keep).tolist()
-            found = _dp_plans(
-                tuple(methods[i] for i in at),
-                tuple(weights[i] for i in at),
-                params,
-                [limits[row] for row in rows],
-                scale,
-            )
+            subset = tuple(methods[i] for i in at), tuple(weights[i] for i in at)
+            found = _dp_plans(*subset, params, [limits[row] for row in rows], scale)
             plans.update(zip((tabled[row][1] for row in rows), found))
     return [
         HybridResult(plans[b], "dp") if b in plans else HybridResult(

@@ -14,7 +14,8 @@ class TableTooLarge(CryptomixError):
 
 
 class BudgetNegative(CryptomixError):
-    """Attacker budget is negative."""
+    """Attacker budget is negative or NaN (every solver checks
+    not budget >= 0)."""
 
 
 class NotOptimal(CryptomixError):
@@ -22,7 +23,8 @@ class NotOptimal(CryptomixError):
 
 
 class InfeasibleDefender(NotOptimal):
-    """Defender constraint set admits no mixed strategy."""
+    """An LP's constraints admit no point, such as a defender polytope
+    that holds no mixed strategy."""
 
 
 class ParseError(CryptomixError):

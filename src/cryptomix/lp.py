@@ -74,7 +74,7 @@ class LinearProgram:
         object.__setattr__(self, "objective", tuple(float(c) for c in self.objective))
         object.__setattr__(self, "constraints", tuple(self.constraints))
         for name in ("lower_bounds", "upper_bounds"):
-            if getattr(self, name) is not None:  # hashable, for solve_lp's cache
+            if getattr(self, name) is not None:  # hashable, for the _prebuilt cache
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.objective)
         for con in self.constraints:
@@ -345,9 +345,7 @@ def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run]:
         model.col_cost_ = cost
         run = linprog(model)
     if run.status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
-        raise InfeasibleDefender(
-            f"{context} infeasible: no mixed strategy satisfies the resource polytope"
-        )
+        raise InfeasibleDefender(f"{context} infeasible: its constraints admit no point")
     if run.status == core.HighsModelStatus.kUnbounded:
         raise NotOptimal(f"{context} ended with status 'unbounded'")
     if run.status != core.HighsModelStatus.kOptimal:
