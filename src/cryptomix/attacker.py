@@ -21,9 +21,7 @@ costs lie on its grid and add up exactly in floats (such as multiples of
 0.5 at the default scale), its plan has the utility and total cost of
 solve_brute_force's, but it can name other ids. At a value <= 0, with
 phi's coefficients >= 0, the empty plan is the unique best and the DP
-returns it. solve_dp and hybrid_plans both fill and read DP tables
-through one routine, _dp_plans, the only caller of the layer loop
-_fill_table.
+returns it. Every DP table is filled and read in one routine, _dp_plans.
 
 hybrid_plans shrinks the DP before it builds a table (bound, reduce, then
 DP). With a_i = -log1p(-s_i), the DP's objective of a set of w cells is
@@ -270,14 +268,13 @@ def _dp_plans(
     reachable = table.minfail < np.inf
     utility = np.full(size, -np.inf)
     utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
-    n = len(methods)
     plans = []
     made: dict[int, AttackPlan] = {}  # by best cell: budgets often share one
     for cells in budget_cells:
         # cell 0 is not necessarily the empty set: zero-cost methods land there
         best = int(utility[: cells + 1].argmax())
         if best not in made:
-            chosen = _chain_indices(table.take, weights, n - 1, best) if n else []
+            chosen = _chain_indices(table.take, weights, len(methods) - 1, best)
             made[best] = make_plan([methods[i] for i in chosen], params)
         plans.append(made[best])
     return plans
@@ -588,8 +585,13 @@ def hybrid_plans(
                 groups = [(routed, union)]
         for rows, keep in groups:
             at = np.flatnonzero(keep).tolist()
-            subset = tuple(methods[i] for i in at), tuple(weights[i] for i in at)
-            found = _dp_plans(*subset, params, [limits[row] for row in rows], scale)
+            found = _dp_plans(
+                tuple(methods[i] for i in at),
+                tuple(weights[i] for i in at),
+                params,
+                [limits[row] for row in rows],
+                scale,
+            )
             plans.update(zip((tabled[row][1] for row in rows), found))
     return [
         HybridResult(plans[b], "dp") if b in plans else HybridResult(

@@ -123,15 +123,15 @@ def test_every_solver_rejects_a_negative_budget(worked_algorithm, solve):
     ids=["dp", "greedy", "hybrid", "brute"],
 )
 def test_every_solver_rejects_a_nan_budget(instance, solve):
-    # brute force once answered a plan of cost 30.0 here and the greedy the
-    # empty plan, while the DP and the hybrid raised ValueError from round
+    # nan >= 0 is false, so each solver refuses the budget before it
+    # rounds it to cells or compares a plan's cost with it
     alg = instance.algorithm("rsa-2048")
     with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
         solve(alg, AttackerParams(value=300.0, budget=math.nan))
 
 
 def test_hybrid_plans_name_the_budget_that_fails(worked_algorithm, worked_params):
-    # min(budgets), named once, is -1.0 here, not the nan
+    # the first budget that is not >= 0 is named, not the smallest
     with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
         hybrid_plans(worked_algorithm, worked_params, (5.0, math.nan, -1.0))
     with pytest.raises(BudgetNegative, match="^budget -1.0 is negative$"):
