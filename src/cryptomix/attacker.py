@@ -53,7 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetNegative, TableTooLarge, TooManyMethods
+from .errors import BudgetNegative, TableTooLarge, TooManyMethods, ValidationError
 from .model import (
     AttackMethod,
     AttackPlan,
@@ -118,6 +118,7 @@ def solve_brute_force(
     if len(methods) > 25:
         raise TooManyMethods(f"{len(methods)} methods exceeds the 2^25 guard")
     _check_budget(params.budget)
+    _check_params(params)
     best = make_plan((), params)
     best_key = plan_key(best)
     for mask in range(1, 1 << len(methods)):
@@ -186,6 +187,20 @@ def _check_budget(budget: float) -> None:
     fails it too."""
     if not budget >= 0:
         raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
+
+
+def _check_params(params: AttackerParams) -> None:
+    """The one check of every solver on the value and phi's coefficients
+    (not the budget, which _check_budget checks): a NaN or infinite one
+    would rank every plan by nan."""
+    spec = params.cost_fn
+    for field, number in (
+        ("value", params.value),
+        ("cost_fn.linear_coeff", spec.linear_coeff),
+        ("cost_fn.quadratic_coeff", spec.quadratic_coeff),
+    ):
+        if not math.isfinite(number):
+            raise ValidationError(f"attacker {field} {number} is not finite")
 
 
 def _fits(n_methods: int, cells: float, config: SolverConfig) -> bool:
@@ -292,6 +307,7 @@ def solve_dp(
     1/scale grid nothing is rounded. A table past config.max_table_cells
     (_fits) raises TableTooLarge."""
     _check_budget(params.budget)
+    _check_params(params)
     methods = tuple(_sorted_methods(algorithm))
     scale = config.cost_scale
     cells = _cells(params.budget, scale, up=False)
@@ -342,7 +358,8 @@ def solve_sample_greedy(
     (value * marginal success gain - cost) / cost, flips a coin, and either
     adds it (coin < ACCEPT_PROB) or discards it permanently. The better of
     the greedy set and the singleton is returned; the empty plan wins ties.
-    A negative budget raises BudgetNegative, as in the other solvers.
+    A negative budget raises BudgetNegative and a value or phi coefficient
+    that is not finite raises ValidationError, as in the other solvers.
 
     The coins come from an RNG seeded with config.rng_seed. `coins`
     optionally replaces it with an explicit sequence of uniforms for
@@ -355,6 +372,7 @@ def solve_sample_greedy(
     next acceptance walk that ranking in Python.
     """
     _check_budget(params.budget)
+    _check_params(params)
     draw = _coins(config.rng_seed, coins).__next__
     methods = _sorted_methods(algorithm)
     success = np.array([m.success for m in methods], dtype=float)
@@ -558,6 +576,7 @@ def hybrid_plans(
     """
     for budget in budgets:
         _check_budget(budget)
+    _check_params(params)
     methods = tuple(_sorted_methods(algorithm))
     scale = config.cost_scale
     cells = [_cells(k, scale, up=False) for k in budgets]

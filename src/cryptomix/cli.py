@@ -4,6 +4,10 @@ Subcommands: solve-attacker, solve-defender, solve-robust, baselines,
 validate. Exit codes: 0 success, 1 parse/validation error,
 2 infeasible model, 3 internal error. All output is JSON or CSV with `.`
 decimals; diagnostics go to stderr.
+
+At module level this imports only the stdlib, errors, io and model; each
+cmd_* imports its own solver layer when it runs, so `validate` and
+`--help` load no numpy and `solve-attacker` loads no LP layer.
 """
 
 from __future__ import annotations
@@ -17,21 +21,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .attacker import (
-    SolverConfig,
-    solve_brute_force,
-    solve_dp,
-    solve_hybrid,
-    solve_sample_greedy,
-)
-from .baselines import (
-    SINGLE_OBJECTIVES,
-    compare_strategies,
-    comparison_csv,
-    random_vertex_strategy,
-    single_objective_strategy,
-)
-from .defender import evaluate_all, solve_stackelberg
 from .errors import (
     BudgetNegative,
     InfeasibleDefender,
@@ -43,14 +32,6 @@ from .errors import (
 )
 from .io import bundled_scenario_path, load_bundled_scenario, load_scenario, to_payload
 from .model import GameInstance, ScenarioSet
-from .robust import (
-    breach_regret_matrix,
-    regret_matrix,
-    scenario_table,
-    solve_maximin,
-    solve_minimax_regret,
-    solve_unconstrained_case,
-)
 
 INPUT_ERRORS = (
     ParseError,
@@ -156,6 +137,14 @@ def _save(option: str, path, text: str) -> None:
 
 
 def cmd_solve_attacker(args) -> int:
+    from .attacker import (
+        SolverConfig,
+        solve_brute_force,
+        solve_dp,
+        solve_hybrid,
+        solve_sample_greedy,
+    )
+
     instance, _ = _load(args)
     try:
         algorithm = instance.algorithm(args.algorithm)
@@ -217,6 +206,8 @@ def _defender_payload(instance: GameInstance, result) -> dict:
 
 
 def cmd_solve_defender(args) -> int:
+    from .defender import solve_stackelberg
+
     _check_out_file("--out", args.out)
     instance, _ = _load(args)
     if args.budget is not None:
@@ -241,6 +232,15 @@ def cmd_solve_defender(args) -> int:
 
 
 def cmd_solve_robust(args) -> int:
+    from .robust import (
+        breach_regret_matrix,
+        regret_matrix,
+        scenario_table,
+        solve_maximin,
+        solve_minimax_regret,
+        solve_unconstrained_case,
+    )
+
     out_dir = Path(args.out_dir)
     if args.matrices:
         try:
@@ -296,6 +296,15 @@ def cmd_solve_robust(args) -> int:
 
 
 def cmd_baselines(args) -> int:
+    from .baselines import (
+        SINGLE_OBJECTIVES,
+        compare_strategies,
+        comparison_csv,
+        random_vertex_strategy,
+        single_objective_strategy,
+    )
+    from .defender import evaluate_all
+
     _check_out_file("--out", args.out)
     instance, _ = _load(args)
     evaluations = evaluate_all(instance)

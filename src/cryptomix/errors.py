@@ -32,7 +32,9 @@ class ParseError(CryptomixError):
 
 
 class ValidationError(CryptomixError):
-    """Scenario file parsed but violates model invariants."""
+    """Input violates the model's invariants: a scenario file that parsed
+    but fails validate_instance, or an attacker value or phi coefficient
+    that is not finite, passed straight to an attacker solver."""
 
 
 class OutputPathError(CryptomixError):

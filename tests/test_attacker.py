@@ -16,6 +16,7 @@ from cryptomix import (
     SolverConfig,
     TableTooLarge,
     TooManyMethods,
+    ValidationError,
     evaluate_all,
     evaluate_budgets,
     solve_brute_force,
@@ -128,6 +129,35 @@ def test_every_solver_rejects_a_nan_budget(instance, solve):
     alg = instance.algorithm("rsa-2048")
     with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
         solve(alg, AttackerParams(value=300.0, budget=math.nan))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        solve_dp,
+        solve_sample_greedy,
+        solve_hybrid,
+        solve_brute_force,
+        lambda alg, params: hybrid_plans(alg, params, (params.budget,)),
+    ],
+    ids=["dp", "greedy", "hybrid", "brute", "hybrid_plans"],
+)
+@pytest.mark.parametrize(
+    "params, field",
+    [
+        (AttackerParams(math.nan, 40.0), "value"),
+        (AttackerParams(math.inf, 40.0), "value"),
+        (AttackerParams(300.0, 40.0, CostFunctionSpec(math.nan, 0.0)), "cost_fn.linear_coeff"),
+        (AttackerParams(300.0, 40.0, CostFunctionSpec(1.0, -math.inf)), "cost_fn.quadratic_coeff"),
+    ],
+    ids=["value-nan", "value-inf", "linear-nan", "quadratic-inf"],
+)
+def test_every_solver_rejects_a_non_finite_parameter(instance, solve, params, field):
+    # a nan or infinite value or phi coefficient would rank every plan by
+    # nan and hand back the empty plan at utility nan
+    alg = instance.algorithm("rsa-2048")
+    with pytest.raises(ValidationError, match=f"^attacker {field} -?(nan|inf) is not finite$"):
+        solve(alg, params)
 
 
 def test_hybrid_plans_name_the_budget_that_fails(worked_algorithm, worked_params):

@@ -359,6 +359,56 @@ def test_cli_import_leaves_scipy_unloaded():
         assert run_python(code).strip() == "False", argv
 
 
+def _modules_after(argv, code: int = 0) -> set:
+    """The modules a fresh interpreter holds after `import cryptomix.cli`
+    and, unless argv is None, one run_cli(argv) that returns code."""
+    script = "import contextlib, io, sys, cryptomix.cli\n"
+    if argv is not None:
+        script += (
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):\n"
+            f"    assert cryptomix.cli.run_cli({argv!r}) == {code}\n"
+        )
+    script += "print(*sys.modules)"
+    return set(run_python(script).split())
+
+
+def test_validate_and_help_leave_numpy_unloaded(tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{", encoding="utf-8")
+    for argv, code in [
+        (["validate"], 0),
+        (["--help"], 0),
+        (["validate", "--scenario", str(malformed)], 1),
+    ]:
+        assert "numpy" not in _modules_after(argv, code), argv
+
+
+def test_solve_attacker_leaves_the_lp_layers_unloaded():
+    loaded = _modules_after(["solve-attacker", "--algorithm", "aes256-gcm", "--solver", "dp"])
+    layers = {
+        "cryptomix.lp",
+        "cryptomix.defender",
+        "cryptomix.robust",
+        "cryptomix.baselines",
+        "scipy.optimize._highspy._core",
+    }
+    assert "cryptomix.attacker" in loaded
+    assert not loaded & layers
+
+
+def test_cli_import_loads_no_solver_layer():
+    # a solver import at the top of cli.py would show here
+    loaded = {m for m in _modules_after(None) if m.split(".")[0] == "cryptomix"}
+    assert loaded == {
+        "cryptomix",
+        "cryptomix.cli",
+        "cryptomix.errors",
+        "cryptomix.io",
+        "cryptomix.model",
+    }
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -420,6 +470,17 @@ def test_solver_fault_is_internal_error(monkeypatch, capsys, error):
     def broken_solver(instance):
         raise error("solver bug")
 
-    monkeypatch.setattr("cryptomix.cli.solve_stackelberg", broken_solver)
+    # the subcommand imports its layer when it runs, so it finds the patch
+    monkeypatch.setattr("cryptomix.defender.solve_stackelberg", broken_solver)
     assert run_cli(["solve-defender"]) == 3
+    assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_attacker_fault_is_internal_error(monkeypatch, capsys, error):
+    def broken_solver(algorithm, params, config):
+        raise error("solver bug")
+
+    monkeypatch.setattr("cryptomix.attacker.solve_dp", broken_solver)
+    assert run_cli(["solve-attacker", "--algorithm", "aes256-gcm", "--solver", "dp"]) == 3
     assert "internal error" in capsys.readouterr().err

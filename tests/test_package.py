@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import cryptomix
+from helpers import run_python
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -98,6 +99,45 @@ def test_public_names_are_pinned():
 
 def test_scenario_set_is_a_model_type():
     assert cryptomix.ScenarioSet is cryptomix.model.ScenarioSet
+
+
+def test_every_public_name_is_its_home_module_object():
+    # in a fresh interpreter, so that no earlier import fills a gap in the
+    # package's name table
+    out = run_python(
+        "import importlib, cryptomix\n"
+        f"for name in sorted({sorted(PUBLIC_NAMES)!r}):\n"
+        "    value = getattr(cryptomix, name)\n"
+        "    home = importlib.import_module('cryptomix.' + cryptomix._HOME[name])\n"
+        "    assert value is getattr(home, name), name\n"
+        "    assert getattr(value, '__module__', home.__name__) == home.__name__, name\n"
+        "    assert vars(cryptomix)[name] is value, name\n"
+        "print('ok')"
+    )
+    assert out.strip() == "ok"
+
+
+def test_star_import_binds_exactly_the_public_names():
+    out = run_python(
+        "namespace = {}\n"
+        "exec('from cryptomix import *', namespace)\n"
+        "print(*sorted(set(namespace) - {'__builtins__'}))"
+    )
+    assert set(out.split()) == PUBLIC_NAMES
+
+
+def test_import_loads_a_layer_on_first_use():
+    out = run_python(
+        "import sys, cryptomix\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'cryptomix'))\n"
+        "print(cryptomix.model.ScenarioSet.__name__, 'numpy' in sys.modules)"
+    )
+    assert out.splitlines() == ["cryptomix", "ScenarioSet False"]
+
+
+def test_unknown_attribute_names_the_package():
+    with pytest.raises(AttributeError, match="^module 'cryptomix' has no attribute 'nope'$"):
+        cryptomix.nope
 
 
 def test_distribution_is_named_after_the_package():
