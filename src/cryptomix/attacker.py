@@ -22,6 +22,8 @@ costs lie on its grid and add up exactly in floats (such as multiples of
 solve_brute_force's, but it can name other ids. At a value <= 0, with
 phi's coefficients >= 0, the empty plan is the unique best and the DP
 returns it. Every DP table is filled and read in one routine, _dp_plans.
+Costs and budgets become cells by one rule, _grid_cells, and every solver
+and hybrid_plans checks its inputs once, in _checked.
 
 hybrid_plans shrinks the DP before it builds a table (bound, reduce, then
 DP). With a_i = -log1p(-s_i), the DP's objective of a set of w cells is
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -85,11 +88,25 @@ _SURE_MASS = 53 * math.log(2.0)
 class SolverConfig:
     """The attacker solvers' settings: the DP's cost discretization
     (cost_scale cells per cost unit), its table-size guard, which is also
-    the DP/greedy dispatch rule (_fits), and the greedy's RNG seed."""
+    the DP/greedy dispatch rule (_fits), and the greedy's RNG seed. A
+    field the solvers cannot use raises ValidationError, naming it."""
 
     cost_scale: int = 10
     max_table_cells: int = 100_000
     rng_seed: int = 0
+
+    def __post_init__(self) -> None:
+        # bool is an int subclass, but never a count or a seed here; the
+        # scale and the cap meet float amounts, so a float must hold them
+        for field, low, high in (
+            ("cost_scale", 1, sys.float_info.max),
+            ("max_table_cells", 1, sys.float_info.max),
+            ("rng_seed", 0, math.inf),
+        ):
+            number = getattr(self, field)
+            if type(number) is bool or not isinstance(number, int) or not low <= number <= high:
+                bounds = f"[{low}, {high}]" if high < math.inf else f">= {low}"
+                raise ValidationError(f"SolverConfig.{field} must be an int {bounds}, got {number!r}")
 
 
 @dataclass(frozen=True)
@@ -114,11 +131,9 @@ def solve_brute_force(
     before rounding (see the module docstring), so on such ties the two
     agree on utility and cost but not always on ids.
     """
-    methods = _sorted_methods(algorithm)
-    if len(methods) > 25:
-        raise TooManyMethods(f"{len(methods)} methods exceeds the 2^25 guard")
-    _check_budget(params.budget)
-    _check_params(params)
+    if len(algorithm.attacks) > 25:
+        raise TooManyMethods(f"{len(algorithm.attacks)} methods exceeds the 2^25 guard")
+    methods, _ = _checked(algorithm, params, (params.budget,))
     best = make_plan((), params)
     best_key = plan_key(best)
     for mask in range(1, 1 << len(methods)):
@@ -132,47 +147,29 @@ def solve_brute_force(
     return best
 
 
-def _chain_indices(take: np.ndarray, weights: Sequence[int], layer: int, cell: int) -> list[int]:
-    """Follow parent pointers down from (layer, cell) and return the taken
-    method indices in ascending order."""
-    chosen: list[int] = []
-    for i in range(layer, -1, -1):
-        if take[i, cell]:
-            chosen.append(i)
-            cell -= weights[i]
-    chosen.reverse()
-    return chosen
-
-
-def _cells(amount: float, scale: int, up: bool) -> float:
-    """amount in 1/scale cost cells: costs round up and budgets down, so a
-    set whose cells fit a budget's cells fits the real budget too.
+def _grid_cells(amounts: Sequence[float], config: SolverConfig, up: bool) -> list:
+    """amounts in 1/config.cost_scale cost cells, in one array pass: costs
+    (up) round up and budgets down, so a set whose cells fit a budget's
+    cells fits the real budget too. The one grid rule of the DP and the
+    dispatcher.
 
     A grid point keeps its cell: the decimal 2.3 is the float nearest 23/10,
-    so it stays 23 cells although 2.3 * 10 evaluates to 22.999999999999996.
-    An amount whose scaled value overflows is math.inf cells, more than any
-    table holds; every other amount is an int.
+    so it stays 23 cells although 2.3 * 10 evaluates to 22.999999999999996
+    (np.rint rounds half to even, and the grid is float(cost_scale)'s). An
+    amount whose scaled value overflows is math.inf cells, more than any
+    table holds. Costs are then capped at config.max_table_cells, past
+    every table, so that every weight is an int; every budget that does not
+    overflow is an int too.
     """
-    scaled = amount * scale
-    if math.isinf(scaled):
-        return math.inf
-    nearest = round(scaled)
-    if nearest / scale == amount:
-        return int(nearest)
-    return math.ceil(scaled) if up else math.floor(scaled)
-
-
-def _cost_cells(costs: Sequence[float], scale: int, limit: int) -> tuple[int, ...]:
-    """min(_cells(cost, scale, up=True), limit) of every cost in one array
-    pass: np.rint rounds half to even, as round does, and the integral
-    floats up to limit convert exactly. A cost whose scaled value
-    overflows is capped like any other."""
-    amount = np.asarray(costs, dtype=float)
+    amount = np.asarray(amounts, dtype=float)
+    scale = float(config.cost_scale)
     with np.errstate(over="ignore"):
         scaled = amount * scale
     nearest = np.rint(scaled)
-    cells = np.where(nearest / scale == amount, nearest, np.ceil(scaled))
-    return tuple(map(int, np.minimum(cells, limit).tolist()))
+    cells = np.where(nearest / scale == amount, nearest, np.ceil(scaled) if up else np.floor(scaled))
+    if up:
+        np.minimum(cells, config.max_table_cells, out=cells)
+    return [c if c == math.inf else int(c) for c in cells.tolist()]
 
 
 def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
@@ -182,17 +179,19 @@ def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
     return spec.linear_coeff * total_cost + spec.quadratic_coeff * np.float_power(total_cost, 2.0)
 
 
-def _check_budget(budget: float) -> None:
-    """The one budget check of every solver, written so that a NaN budget
-    fails it too."""
-    if not budget >= 0:
-        raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
-
-
-def _check_params(params: AttackerParams) -> None:
-    """The one check of every solver on the value and phi's coefficients
-    (not the budget, which _check_budget checks): a NaN or infinite one
-    would rank every plan by nan."""
+def _checked(
+    algorithm: EncryptionAlgorithm, params: AttackerParams, budgets: Iterable[float]
+) -> tuple[list[AttackMethod], np.ndarray]:
+    """The one input check of every solver and of hybrid_plans; returns the
+    methods in id order and their costs as an array. Each budget is checked
+    first, written so that a NaN fails too (BudgetNegative), then the value
+    and phi's coefficients, a NaN or infinite one of which would rank every
+    plan by nan, then the costs (ValidationError): a cost that is not >= 0,
+    NaN included, names its method. An infinite cost fits no budget and
+    stays legal."""
+    for budget in budgets:
+        if not budget >= 0:
+            raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
     spec = params.cost_fn
     for field, number in (
         ("value", params.value),
@@ -201,6 +200,13 @@ def _check_params(params: AttackerParams) -> None:
     ):
         if not math.isfinite(number):
             raise ValidationError(f"attacker {field} {number} is not finite")
+    methods = _sorted_methods(algorithm)
+    cost = np.array([m.cost for m in methods], dtype=float)
+    bad = np.flatnonzero(~(cost >= 0))
+    if bad.size:
+        method = methods[bad[0]]
+        raise ValidationError(f"{algorithm.id}/{method.id}: cost must be >= 0, got {method.cost}")
+    return methods, cost
 
 
 def _fits(n_methods: int, cells: float, config: SolverConfig) -> bool:
@@ -212,25 +218,17 @@ def _fits(n_methods: int, cells: float, config: SolverConfig) -> bool:
     return max(n_methods, 1) * (cells + 1) <= config.max_table_cells
 
 
-@dataclass(frozen=True, eq=False)
-class DpTable:
-    """The exact DP solved once up to a table size.
+def _fill_table(
+    methods: Sequence[AttackMethod], weights: Sequence[int], size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact DP's table (minfail, take) of size cells: minfail[c] is the
+    smallest failure product among subsets whose cells sum to exactly c,
+    and take[j, c] says whether the set chosen at (method j, cell c) holds
+    method j. Neither depends on any cell above c, so one table answers
+    every budget below its size, bitwise as a table of that budget's size
+    would.
 
-    minfail[c] is the smallest failure product among subsets whose scaled
-    costs sum to exactly c, and take[j, c] says whether the set chosen at
-    (method j, cell c) contains method j. Neither depends on any cell above
-    c, so one table answers every budget below its size, bitwise as a
-    table of that budget's size would.
-    """
-
-    methods: tuple[AttackMethod, ...]
-    weights: tuple[int, ...]
-    minfail: np.ndarray
-    take: np.ndarray
-
-
-def _fill_table(methods: tuple[AttackMethod, ...], weights: tuple[int, ...], size: int) -> DpTable:
-    """The DP's layer loop over methods in id order, so that failure
+    The layer loop goes over methods in id order, so that failure
     products accumulate as make_plan computes them, bit for bit. A weight
     at or past size reaches no cell and its method is skipped. Method j is
     taken at a cell only where its candidate product is strictly smaller:
@@ -256,15 +254,15 @@ def _fill_table(methods: tuple[AttackMethod, ...], weights: tuple[int, ...], siz
             np.less(reach, prev, out=take[j, w:])
             # fmin passes over a nan candidate
             np.fmin(prev, reach, out=prev)
-    return DpTable(methods, weights, minfail, take)
+    return minfail, take
 
 
 def _dp_plans(
-    methods: tuple[AttackMethod, ...],
-    weights: tuple[int, ...],
+    methods: Sequence[AttackMethod],
+    weights: Sequence[int],
     params: AttackerParams,
     budget_cells: Sequence[int],
-    scale: int,
+    scale: float,
 ) -> list[AttackPlan]:
     """The DP's best plan at each budget of budget_cells cells, over
     methods in id order, for the value and cost function in params
@@ -272,25 +270,29 @@ def _dp_plans(
     plan, without a table. Otherwise one table is filled up to the largest
     budget, the utility value * (1 - minfail[c]) - phi(c / scale) is
     computed once for every cell, and a budget's answer is the first cell
-    of highest utility among the cells it covers, then the chain walk from
-    that cell."""
+    of highest utility among the cells it covers, then the methods taken on
+    the parent-pointer walk down from that cell."""
     if _empty_best(params):
         return [make_plan((), params)] * len(budget_cells)
-    table = _fill_table(methods, weights, max(budget_cells) + 1)
-    size = table.minfail.size
+    minfail, take = _fill_table(methods, weights, max(budget_cells) + 1)
+    size = minfail.size
     penalty = _penalty(params.cost_fn, np.arange(size) / scale)
     # unreachable cells (minfail = inf) are -inf, whatever the value's sign
-    reachable = table.minfail < np.inf
+    reachable = minfail < np.inf
     utility = np.full(size, -np.inf)
-    utility[reachable] = params.value * (1.0 - table.minfail[reachable]) - penalty[reachable]
+    utility[reachable] = params.value * (1.0 - minfail[reachable]) - penalty[reachable]
     plans = []
     made: dict[int, AttackPlan] = {}  # by best cell: budgets often share one
     for cells in budget_cells:
         # cell 0 is not necessarily the empty set: zero-cost methods land there
         best = int(utility[: cells + 1].argmax())
         if best not in made:
-            chosen = _chain_indices(table.take, weights, len(methods) - 1, best)
-            made[best] = make_plan([methods[i] for i in chosen], params)
+            chosen, cell = [], best
+            for j in range(len(methods) - 1, -1, -1):
+                if take[j, cell]:
+                    chosen.append(methods[j])
+                    cell -= weights[j]
+            made[best] = make_plan(chosen[::-1], params)
         plans.append(made[best])
     return plans
 
@@ -303,21 +305,18 @@ def solve_dp(
     """Exact optimum under scaled-integer costs: the best value *
     (1 - minfail[c]) - phi(c / scale) over all reachable cells c within the
     budget, over every method. Costs are rounded up to whole cells and the
-    budget down (_cells), so the plan keeps to the real budget; on the
-    1/scale grid nothing is rounded. A table past config.max_table_cells
-    (_fits) raises TableTooLarge."""
-    _check_budget(params.budget)
-    _check_params(params)
-    methods = tuple(_sorted_methods(algorithm))
-    scale = config.cost_scale
-    cells = _cells(params.budget, scale, up=False)
+    budget down (_grid_cells), so the plan keeps to the real budget; on
+    the 1/scale grid nothing is rounded. A table past
+    config.max_table_cells (_fits) raises TableTooLarge."""
+    methods, cost = _checked(algorithm, params, (params.budget,))
+    [cells] = _grid_cells((params.budget,), config, up=False)
     if not _fits(len(methods), cells, config):
         raise TableTooLarge(
             f"{len(methods)} methods x {cells + 1} cost levels exceeds "
             f"{config.max_table_cells} table cells"
         )
-    weights = _cost_cells([m.cost for m in methods], scale, config.max_table_cells)
-    return _dp_plans(methods, weights, params, (cells,), scale)[0]
+    weights = _grid_cells(cost, config, up=True)
+    return _dp_plans(methods, weights, params, (cells,), float(config.cost_scale))[0]
 
 
 def _empty_best(params: AttackerParams) -> bool:
@@ -358,8 +357,7 @@ def solve_sample_greedy(
     (value * marginal success gain - cost) / cost, flips a coin, and either
     adds it (coin < ACCEPT_PROB) or discards it permanently. The better of
     the greedy set and the singleton is returned; the empty plan wins ties.
-    A negative budget raises BudgetNegative and a value or phi coefficient
-    that is not finite raises ValidationError, as in the other solvers.
+    Its inputs are checked as in the other solvers (_checked).
 
     The coins come from an RNG seeded with config.rng_seed. `coins`
     optionally replaces it with an explicit sequence of uniforms for
@@ -371,12 +369,9 @@ def solve_sample_greedy(
     cost, then id order, as a stable sort gives), and the steps until the
     next acceptance walk that ranking in Python.
     """
-    _check_budget(params.budget)
-    _check_params(params)
+    methods, cost = _checked(algorithm, params, (params.budget,))
     draw = _coins(config.rng_seed, coins).__next__
-    methods = _sorted_methods(algorithm)
     success = np.array([m.success for m in methods], dtype=float)
-    cost = np.array([m.cost for m in methods], dtype=float)
     budget = params.budget
 
     # singleton utility value * (1 - 1.0 * (1 - s)) - phi(0.0 + c), as make_plan
@@ -423,7 +418,7 @@ def _forced_bounds(
     weights: Sequence[int],
     params: AttackerParams,
     budget_cells: Sequence[int],
-    scale: int,
+    scale: float,
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(bound, known, margin) for the DP objective value * (1 - failure
     product) - phi(cells / scale) at each budget of budget_cells cells:
@@ -470,7 +465,7 @@ def _forced_bounds(
         # the last. Free methods repeat breakpoints at cell 0.
         cells, frontier = steps[:, order].cumsum(axis=1)
         # phi(c / scale) = c * (linear + quadratic * c)
-        linear, quadratic = alpha / scale, beta / scale**2
+        linear, quadratic = alpha / scale, beta / (scale * scale)
         relaxed = -value * np.expm1(-frontier) - cells * (linear + quadratic * cells)
         best = np.maximum.accumulate(relaxed).tolist()
         cells_at, mass_at = cells.tolist(), frontier.tolist()
@@ -574,20 +569,20 @@ def hybrid_plans(
     superset of a budget's kept methods gives the plan the unreduced DP
     gives there.
     """
-    for budget in budgets:
-        _check_budget(budget)
-    _check_params(params)
-    methods = tuple(_sorted_methods(algorithm))
-    scale = config.cost_scale
-    cells = [_cells(k, scale, up=False) for k in budgets]
+    methods, cost = _checked(algorithm, params, budgets)
+    # the grid's float scale (_grid_cells): past 1e154 the bound's
+    # scale * scale is then inf, where an int square fails to convert
+    scale = float(config.cost_scale)
+    cells = _grid_cells(budgets, config, up=False)
     # a budget whose one-row table does not fit goes to the greedy
     tabled = sorted((c, b) for b, c in enumerate(cells) if _fits(0, c, config))
     plans: dict[int, AttackPlan] = {}
     if tabled:
         limits = [c for c, _ in tabled]
         # capped at the cell cap, past every table, and not at the largest
-        # budget, so that the bound at one budget never depends on another
-        weights = _cost_cells([m.cost for m in methods], scale, config.max_table_cells)
+        # budget (_grid_cells), so that the bound at one budget never
+        # depends on another
+        weights = _grid_cells(cost, config, up=True)
         bounds = _forced_bounds(methods, weights, params, limits, scale)
         if bounds is None:
             kept = np.ones((len(limits), len(methods)), dtype=bool)

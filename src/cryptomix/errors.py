@@ -33,8 +33,9 @@ class ParseError(CryptomixError):
 
 class ValidationError(CryptomixError):
     """Input violates the model's invariants: a scenario file that parsed
-    but fails validate_instance, or an attacker value or phi coefficient
-    that is not finite, passed straight to an attacker solver."""
+    but fails validate_instance; an attacker value or phi coefficient that
+    is not finite, or a method cost that is not >= 0, passed straight to
+    an attacker solver; or a SolverConfig field out of its range."""
 
 
 class OutputPathError(CryptomixError):

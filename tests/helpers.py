@@ -23,7 +23,7 @@ from cryptomix import (
     make_plan,
     plan_key,
 )
-from cryptomix.attacker import ACCEPT_PROB, _cells, _sorted_methods
+from cryptomix.attacker import ACCEPT_PROB, _sorted_methods
 
 
 def run_python(code: str, hash_seed: str = "0") -> str:
@@ -178,6 +178,22 @@ def reference_sample_greedy(
     return min(candidates, key=plan_key)
 
 
+def scalar_cells(amount: float, scale: int, up: bool) -> float:
+    """amount in 1/scale cost cells, one amount at a time: costs (up) round
+    up and budgets down, a grid point keeps its cell, and an amount whose
+    scaled value overflows is math.inf cells; every other amount is an int.
+    The scalar oracle for attacker._grid_cells' array pass, before its cap:
+    Python's round and exact int division agree with it at every scale a
+    float holds exactly."""
+    scaled = amount * scale
+    if math.isinf(scaled):
+        return math.inf
+    nearest = round(scaled)
+    if nearest / scale == amount:
+        return int(nearest)
+    return math.ceil(scaled) if up else math.floor(scaled)
+
+
 def reference_dp_table(
     algorithm: EncryptionAlgorithm, budget: float, config: SolverConfig = SolverConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +206,8 @@ def reference_dp_table(
     methods = tuple(_sorted_methods(algorithm))
     n = len(methods)
     scale = config.cost_scale
-    size = _cells(budget, scale, up=False) + 1
-    weights = tuple(_cells(m.cost, scale, up=True) for m in methods)
+    size = scalar_cells(budget, scale, up=False) + 1
+    weights = tuple(scalar_cells(m.cost, scale, up=True) for m in methods)
 
     minfail = np.full(size, np.inf)
     minfail[0] = 1.0

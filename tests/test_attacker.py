@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,9 @@ from cryptomix import (
     solve_sample_greedy,
 )
 from cryptomix.attacker import (
-    _cells,
-    _cost_cells,
     _fits,
     _forced_bounds,
+    _grid_cells,
     _penalty,
     hybrid_plans,
 )
@@ -39,6 +39,7 @@ from helpers import (
     random_methods,
     reference_dp_table,
     reference_sample_greedy,
+    scalar_cells,
     wide_methods,
 )
 
@@ -108,30 +109,7 @@ def test_dp_zero_cost_method_always_taken():
     assert plan.methods == ("free",)
 
 
-@pytest.mark.parametrize(
-    "solve",
-    [solve_dp, solve_sample_greedy, solve_hybrid, solve_brute_force],
-    ids=["dp", "greedy", "hybrid", "brute"],
-)
-def test_every_solver_rejects_a_negative_budget(worked_algorithm, solve):
-    with pytest.raises(BudgetNegative):
-        solve(worked_algorithm, AttackerParams(value=10.0, budget=-1.0))
-
-
-@pytest.mark.parametrize(
-    "solve",
-    [solve_dp, solve_sample_greedy, solve_hybrid, solve_brute_force],
-    ids=["dp", "greedy", "hybrid", "brute"],
-)
-def test_every_solver_rejects_a_nan_budget(instance, solve):
-    # nan >= 0 is false, so each solver refuses the budget before it
-    # rounds it to cells or compares a plan's cost with it
-    alg = instance.algorithm("rsa-2048")
-    with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
-        solve(alg, AttackerParams(value=300.0, budget=math.nan))
-
-
-@pytest.mark.parametrize(
+EVERY_SOLVER = pytest.mark.parametrize(
     "solve",
     [
         solve_dp,
@@ -142,6 +120,24 @@ def test_every_solver_rejects_a_nan_budget(instance, solve):
     ],
     ids=["dp", "greedy", "hybrid", "brute", "hybrid_plans"],
 )
+
+
+@EVERY_SOLVER
+def test_every_solver_rejects_a_negative_budget(worked_algorithm, solve):
+    with pytest.raises(BudgetNegative):
+        solve(worked_algorithm, AttackerParams(value=10.0, budget=-1.0))
+
+
+@EVERY_SOLVER
+def test_every_solver_rejects_a_nan_budget(instance, solve):
+    # nan >= 0 is false, so each solver refuses the budget before it
+    # rounds it to cells or compares a plan's cost with it
+    alg = instance.algorithm("rsa-2048")
+    with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
+        solve(alg, AttackerParams(value=300.0, budget=math.nan))
+
+
+@EVERY_SOLVER
 @pytest.mark.parametrize(
     "params, field",
     [
@@ -158,6 +154,69 @@ def test_every_solver_rejects_a_non_finite_parameter(instance, solve, params, fi
     alg = instance.algorithm("rsa-2048")
     with pytest.raises(ValidationError, match=f"^attacker {field} -?(nan|inf) is not finite$"):
         solve(alg, params)
+
+
+@EVERY_SOLVER
+@pytest.mark.parametrize("cost", [-1.0, math.nan, -math.inf], ids=["negative", "nan", "minus-inf"])
+def test_every_solver_rejects_a_cost_below_zero(solve, cost):
+    # unchecked, a negative cost breaks the DP's table (a numpy broadcast
+    # error) and the hybrid's (IndexError), the greedy and brute force
+    # answer with it, and a nan cost cannot be turned into cells
+    alg = bare_algorithm((AttackMethod("a", 0.5, cost), AttackMethod("b", 0.4, 2.0)))
+    params = AttackerParams(value=100.0, budget=5.0)
+    with pytest.raises(ValidationError, match="^target/a: cost must be >= 0, got -?(1.0|nan|inf)$"):
+        solve(alg, params)
+    # the budget is checked first, then the value, then the costs
+    with pytest.raises(BudgetNegative):
+        solve(alg, replace(params, budget=-1.0))
+    with pytest.raises(ValidationError, match="^attacker value nan is not finite$"):
+        solve(alg, replace(params, value=math.nan))
+
+
+@pytest.mark.parametrize(
+    "field, number",
+    [
+        ("cost_scale", 0),
+        ("cost_scale", -10),
+        ("cost_scale", 2.5),
+        ("cost_scale", True),
+        ("cost_scale", 2**1024),
+        ("max_table_cells", 0),
+        ("max_table_cells", False),
+        ("max_table_cells", 1e6),
+        ("max_table_cells", 2**1024),
+        ("rng_seed", -1),
+        ("rng_seed", True),
+        ("rng_seed", "0"),
+    ],
+)
+def test_solver_config_rejects_what_the_solvers_cannot_use(field, number):
+    # unchecked, cost_scale 0 divides by zero in the DP and the hybrid,
+    # -10 asks numpy for negative dimensions, max_table_cells 0 refuses
+    # every table, 2**1024 cells overflow on their way to a float and
+    # rng_seed -1 fails in numpy's RNG
+    with pytest.raises(ValidationError, match=f"^SolverConfig.{field} must be an int "):
+        SolverConfig(**{field: number})
+
+
+def test_solver_config_accepts_its_bounds(instance):
+    alg = instance.algorithm("aes256-gcm")
+    for config in (
+        SolverConfig(cost_scale=1, max_table_cells=1, rng_seed=0),
+        SolverConfig(cost_scale=int(sys.float_info.max)),
+    ):
+        assert solve_hybrid(alg, instance.attacker, config).solver == "greedy"
+
+
+def test_hybrid_at_a_scale_whose_square_overflows():
+    # the bound squares the scale as a float: 10**400 as an int raises
+    # OverflowError on its way to a float; the free a fits budget 0
+    alg = bare_algorithm((AttackMethod("a", 0.5, 0.0), AttackMethod("b", 0.5, 1e-40)))
+    params = AttackerParams(value=100.0, budget=0.0, cost_fn=CostFunctionSpec(1.0, 1.0))
+    config = SolverConfig(cost_scale=10**200)
+    result = solve_hybrid(alg, params, config)
+    assert result == HybridResult(solve_dp(alg, params, config), "dp")
+    assert result.plan.methods == ("a",)
 
 
 def test_hybrid_plans_name_the_budget_that_fails(worked_algorithm, worked_params):
@@ -276,9 +335,9 @@ def test_dp_grid_decimals_keep_their_cells():
 
 @st.composite
 def scaled_costs(draw):
-    """A cost scale, a cell cap and costs on the grid, off it, on a half
+    """A cost scale, a cell cap and amounts on the grid, off it, on a half
     cell (a round half to even tie), zero, large and overflowing."""
-    scale = draw(st.sampled_from([1, 2, 3, 10, 100]))
+    scale = draw(st.sampled_from([1, 2, 3, 10, 100, 2**53]))
     cells = st.integers(0, 10**7)
     cost = st.one_of(
         cells.map(lambda k: k / scale),
@@ -295,11 +354,30 @@ def scaled_costs(draw):
 @settings(max_examples=150, deadline=None)
 @given(scaled_costs())
 def test_cost_cells_equal_cells_per_cost(case):
-    costs, scale, limit = case
-    want = tuple(min(_cells(c, scale, up=True), limit) for c in costs)
-    got = _cost_cells(costs, scale, limit)
-    assert got == want
-    assert all(type(w) is int for w in got)
+    # the one array rule against the scalar oracle: costs round up and are
+    # capped, budgets round down and overflow to inf
+    amounts, scale, limit = case
+    config = SolverConfig(cost_scale=scale, max_table_cells=limit)
+    weights = _grid_cells(amounts, config, up=True)
+    assert weights == [min(scalar_cells(c, scale, up=True), limit) for c in amounts]
+    assert all(type(w) is int for w in weights)
+    budgets = _grid_cells(amounts, config, up=False)
+    assert budgets == [scalar_cells(k, scale, up=False) for k in amounts]
+    assert all(type(c) is int for c in budgets if c != math.inf)
+
+
+def test_dp_keeps_the_budget_at_a_scale_no_float_holds():
+    # 2**53 + 1 is 2**53 as a float: the budget 1 / (2**53 + 1) is a grid
+    # point in exact division (1 cell) but 0 cells on the float grid, where
+    # the cost 2**-53 is 1 cell; a budget rounded by the one rule and a
+    # cost by the other let the DP take a at cost 1.11e-16, past the budget
+    alg = bare_algorithm((AttackMethod("a", 0.5, 2**-53),))
+    params = AttackerParams(value=100.0, budget=1 / (2**53 + 1))
+    config = SolverConfig(cost_scale=2**53 + 1)
+    empty = repr(make_plan((), params))
+    assert repr(solve_brute_force(alg, params)) == empty
+    assert repr(solve_dp(alg, params, config)) == empty
+    assert repr(solve_hybrid(alg, params, config).plan) == empty
 
 
 @st.composite
@@ -489,14 +567,14 @@ def dp_tables(draw):
 
 
 def record_tables(mp):
-    """Wrap attacker._fill_table so that every table it fills is kept in
-    the returned list."""
+    """Wrap attacker._fill_table so that every call is kept in the returned
+    list as (args, (minfail, take))."""
     tables = []
     fill = cryptomix.attacker._fill_table
 
     def record(*args):
-        tables.append(fill(*args))
-        return tables[-1]
+        tables.append((args, fill(*args)))
+        return tables[-1][1]
 
     mp.setattr(cryptomix.attacker, "_fill_table", record)
     return tables
@@ -524,10 +602,10 @@ def test_dp_table_matches_the_reference_loop(case):
     with pytest.MonkeyPatch.context() as mp:
         tables = record_tables(mp)
         solve_dp(alg, AttackerParams(value=1.0, budget=budget), config)
-    [table] = tables
-    take, minfail = reference_dp_table(alg, budget, config)
-    assert np.array_equal(table.take, take)
-    assert table.minfail.tobytes() == minfail.tobytes()
+    [(_, (minfail, take))] = tables
+    want_take, want_minfail = reference_dp_table(alg, budget, config)
+    assert np.array_equal(take, want_take)
+    assert minfail.tobytes() == want_minfail.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -705,7 +783,7 @@ def test_overflowing_budget_fits_no_table():
     # the hybrid routes it to the greedy instead of raising
     alg = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.3, 5.0) for i in range(4)))
     params = AttackerParams(value=300.0, budget=1e308)
-    assert _cells(1e308, 10, up=False) == math.inf
+    assert _grid_cells([1e308], SolverConfig(), up=False) == [math.inf]
     assert not _fits(4, math.inf, SolverConfig())
     assert not _fits(0, math.inf, SolverConfig())
     with pytest.raises(TableTooLarge):
@@ -725,8 +803,8 @@ def test_no_methods_at_a_budget_past_the_cap_go_to_the_greedy():
     alg = bare_algorithm(())
     params = AttackerParams(value=10.0, budget=1e300)
     config = SolverConfig()
-    assert _fits(0, _cells(9999.9, 10, up=False), config)
-    assert not _fits(0, _cells(1e4, 10, up=False), config)
+    assert _fits(0, scalar_cells(9999.9, 10, up=False), config)
+    assert not _fits(0, scalar_cells(1e4, 10, up=False), config)
     with pytest.raises(TableTooLarge):
         solve_dp(alg, params)
     assert solve_hybrid(alg, params) == HybridResult(make_plan((), params), "greedy")
@@ -782,7 +860,7 @@ def test_dp_skips_a_method_whose_cost_cells_overflow(monkeypatch, cost):
     tables = record_tables(monkeypatch)
     solve_dp(alg, params)
     # a's weight is capped at max_table_cells, past the 51-cell table
-    assert [t.weights for t in tables] == [(100_000, 10, 10)]
+    assert [list(args[1]) for args, _ in tables] == [[100_000, 10, 10]]
 
 
 @st.composite
@@ -824,8 +902,8 @@ def test_forced_bound_covers_every_plan_holding_the_method(case):
     alg, params, budgets, config = case
     scale = config.cost_scale
     methods = tuple(sorted(alg.attacks, key=lambda m: m.id))
-    cells = [_cells(k, scale, up=False) for k in budgets]
-    weights = _cost_cells([m.cost for m in methods], scale, config.max_table_cells)
+    cells = _grid_cells(budgets, config, up=False)
+    weights = _grid_cells([m.cost for m in methods], config, up=True)
     bound, known, margin = _forced_bounds(methods, weights, params, cells, scale)
     n = len(methods)
     masks = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
@@ -851,7 +929,7 @@ def test_hybrid_plans_equal_the_unreduced_dp(case):
     alg, params, budgets, config = case
     unbounded = replace(config, max_table_cells=10**9)
     for k, result in zip(budgets, hybrid_plans(alg, params, budgets, config)):
-        fits = _fits(len(alg.attacks), _cells(k, config.cost_scale, up=False), config)
+        fits = _fits(len(alg.attacks), scalar_cells(k, config.cost_scale, up=False), config)
         assert result.solver == "dp" or not fits
         if result.solver == "dp":
             want = solve_dp(alg, replace(params, budget=k), unbounded)
@@ -873,6 +951,25 @@ def test_a_budgets_route_does_not_depend_on_a_larger_budget():
     config = SolverConfig(cost_scale=10, max_table_cells=515)
     alone = hybrid_plans(alg, params, (10.25,), config)
     assert hybrid_plans(alg, params, (10.25, 11.0), config)[:1] == alone
+
+
+def test_hybrid_plans_fill_one_table_per_budget_where_the_union_is_too_large(monkeypatch):
+    # the bound keeps m0 alone at budget 2 and m3 alone at budget 8: each
+    # one-method table fits the 100-cell cap, but one table over both at
+    # 81 cells (2 x 81 = 162) does not, so each budget gets its own
+    pairs = [(0.06, 1), (0.07, 6), (0.76, 10), (0.87, 8), (0.38, 16), (0.68, 12), (0.12, 14)]
+    alg = bare_algorithm(tuple(AttackMethod(f"m{i}", s, c) for i, (s, c) in enumerate(pairs)))
+    params = AttackerParams(value=300.0, budget=0.0)
+    tables = record_tables(monkeypatch)
+    results = hybrid_plans(alg, params, (2.0, 8.0), SolverConfig(max_table_cells=100))
+    assert [(r.plan.methods, r.solver) for r in results] == [(("m0",), "dp"), (("m3",), "dp")]
+    assert [([m.id for m in args[0]], minfail.size) for args, (minfail, _) in tables] == [
+        (["m0"], 21),
+        (["m3"], 81),
+    ]
+    unbounded = SolverConfig(max_table_cells=10**6)
+    for k, result in zip((2.0, 8.0), results):
+        assert repr(result.plan) == repr(solve_dp(alg, replace(params, budget=k), unbounded))
 
 
 def test_utility_never_falls_as_the_budget_grows():
