@@ -21,7 +21,10 @@ costs lie on its grid and add up exactly in floats (such as multiples of
 0.5 at the default scale), its plan has the utility and total cost of
 solve_brute_force's, but it can name other ids. At a value <= 0, with
 phi's coefficients >= 0, the empty plan is the unique best and the DP
-returns it. Every DP table is filled and read in one routine, _dp_plans.
+returns it. A value < 0 with a phi coefficient < 0 is refused by every
+solver (ValidationError): the smallest failure product at a cell is then
+the worst set there, so the DP would not be exact. Every DP table is
+filled and read in one routine, _dp_plans.
 Costs and budgets become cells by one rule, _grid_cells, and every solver
 and hybrid_plans checks its inputs once, in _checked.
 
@@ -188,16 +191,18 @@ def _checked(
     and phi's coefficients, a NaN or infinite one of which would rank every
     plan by nan, then the costs (ValidationError): a cost that is not >= 0,
     NaN included, names its method. An infinite cost fits no budget and
-    stays legal."""
+    stays legal. Last, a value < 0 with a phi coefficient < 0 is refused
+    (ValidationError), where the DP is not exact, so that every solver
+    refuses it alike."""
     for budget in budgets:
         if not budget >= 0:
             raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
     spec = params.cost_fn
-    for field, number in (
-        ("value", params.value),
+    coeffs = (
         ("cost_fn.linear_coeff", spec.linear_coeff),
         ("cost_fn.quadratic_coeff", spec.quadratic_coeff),
-    ):
+    )
+    for field, number in (("value", params.value),) + coeffs:
         if not math.isfinite(number):
             raise ValidationError(f"attacker {field} {number} is not finite")
     methods = _sorted_methods(algorithm)
@@ -206,6 +211,9 @@ def _checked(
     if bad.size:
         method = methods[bad[0]]
         raise ValidationError(f"{algorithm.id}/{method.id}: cost must be >= 0, got {method.cost}")
+    for field, number in coeffs:
+        if params.value < 0 and number < 0:
+            raise ValidationError(f"attacker value {params.value} < 0 with {field} {number} < 0")
     return methods, cost
 
 

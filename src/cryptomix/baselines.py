@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .defender import (
+    USAGE_KEYS,
     AlgorithmEvaluation,
     StrategyReport,
     _solve_leader,
@@ -30,16 +31,7 @@ class ComparisonRow:
 
     def csv_line(self) -> str:
         r = self.report
-        u = r.usage
-        fields = (
-            r.objective,
-            r.expected_breach,
-            u["op"],
-            u["cpu"],
-            u["mem"],
-            u["latency"],
-            u["resilience"],
-        )
+        fields = (r.objective, r.expected_breach, *(r.usage[key] for key in USAGE_KEYS))
         return self.label + "," + ",".join(repr(v) for v in fields)
 
 
@@ -86,5 +78,5 @@ def compare_strategies(
 
 
 def comparison_csv(rows: Sequence[ComparisonRow]) -> str:
-    header = "label,objective,breach,op,cpu,mem,latency,resilience"
+    header = ",".join(("label", "objective", "breach") + USAGE_KEYS)
     return "\n".join([header] + [row.csv_line() for row in rows]) + "\n"

@@ -12,6 +12,7 @@ from typing import Sequence
 from .attacker import hybrid_plans
 from .lp import Constraint, LinearProgram, LpSolution, solve_lp
 from .model import (
+    COSTS,
     AttackPlan,
     DefenderWeights,
     EncryptionAlgorithm,
@@ -19,7 +20,8 @@ from .model import (
     MixedStrategy,
 )
 
-USAGE_KEYS = ("op", "cpu", "mem", "latency", "resilience")
+# the labels of the polytope rows after the simplex, in order
+USAGE_KEYS = tuple(cost.key for cost in COSTS) + ("resilience",)
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,12 @@ def per_algorithm_utility(
     algorithm: EncryptionAlgorithm, weights: DefenderWeights, p_succ_star: float
 ) -> float:
     """Retained value net of weighted resource costs, given the attacker's
-    breach probability against this algorithm."""
-    return (
-        algorithm.protected_value * (1.0 - p_succ_star)
-        - weights.g_op * algorithm.op_cost
-        - weights.g_cpu * algorithm.cpu_cost
-        - weights.g_mem * algorithm.mem_cost
-        - weights.g_tau * algorithm.latency
-        + weights.g_r * algorithm.resilience
-    )
+    breach probability against this algorithm; the costs are subtracted in
+    COSTS order, then the resilience gain is added."""
+    utility = algorithm.protected_value * (1.0 - p_succ_star)
+    for cost in COSTS:
+        utility -= getattr(weights, cost.weight) * getattr(algorithm, cost.field)
+    return utility + weights.g_r * algorithm.resilience
 
 
 def _evaluation(
@@ -99,7 +98,7 @@ def evaluate_budgets(
 
 def defender_polytope(instance: GameInstance) -> tuple[Constraint, ...]:
     """Labeled constraints of the feasible deployment region: simplex,
-    four resource caps, a resilience floor, and one cap per family.
+    one cap per row of COSTS, a resilience floor, and one cap per family.
 
     Built once per instance and kept on it, as the instance is frozen down
     to its family caps, so every LP over one instance shares the tuple and
@@ -110,17 +109,14 @@ def defender_polytope(instance: GameInstance) -> tuple[Constraint, ...]:
     algs = instance.algorithms
     n = len(algs)
     b = instance.budgets
-    cons = [
-        Constraint((1.0,) * n, "=", 1.0, "simplex"),
-        Constraint(tuple(a.op_cost for a in algs), "<=", b.c_op_max, "op"),
-        Constraint(tuple(a.cpu_cost for a in algs), "<=", b.c_cpu_max, "cpu"),
-        Constraint(tuple(a.mem_cost for a in algs), "<=", b.c_mem_max, "mem"),
-        Constraint(tuple(a.latency for a in algs), "<=", b.t_max, "latency"),
-        Constraint(tuple(a.resilience for a in algs), ">=", b.r_min, "resilience"),
-    ]
+    cons = [Constraint((1.0,) * n, "=", 1.0, "simplex")]
+    for cost in COSTS:
+        row = tuple(getattr(a, cost.field) for a in algs)
+        cons.append(Constraint(row, "<=", getattr(b, cost.cap), cost.key))
+    cons.append(Constraint(tuple(a.resilience for a in algs), ">=", b.r_min, "resilience"))
     for fam in sorted({a.family for a in algs}):
         row = tuple(1.0 if a.family == fam else 0.0 for a in algs)
-        cons.append(Constraint(row, "<=", instance.budgets.cap(fam), f"family:{fam}"))
+        cons.append(Constraint(row, "<=", b.cap(fam), f"family:{fam}"))
     polytope = tuple(cons)
     # threads racing to the first call may each build one; all are equal
     object.__setattr__(instance, "_polytope", polytope)
@@ -138,14 +134,14 @@ def build_defender_lp(
 
 
 def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, float]:
-    algs = instance.algorithms
-    usage = {key: 0.0 for key in USAGE_KEYS}
-    for p, a in zip(probs, algs):
-        usage["op"] += p * a.op_cost
-        usage["cpu"] += p * a.cpu_cost
-        usage["mem"] += p * a.mem_cost
-        usage["latency"] += p * a.latency
-        usage["resilience"] += p * a.resilience
+    """Expected use of each resource, keyed by USAGE_KEYS: each polytope
+    row after the simplex, summed over the algorithms in order."""
+    usage = {}
+    for con in defender_polytope(instance)[1 : len(USAGE_KEYS) + 1]:
+        total = 0.0
+        for p, c in zip(probs, con.coeffs):
+            total += p * c
+        usage[con.label] = total
     return usage
 
 

@@ -77,11 +77,16 @@ class LinearProgram:
             if getattr(self, name) is not None:  # hashable, for the _prebuilt cache
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.objective)
+        labels: set[str] = set()
         for con in self.constraints:
             if len(con.coeffs) != n:
                 raise ValueError(
                     f"constraint {con.label!r} has {len(con.coeffs)} coeffs, expected {n}"
                 )
+            # duals and binding labels are keyed by label
+            if con.label in labels:
+                raise ValueError(f"repeated constraint label {con.label!r}")
+            labels.add(con.label)
 
     @property
     def num_vars(self) -> int:

@@ -9,9 +9,9 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 # a probability at or below this is outside a strategy's support
 SUPPORT_EPS = 1e-7
@@ -89,12 +89,34 @@ class DefenderBudgets:
 
     def __reduce__(self):
         # a mappingproxy neither pickles nor deep-copies: rebuild from a dict
-        caps = (self.c_op_max, self.c_cpu_max, self.c_mem_max, self.t_max, self.r_min)
-        return type(self), (*caps, dict(self.family_caps))
+        *values, family_caps = (getattr(self, f.name) for f in fields(self))
+        return type(self), (*values, dict(family_caps))
 
     def cap(self, family: int) -> float:
         # families without a declared cap are uncapped
         return float(self.family_caps.get(family, 1.0))
+
+
+class _Cost(NamedTuple):
+    """One capped cost of the defender: its usage key, which is also its
+    polytope label, and the names of its EncryptionAlgorithm field, its
+    DefenderBudgets cap and its DefenderWeights weight."""
+
+    key: str
+    field: str
+    cap: str
+    weight: str
+
+
+# the defender's cost model, in the one order that the polytope rows, the
+# utility terms, the usage keys, the CSV columns and validate_instance
+# all follow; resilience, a floor and a gain, comes after these rows
+COSTS = (
+    _Cost("op", "op_cost", "c_op_max", "g_op"),
+    _Cost("cpu", "cpu_cost", "c_cpu_max", "g_cpu"),
+    _Cost("mem", "mem_cost", "c_mem_max", "g_mem"),
+    _Cost("latency", "latency", "t_max", "g_tau"),
+)
 
 
 @dataclass(frozen=True)
@@ -216,7 +238,8 @@ class ValidationReport:
 
 
 def validate_instance(instance: GameInstance) -> ValidationReport:
-    """Report-style validation of one scenario; never raises."""
+    """Report-style validation of one scenario; never raises. Every rule is
+    written as "not x >= 0" or "not x > 0", so that a NaN fails it too."""
     problems: list[str] = []
     if not instance.algorithms:
         problems.append("scenario has no algorithms")
@@ -225,17 +248,13 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
         if alg.id in seen_ids:
             problems.append(f"duplicate algorithm id {alg.id!r}")
         seen_ids.add(alg.id)
-        for name, value in (
-            ("op_cost", alg.op_cost),
-            ("cpu_cost", alg.cpu_cost),
-            ("mem_cost", alg.mem_cost),
-            ("latency", alg.latency),
-        ):
-            if value < 0:
-                problems.append(f"{alg.id}: {name} must be >= 0, got {value}")
+        for cost in COSTS:
+            value = getattr(alg, cost.field)
+            if not value >= 0:
+                problems.append(f"{alg.id}: {cost.field} must be >= 0, got {value}")
         if not 0.0 <= alg.resilience <= 1.0:
             problems.append(f"{alg.id}: resilience out of [0,1]: {alg.resilience}")
-        if alg.protected_value <= 0:
+        if not alg.protected_value > 0:
             problems.append(f"{alg.id}: protected_value must be > 0")
         seen_attacks: set[str] = set()
         for atk in alg.attacks:
@@ -246,37 +265,27 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
                 problems.append(
                     f"{alg.id}/{atk.id}: success out of (0,1): {atk.success}"
                 )
-            if atk.cost < 0:
+            if not atk.cost >= 0:
                 problems.append(f"{alg.id}/{atk.id}: cost must be >= 0")
     for fam, cap in instance.budgets.family_caps.items():
         if not 0.0 < cap <= 1.0:
             problems.append(f"family {fam}: cap out of (0,1]: {cap}")
     b = instance.budgets
-    for name, value in (
-        ("c_op_max", b.c_op_max),
-        ("c_cpu_max", b.c_cpu_max),
-        ("c_mem_max", b.c_mem_max),
-        ("t_max", b.t_max),
-    ):
-        if value <= 0:
-            problems.append(f"{name} must be > 0, got {value}")
+    for cost in COSTS:
+        value = getattr(b, cost.cap)
+        if not value > 0:
+            problems.append(f"{cost.cap} must be > 0, got {value}")
     if not 0.0 <= b.r_min <= 1.0:
         problems.append(f"r_min out of [0,1]: {b.r_min}")
-    w = instance.weights
-    for name, value in (
-        ("g_op", w.g_op),
-        ("g_cpu", w.g_cpu),
-        ("g_mem", w.g_mem),
-        ("g_tau", w.g_tau),
-        ("g_r", w.g_r),
-    ):
-        if value < 0:
+    for name in [cost.weight for cost in COSTS] + ["g_r"]:
+        value = getattr(instance.weights, name)
+        if not value >= 0:
             problems.append(f"{name} must be >= 0, got {value}")
     a = instance.attacker
-    if a.value <= 0:
+    if not a.value > 0:
         problems.append(f"attacker value must be > 0, got {a.value}")
-    if a.budget < 0:
+    if not a.budget >= 0:
         problems.append(f"attacker budget must be >= 0, got {a.budget}")
-    if a.cost_fn.linear_coeff < 0 or a.cost_fn.quadratic_coeff < 0:
+    if not (a.cost_fn.linear_coeff >= 0 and a.cost_fn.quadratic_coeff >= 0):
         problems.append("cost function coefficients must be >= 0")
     return ValidationReport(ok=not problems, violations=tuple(problems))

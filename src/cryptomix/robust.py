@@ -80,7 +80,11 @@ class MatrixReport:
 
 
 def _budget_label(k: float) -> str:
-    return f"{k:g}"
+    """The one label rule for a budget, in LP rows, matrix columns and
+    error contexts: %g where that reads back as k, else repr(k), so that
+    distinct budgets such as 20 and 20.000001 keep distinct labels."""
+    short = f"{k:g}"
+    return short if float(short) == k else repr(k)
 
 
 def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTable:
@@ -92,7 +96,7 @@ def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTa
     for k, evals in zip(scenarios.budgets, rows):
         util_row = tuple(ev.utility for ev in evals)
         breach_row = tuple(ev.p_succ_star for ev in evals)
-        label = f"scenario k={k:g}"
+        label = f"scenario k={_budget_label(k)}"
         best, optimum = _optimal_point(LinearProgram("max", util_row, polytope), f"{label}: LP")
         _, floor = _optimal_point(LinearProgram("min", breach_row, polytope), f"{label}: breach LP")
         utilities.append(util_row)

@@ -173,6 +173,30 @@ def test_every_solver_rejects_a_cost_below_zero(solve, cost):
         solve(alg, replace(params, value=math.nan))
 
 
+@EVERY_SOLVER
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (CostFunctionSpec(-5.0, 0.0), "cost_fn.linear_coeff -5.0"),
+        (CostFunctionSpec(1.0, -0.5), "cost_fn.quadratic_coeff -0.5"),
+    ],
+    ids=["linear", "quadratic"],
+)
+def test_every_solver_rejects_a_negative_value_with_a_negative_phi(solve, spec, field):
+    # at a value < 0 the smallest failure product at a cell is the worst set
+    # there: unchecked, the DP and the hybrid answered ('a', 'b') at utility
+    # 0.9 here, where brute force found ('c',) at utility 5.0
+    alg = bare_algorithm(
+        (AttackMethod("a", 0.9, 1.0), AttackMethod("b", 0.1, 1.0), AttackMethod("c", 0.5, 2.0))
+    )
+    params = AttackerParams(value=-10.0, budget=2.0, cost_fn=spec)
+    with pytest.raises(ValidationError, match=f"^attacker value -10.0 < 0 with {field} < 0$"):
+        solve(alg, params)
+    # either sign alone is still answered
+    for legal in (replace(params, value=10.0), replace(params, cost_fn=CostFunctionSpec())):
+        assert solve(alg, legal) is not None
+
+
 @pytest.mark.parametrize(
     "field, number",
     [

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from cryptomix import (
+    ComparisonRow,
     HybridResult,
     InfeasibleDefender,
+    comparison_csv,
     evaluate_all,
     defender_polytope,
     make_report,
@@ -13,17 +15,16 @@ from cryptomix import (
     solve_lp,
     solve_hybrid,
     solve_stackelberg,
+    strategy_usage,
     make_plan,
 )
 
 from helpers import identical_methods, random_feasible_instance, random_methods, run_python
 
 
-def test_per_algorithm_utility_formula(instance):
-    alg = instance.algorithm("aes128-gcm")
-    w = instance.weights
-    p = 0.3
-    expected = (
+# the defender's utility written out term by term
+def explicit_utility(alg, w, p):
+    return (
         alg.protected_value * (1.0 - p)
         - w.g_op * alg.op_cost
         - w.g_cpu * alg.cpu_cost
@@ -31,7 +32,53 @@ def test_per_algorithm_utility_formula(instance):
         - w.g_tau * alg.latency
         + w.g_r * alg.resilience
     )
-    assert per_algorithm_utility(alg, w, p) == pytest.approx(expected)
+
+
+def test_per_algorithm_utility_formula(instance):
+    alg = instance.algorithm("aes128-gcm")
+    w = instance.weights
+    assert per_algorithm_utility(alg, w, 0.3).hex() == explicit_utility(alg, w, 0.3).hex()
+
+
+# the cost model written out by hand, one (usage key, algorithm field,
+# cap) per polytope row after the simplex
+HAND_WRITTEN = (
+    ("op", "op_cost", "c_op_max"),
+    ("cpu", "cpu_cost", "c_cpu_max"),
+    ("mem", "mem_cost", "c_mem_max"),
+    ("latency", "latency", "t_max"),
+    ("resilience", "resilience", "r_min"),
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_cost_table_drives_every_listing(seed):
+    from cryptomix.model import COSTS
+
+    rng = np.random.default_rng(seed)
+    inst = random_feasible_instance(rng)
+    algs, w, b = inst.algorithms, inst.weights, inst.budgets
+    for alg in algs:
+        p = float(rng.uniform())
+        assert per_algorithm_utility(alg, w, p).hex() == explicit_utility(alg, w, p).hex()
+    probs = [float(q) for q in rng.dirichlet(np.ones(len(algs)))]
+    usage = strategy_usage(inst, probs)
+    assert list(usage) == [key for key, _, _ in HAND_WRITTEN]
+    for key, field, _ in HAND_WRITTEN:
+        total = 0.0
+        for q, a in zip(probs, algs):
+            total += q * getattr(a, field)
+        assert usage[key].hex() == total.hex()
+    polytope = defender_polytope(inst)
+    assert [c.label for c in polytope[1:6]] == [cost.key for cost in COSTS] + ["resilience"]
+    for con, (key, field, cap) in zip(polytope[1:6], HAND_WRITTEN):
+        assert (con.label, con.coeffs, con.rhs) == (
+            key, tuple(getattr(a, field) for a in algs), getattr(b, cap)
+        )
+    assert comparison_csv([]) == "label,objective,breach,op,cpu,mem,latency,resilience\n"
+    report = make_report(inst, probs, evaluate_all(inst))
+    fields = (report.objective, report.expected_breach, *(usage[key] for key, _, _ in HAND_WRITTEN))
+    assert ComparisonRow("x", report).csv_line() == "x," + ",".join(repr(v) for v in fields)
 
 
 def test_polytope_labels_for_bundled(instance):

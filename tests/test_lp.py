@@ -149,6 +149,14 @@ def test_constraint_validation():
         LinearProgram(sense="best", objective=(1.0,), constraints=())
 
 
+def test_a_repeated_constraint_label_is_refused():
+    # duals and binding labels are keyed by label: a second "cap" row would
+    # lose its dual
+    rows = (Constraint((1.0,), "<=", 1.0, "cap"), Constraint((2.0,), "<=", 3.0, "cap"))
+    with pytest.raises(ValueError, match="^repeated constraint label 'cap'$"):
+        LinearProgram("max", (1.0,), rows)
+
+
 # every LP the defender, robust and baseline layers solve, with the context
 # its status errors name; `table` is a scenario table of the feasible
 # bundled instance

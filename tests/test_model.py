@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -145,6 +146,61 @@ def test_validate_flags_negative_attacker_budget(instance):
     attacker = dataclasses.replace(instance.attacker, budget=-1.0)
     report = validate_instance(dataclasses.replace(instance, attacker=attacker))
     assert any("attacker budget" in v for v in report.violations)
+
+
+def _with(instance, where, name, value):
+    """instance with one number replaced: a field of its first algorithm,
+    of that algorithm's first attack, of its attacker, of the attacker's
+    cost function, or of its budgets or weights."""
+    change = {name: value}
+    alg = instance.algorithms[0]
+    attacker = instance.attacker
+    if where == "algorithm":
+        return _broken(instance, **change)
+    if where == "attack":
+        attack = dataclasses.replace(alg.attacks[0], **change)
+        return _broken(instance, attacks=(attack,) + alg.attacks[1:])
+    if where == "cost_fn":
+        cost_fn = dataclasses.replace(attacker.cost_fn, **change)
+        attacker = dataclasses.replace(attacker, cost_fn=cost_fn)
+        return dataclasses.replace(instance, attacker=attacker)
+    part = getattr(instance, where)
+    return dataclasses.replace(instance, **{where: dataclasses.replace(part, **change)})
+
+
+# (part, field, a bad finite number, the violation it and a NaN raise)
+BAD_NUMBERS = [
+    *[
+        ("algorithm", field, -1.0, "{alg}: " + field + " must be >= 0, got {v}")
+        for field in ("op_cost", "cpu_cost", "mem_cost", "latency")
+    ],
+    ("algorithm", "protected_value", 0.0, "{alg}: protected_value must be > 0"),
+    ("attack", "cost", -1.0, "{alg}/{atk}: cost must be >= 0"),
+    *[
+        ("budgets", cap, 0.0, cap + " must be > 0, got {v}")
+        for cap in ("c_op_max", "c_cpu_max", "c_mem_max", "t_max")
+    ],
+    *[
+        ("weights", weight, -1.0, weight + " must be >= 0, got {v}")
+        for weight in ("g_op", "g_cpu", "g_mem", "g_tau", "g_r")
+    ],
+    ("attacker", "value", 0.0, "attacker value must be > 0, got {v}"),
+    ("attacker", "budget", -1.0, "attacker budget must be >= 0, got {v}"),
+    ("cost_fn", "linear_coeff", -1.0, "cost function coefficients must be >= 0"),
+    ("cost_fn", "quadratic_coeff", -1.0, "cost function coefficients must be >= 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, name, bad, message", BAD_NUMBERS, ids=[f"{w}.{n}" for w, n, _, _ in BAD_NUMBERS]
+)
+def test_validate_flags_nan_as_it_flags_a_bad_finite_number(instance, where, name, bad, message):
+    # each rule reads "not x >= 0" or "not x > 0", so a NaN fails it with
+    # the message a finite bad number gets
+    alg = instance.algorithms[0]
+    for value in (bad, math.nan):
+        want = message.format(alg=alg.id, atk=alg.attacks[0].id, v=value)
+        assert validate_instance(_with(instance, where, name, value)).violations == (want,)
 
 
 def test_family_caps_are_read_only(instance):

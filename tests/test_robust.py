@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cryptomix.robust
 from cryptomix import (
     ScenarioSet,
     breach_regret_matrix,
     build_regret_lp,
+    check_dual_certificate,
     evaluate_all,
     make_plan,
     per_algorithm_utility,
@@ -191,6 +193,32 @@ def test_regret_lp_structure(instance, table):
     for k in table.budgets:
         assert f"regret:{k:g}" in labels
     assert solve_lp(lp).objective_value >= 0.0  # every regret is nonnegative
+
+
+def test_budgets_whose_g_forms_collide_keep_distinct_labels(instance, monkeypatch):
+    # %g writes 20.000001 as 20; sharing the label "regret:20", two rows
+    # once shared one dual, and the certificate of the optimal regret LP
+    # read 263.55
+    table = scenario_table(instance, ScenarioSet((20.0, 20.000001, 60.0)))
+    lp = build_regret_lp(instance, table)
+    labels = [c.label for c in lp.constraints if c.label.startswith("regret:")]
+    assert labels == ["regret:20", "regret:20.000001", "regret:60"]
+    assert check_dual_certificate(lp, solve_lp(lp)) <= 1e-7
+    solved = []
+
+    def recording(program, context="LP"):
+        solved.append((program, solve_lp(program, context)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(cryptomix.robust, "solve_lp", recording)
+    solve_maximin(instance, table)
+    (maximin, solution), = solved
+    cuts = [c.label for c in maximin.constraints if c.label.startswith("scenario:")]
+    assert cuts == ["scenario:20", "scenario:20.000001", "scenario:60"]
+    assert check_dual_certificate(maximin, solution) <= 1e-7
+    columns = regret_matrix(instance, table).col_labels
+    assert columns == ("k=20", "k=20.000001", "k=60", "max")
+    assert regret_matrix(instance, table).row_labels[:3] == tuple(f"Opt({k})" for k in columns[:3])
 
 
 def test_regret_matrix_diagonal_zero(instance, table):
