@@ -47,6 +47,22 @@ against brute force and the plans against the unreduced DP by repr. The
 reduction is skipped where the bound does not hold: a value <= 0, a phi
 coefficient < 0 or a success outside [0, 1]. solve_dp never reduces; it
 is the exact oracle.
+
+The bound also counts equal methods. A run is a maximal group of methods
+adjacent in id order that share the DP's factor 1.0 - s and their weight,
+and every set _fill_table keeps holds a prefix of each run. Say member j
+of a run is added at a cell to a set that lacks member j - 1, the method
+just before it in id order. That set was at its cell when layer j - 1
+came, and adding j - 1 to it there gave the product adding j gives, bit
+for bit: the same factor, multiplied at the same place in the id-order
+chain. So the target cell already holds a product no larger, the strict
+< keeps it, and j is never added there. A set that holds a run's t-th
+member therefore holds t of its members, t * w cells at least, and
+_forced_bounds bounds it by the relaxation there; equal methods past the
+count the best plan can use are left out before any table is built.
+Runs compare factors, not the masses -log1p(-s) the bound uses: distinct
+successes can share a mass while their factors, and so the DP's
+products, differ.
 """
 
 from __future__ import annotations
@@ -446,6 +462,15 @@ def _forced_bounds(
     plane of G at (t0, A*(t0)) turns that into the bound, one vector
     expression for every method. known is the best ratio-order prefix
     within K cells.
+
+    Where methods form runs (_run_ranks; the module docstring), the t-th
+    member of a run is bound as t members too: a set the DP keeps that
+    holds it has t * w_i cells or more, so, where the concave relaxation
+    G(w, A*(w)) has a right slope <= 0 at t * w_i, its value there bounds
+    the set at every budget; the smaller bound is taken. That is the
+    relaxation at min(max(t * w_i, peak), K), -inf past K, wherever it can
+    fall below known, and it needs no peak. A run-free algorithm pays for
+    the neighbour test alone.
     """
     value, spec = params.value, params.cost_fn
     alpha, beta = spec.linear_coeff, spec.quadratic_coeff
@@ -458,6 +483,7 @@ def _forced_bounds(
     steps[0, 1:] = weights
     steps[1, 1:] = [m.success for m in methods]
     w, mass = steps[0, 1:, None], steps[1, 1:, None]
+    rank = _run_ranks(steps[1, 1:], steps[0, 1:])
     with np.errstate(all="ignore"):
         np.log1p(np.negative(steps[1], out=steps[1]), out=steps[1])
         if not steps[1].max() <= 0:  # a success below 0, above 1 or nan
@@ -515,8 +541,37 @@ def _forced_bounds(
         base, per_cell, lam, sigma, known, margin, limit = np.array(rows).T
         # one column per budget, then transposed
         bound = base + per_cell * w + lam * np.minimum(0.0, mass - sigma * w)
-        np.putmask(bound, w > limit, -np.inf)  # no set within the budget holds it
+        heavy = w  # the fewest cells of a set that holds the method
+        if rank is not None:
+            # the relaxation is concave, so where its right slope at t * w
+            # is <= 0 it falls from there on
+            heavy = rank * steps[0, 1:]
+            at = np.searchsorted(cells, heavy, side="right") - 1
+            gain = np.array(slope)[at + 1]  # A*'s slope right of heavy
+            fail = np.exp(gain * (cells[at] - heavy) - frontier[at])
+            drop = value * (1.0 - fail) - heavy * (linear + quadratic * heavy)
+            falls = value * fail * gain <= linear + 2.0 * quadratic * heavy
+            heavy = heavy[:, None]
+            np.minimum(bound, np.where(falls, drop, np.inf)[:, None], out=bound)
+        np.putmask(bound, heavy > limit, -np.inf)  # no set within the budget holds it
     return bound.T, known, margin
+
+
+def _run_ranks(success: np.ndarray, weights: np.ndarray) -> Optional[np.ndarray]:
+    """Each method's place t = 1, 2, ... in its run, the maximal group of
+    methods adjacent in id order with one failure factor 1.0 - s and one
+    weight; None where every run is one method long. Weights are compared
+    first, as equal neighbours are rare among distinct methods."""
+    joins = weights[1:] == weights[:-1]
+    if joins.any():
+        factor = 1.0 - success
+        joins &= factor[1:] == factor[:-1]
+    if not joins.any():
+        return None
+    place = np.arange(success.size)
+    head = np.ones(success.size, dtype=bool)  # where a run starts
+    np.logical_not(joins, out=head[1:])
+    return place - np.maximum.accumulate(place * head) + 1
 
 
 def _relaxation_peak(

@@ -102,7 +102,7 @@ def defender_polytope(instance: GameInstance) -> tuple[Constraint, ...]:
 
     Built once per instance and kept on it, as the instance is frozen down
     to its family caps, so every LP over one instance shares the tuple and
-    finds its cached model (lp._prebuilt) by identity."""
+    finds its cached model by identity (lp._prebuilt_for)."""
     polytope = vars(instance).get("_polytope")
     if polytope is not None:
         return polytope

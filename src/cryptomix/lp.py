@@ -4,13 +4,14 @@ Programs are built from labeled constraints so downstream reports can name
 which constraints bind at an optimum. The dual simplex returns a basic
 feasible solution, so vertex solutions are deterministic for a fixed
 program. Every LP takes one path (_optimum): its cost on the model of its
-constraint set, built once (_prebuilt, an LRU of 64 keyed by content; the
-defender polytope, kept per instance, hits it by identity), one cold
-HiGHS run, and the status and feasibility checks. Only an optimum comes
-back: every other outcome raises NotOptimal, or its subclass
-InfeasibleDefender. solve_lp reads it into a full LpSolution: point,
-objective, binding labels, duals and bound marginals. _optimal_point
-reads only the point and objective, for callers that need nothing else.
+constraint set, built once (_prebuilt, an LRU of 64 keyed by content,
+behind _prebuilt_for's one-slot identity check, which the defender
+polytope, kept per instance, hits), one cold HiGHS run, and the status
+and feasibility checks. Only an optimum comes back: every other outcome
+raises NotOptimal, or its subclass InfeasibleDefender. solve_lp reads it
+into a full LpSolution: point, objective, binding labels, duals and
+bound marginals. _optimal_point reads only the point and objective, for
+callers that need nothing else.
 
 The layer loads only scipy's HiGHS extension module
 (scipy.optimize._highspy._core), at the first LP, and never
@@ -181,7 +182,10 @@ class _Form(NamedTuple):
     None bounds as -inf/+inf. The objective is not part of it (_cost), so
     one form serves every program over the same constraints and bounds.
     labels names the constraints in program order; rows[k] is the row of
-    constraint k and sign[k] is -1.0 where that row was negated."""
+    constraint k and sign[k] is -1.0 where that row was negated. floor and
+    ceiling hold what _feasible allows of x followed by rhs - matrix @ x:
+    the bounds widened by _CHECK_TOL, a <= row's slack down to -_CHECK_TOL
+    and an = row's within _CHECK_TOL of 0."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -191,6 +195,8 @@ class _Form(NamedTuple):
     labels: tuple[str, ...]
     rows: np.ndarray
     sign: np.ndarray
+    floor: np.ndarray
+    ceiling: np.ndarray
 
 
 _NOT_FINITE = "LP objective, coefficients and right-hand sides must be finite"
@@ -217,10 +223,14 @@ def _form(lp: LinearProgram) -> _Form:
     upper[np.isnan(upper)] = np.inf
     row_of = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.intp)
     sign = np.array([-1.0 if con.relation == ">=" else 1.0 for con in lp.constraints])
-    for array in (matrix, rhs, lower, upper, row_of, sign):
+    floor = np.concatenate((lower - _CHECK_TOL, np.full(len(rows), -_CHECK_TOL)))
+    slack_cap = np.full(len(rows), _CHECK_TOL)
+    slack_cap[:n_ub] = np.inf
+    ceiling = np.concatenate((upper + _CHECK_TOL, slack_cap))
+    for array in (matrix, rhs, lower, upper, row_of, sign, floor, ceiling):
         array.setflags(write=False)
     labels = tuple(con.label for con in lp.constraints)
-    return _Form(matrix, rhs, n_ub, lower, upper, labels, row_of, sign)
+    return _Form(matrix, rhs, n_ub, lower, upper, labels, row_of, sign, floor, ceiling)
 
 
 def _cost(lp: LinearProgram) -> np.ndarray:
@@ -260,7 +270,25 @@ def _prebuilt(num_vars, constraints, lower_bounds, upper_bounds, negative_zeros)
     return form, _highs_lp(form)
 
 
+# the constraint set, bounds and variable count last served, then their
+# form and model: one tuple, replaced in one assignment, so that a thread
+# never reads one program's key beside another's model
+_last_prebuilt: tuple = (None, None, None, 0, None)
+
+
 def _prebuilt_for(lp: LinearProgram):
+    """_prebuilt's form and model for lp, found by identity when lp shares
+    the last program's constraint and bound tuples (the same objects hold
+    the same values, zero signs included), else by content."""
+    global _last_prebuilt
+    constraints, lower, upper, num_vars, found = _last_prebuilt
+    if (
+        constraints is lp.constraints
+        and lower is lp.lower_bounds
+        and upper is lp.upper_bounds
+        and num_vars == lp.num_vars
+    ):
+        return found
     values = [con.rhs for con in lp.constraints]
     values += [v for v in lp.lower_bounds or () if v is not None]
     values += [v for v in lp.upper_bounds or () if v is not None]
@@ -268,7 +296,9 @@ def _prebuilt_for(lp: LinearProgram):
     # sign of a zero activity, which _feasible and _binding only compare
     # with nonzero tolerances, so the key leaves coefficients to ==
     negative_zeros = tuple(i for i, v in enumerate(values) if v == 0 and math.copysign(1.0, v) < 0)
-    return _prebuilt(lp.num_vars, lp.constraints, lp.lower_bounds, lp.upper_bounds, negative_zeros)
+    found = _prebuilt(lp.num_vars, lp.constraints, lp.lower_bounds, lp.upper_bounds, negative_zeros)
+    _last_prebuilt = (lp.constraints, lp.lower_bounds, lp.upper_bounds, lp.num_vars, found)
+    return found
 
 
 class _Run(NamedTuple):
@@ -316,14 +346,12 @@ def linprog(model) -> _Run:
 
 def _feasible(form: _Form, run: _Run) -> bool:
     """scipy's _check_result for an optimal run: no NaN, and x within its
-    bounds and rows up to _CHECK_TOL (a NaN fails every comparison)."""
-    x = run.x
-    slack = form.rhs - form.matrix @ x
+    bounds and rows up to _CHECK_TOL, in one comparison of x and the
+    slack rhs - matrix @ x against form.floor and form.ceiling (a NaN
+    fails every comparison)."""
+    point = np.concatenate((run.x, form.rhs - form.matrix @ run.x))
     return not math.isnan(run.fun) and bool(
-        (x >= form.lower - _CHECK_TOL).all()
-        and (x <= form.upper + _CHECK_TOL).all()
-        and (slack[: form.n_ub] >= -_CHECK_TOL).all()
-        and (np.abs(slack[form.n_ub :]) <= _CHECK_TOL).all()
+        ((point >= form.floor) & (point <= form.ceiling)).all()
     )
 
 

@@ -9,6 +9,7 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -239,7 +240,10 @@ class ValidationReport:
 
 def validate_instance(instance: GameInstance) -> ValidationReport:
     """Report-style validation of one scenario; never raises. Every rule is
-    written as "not x >= 0" or "not x > 0", so that a NaN fails it too."""
+    written as "not x >= 0" or "not x > 0", so that a NaN fails it too. A
+    defender cost, protected_value, cap or weight or the attacker value
+    that passes its rule at +inf is flagged as not finite, as the LPs
+    cannot hold it; an infinite attack cost or budget stays legal."""
     problems: list[str] = []
     if not instance.algorithms:
         problems.append("scenario has no algorithms")
@@ -252,10 +256,14 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
             value = getattr(alg, cost.field)
             if not value >= 0:
                 problems.append(f"{alg.id}: {cost.field} must be >= 0, got {value}")
+            elif value == math.inf:
+                problems.append(f"{alg.id}: {cost.field} must be finite, got {value}")
         if not 0.0 <= alg.resilience <= 1.0:
             problems.append(f"{alg.id}: resilience out of [0,1]: {alg.resilience}")
         if not alg.protected_value > 0:
             problems.append(f"{alg.id}: protected_value must be > 0")
+        elif alg.protected_value == math.inf:
+            problems.append(f"{alg.id}: protected_value must be finite, got {alg.protected_value}")
         seen_attacks: set[str] = set()
         for atk in alg.attacks:
             if atk.id in seen_attacks:
@@ -275,15 +283,21 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
         value = getattr(b, cost.cap)
         if not value > 0:
             problems.append(f"{cost.cap} must be > 0, got {value}")
+        elif value == math.inf:
+            problems.append(f"{cost.cap} must be finite, got {value}")
     if not 0.0 <= b.r_min <= 1.0:
         problems.append(f"r_min out of [0,1]: {b.r_min}")
     for name in [cost.weight for cost in COSTS] + ["g_r"]:
         value = getattr(instance.weights, name)
         if not value >= 0:
             problems.append(f"{name} must be >= 0, got {value}")
+        elif value == math.inf:
+            problems.append(f"{name} must be finite, got {value}")
     a = instance.attacker
     if not a.value > 0:
         problems.append(f"attacker value must be > 0, got {a.value}")
+    elif a.value == math.inf:
+        problems.append(f"attacker value must be finite, got {a.value}")
     if not a.budget >= 0:
         problems.append(f"attacker budget must be >= 0, got {a.budget}")
     if not (a.cost_fn.linear_coeff >= 0 and a.cost_fn.quadratic_coeff >= 0):

@@ -7,7 +7,8 @@ and records the exit code and the SHA-256 of stdout, stderr and every
 file written. A pipeline entry records the SHA-256 of the repr of each
 result of the whole pipeline on one instance, and a subgame entry that
 of each attacker solver's plans on methods whose failure products tie
-exactly, where the DP's id rule decides the plan. Nothing pins the
+exactly, where the DP's id rule decides the plan, or on long runs of
+equal methods, which the attacker reduction cuts to a few. Nothing pins the
 string hash seed, so an entry that varies between runs is a
 reproducibility defect.
 
@@ -76,6 +77,9 @@ TIE_SEEDS = range(4)
 # {x} at (0.75, 2.0) and {y, z} at (0.5, 1.0) each fail with 0.25 at 2.0;
 # a method of success 0 or 1 ties the products of the sets it joins
 TIE_PAIRS = ((0.5, 1.0), (0.75, 2.0), (0.3, 1.0), (0.0, 0.5), (1.0, 3.0))
+# seed 1 draws the plans of seed 0, so it is left out
+RUN_SEEDS = (0, 2, 3, 4)
+RUN_PAIRS = ((0.16, 0.5), (0.3, 1.0), (0.41, 1.5), (0.51, 2.0))
 
 
 def _sha(data: bytes) -> str:
@@ -184,6 +188,35 @@ def tie_subgame_digest(seed: int) -> dict:
     )
 
 
+def run_subgame_digest(seed: int) -> dict:
+    """hybrid_plans and solve_dp (at a cell cap that fits) at budgets 10
+    to 60 on runs of equal methods: 250 copies of (0.3, 1.0) for seed 0,
+    else four to six runs of 30 to 80 methods drawn from RUN_PAIRS, with
+    ids in run order. The whole table fits no budget past about 40, so
+    these went to the greedy before equal methods entered the bound as
+    counts."""
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        pairs = [(0.3, 1.0)] * 250
+    else:
+        pairs = [
+            RUN_PAIRS[p]
+            for p, length in zip(rng.integers(0, len(RUN_PAIRS), 6), rng.integers(30, 81, 6))
+            for _ in range(length)
+        ][: int(rng.integers(200, 301))]
+    methods = tuple(cm.AttackMethod(f"m{i:03d}", *pair) for i, pair in enumerate(pairs))
+    algorithm = cm.EncryptionAlgorithm("runs", 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0, methods)
+    params = cm.AttackerParams(value=300.0, budget=0.0)
+    budgets = [float(k) for k in range(10, 61, 10)]
+    wide = cm.SolverConfig(max_table_cells=10**6)
+    return _repr_digests(
+        {
+            "hybrid": hybrid_plans(algorithm, params, budgets),
+            "dp": [cm.solve_dp(algorithm, replace(params, budget=k), wide) for k in budgets],
+        }
+    )
+
+
 def entries() -> dict[str, Callable[[Path], dict]]:
     """Every entry by name; each takes an empty working directory."""
     found: dict[str, Callable[[Path], dict]] = {}
@@ -194,6 +227,8 @@ def entries() -> dict[str, Callable[[Path], dict]]:
     found["pipeline reference-session"] = lambda workdir: reference_session_digest()
     for seed in TIE_SEEDS:
         found[f"subgame ties-{seed}"] = lambda workdir, seed=seed: tie_subgame_digest(seed)
+    for seed in RUN_SEEDS:
+        found[f"subgame runs-{seed}"] = lambda workdir, seed=seed: run_subgame_digest(seed)
     return found
 
 

@@ -62,9 +62,18 @@ def wide_methods(rng, n):
 
 
 def identical_methods(n):
-    """n methods of success 0.3 and cost 1.0: no forced-in bound tells one
-    from another, so the attacker reduction keeps all or none of them."""
+    """n methods of success 0.3 and cost 1.0, one run: every set the DP
+    keeps holds a prefix of them in id order, so the attacker reduction
+    keeps a prefix too (13 of them at value 300 from budget 13 on)."""
     return tuple(AttackMethod(f"m{i:03d}", 0.3, 1.0) for i in range(n))
+
+
+def spread_methods(n, success=0.3, cost=1.0):
+    """n methods of one cost whose successes climb from success by 1e-12:
+    no two share a failure factor, so they form no run, and their bounds
+    lie within the margin of each other, so the attacker reduction keeps
+    all of them at the values and budgets the tests use."""
+    return tuple(AttackMethod(f"m{i:03d}", success + i * 1e-12, cost) for i in range(n))
 
 
 def bare_algorithm(methods, alg_id="target"):

@@ -26,6 +26,7 @@ from cryptomix import (
     solve_sample_greedy,
 )
 from cryptomix.attacker import (
+    _fill_table,
     _fits,
     _forced_bounds,
     _grid_cells,
@@ -36,10 +37,12 @@ import cryptomix.attacker
 from cryptomix.model import make_plan, phi
 from helpers import (
     bare_algorithm,
+    identical_methods,
     random_methods,
     reference_dp_table,
     reference_sample_greedy,
     scalar_cells,
+    spread_methods,
     wide_methods,
 )
 
@@ -792,14 +795,22 @@ def test_hybrid_falls_back_on_table_size(worked_algorithm, worked_params):
 
 
 def test_hybrid_and_dp_share_the_table_guard():
-    # 10 methods x 10001 cost levels is one row past the 100k-cell cap
-    alg = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.1, 100.0) for i in range(10)))
+    # 10 methods x 10001 cost levels is one row past the 100k-cell cap;
+    # their successes differ by 1e-12, so the bound keeps all ten
+    alg = bare_algorithm(spread_methods(10, success=0.1, cost=100.0))
     params = AttackerParams(value=1000.0, budget=1000.0)
     with pytest.raises(TableTooLarge):
         solve_dp(alg, params)
     assert solve_hybrid(alg, params).solver == "greedy"
     below = AttackerParams(value=1000.0, budget=999.9)
     assert solve_hybrid(alg, below) == HybridResult(solve_dp(alg, below), "dp")
+    # ten equal methods are one run: the bound keeps its first member, and
+    # the one-row table fits
+    equal = bare_algorithm(tuple(AttackMethod(f"m{i}", 0.1, 100.0) for i in range(10)))
+    with pytest.raises(TableTooLarge):
+        solve_dp(equal, params)
+    want = solve_dp(equal, params, SolverConfig(max_table_cells=10**6))
+    assert solve_hybrid(equal, params) == HybridResult(want, "dp")
 
 
 def test_overflowing_budget_fits_no_table():
@@ -890,17 +901,17 @@ def test_dp_skips_a_method_whose_cost_cells_overflow(monkeypatch, cost):
 @st.composite
 def reduction_subgames(draw, values=st.floats(1.0, 500.0)):
     """Up to 12 methods drawn from a few (success, cost) pairs, so that
-    many tie, with zero costs, success 0 or 1 and real-valued costs; a
-    quadratic phi; several increasing budgets; a table cap that is often
-    small."""
+    many tie, with zero costs, success 0 or 1 and real-valued costs, in
+    blocks of one to four equal methods adjacent in id order, so that
+    runs are common; a quadratic phi; several increasing budgets; a table
+    cap that is often small."""
     pairs = st.tuples(
         st.sampled_from([0.0, 0.1, 0.3, 0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0, 2.5])
     )
     real = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 20.0))
-    methods = tuple(
-        AttackMethod(f"m{i}", *draw(st.one_of(pairs, real)))
-        for i in range(draw(st.integers(0, 12)))
-    )
+    blocks = draw(st.lists(st.tuples(st.one_of(pairs, real), st.integers(1, 4)), max_size=12))
+    specs = [pair for pair, length in blocks for _ in range(length)][:12]
+    methods = tuple(AttackMethod(f"m{i:02d}", *pair) for i, pair in enumerate(specs))
     budgets = sorted(draw(st.lists(st.floats(0.0, 60.0), min_size=1, max_size=5, unique=True)))
     params = AttackerParams(
         value=draw(values),
@@ -917,12 +928,43 @@ def reduction_subgames(draw, values=st.floats(1.0, 500.0)):
     return bare_algorithm(methods), params, budgets, config
 
 
+def run_joins(methods, weights):
+    """joins[j] says whether method j + 1 continues the run of method j:
+    the two share the failure factor 1.0 - s and the weight."""
+    return [
+        1.0 - a.success == 1.0 - b.success and v == w
+        for a, b, v, w in zip(methods, methods[1:], weights, weights[1:])
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduction_subgames())
+def test_dp_sets_hold_a_prefix_of_every_run(case):
+    # the set _fill_table keeps at every reachable cell, read on the
+    # parent-pointer walk, holds method j + 1 of a run only beside method j
+    alg, _, budgets, config = case
+    methods = tuple(sorted(alg.attacks, key=lambda m: m.id))
+    weights = _grid_cells([m.cost for m in methods], config, up=True)
+    [cells] = _grid_cells(budgets[-1:], config, up=False)
+    minfail, take = _fill_table(methods, weights, cells + 1)
+    joins = run_joins(methods, weights)
+    for start in np.flatnonzero(minfail < np.inf).tolist():
+        held, cell = set(), start
+        for j in range(len(methods) - 1, -1, -1):
+            if take[j, cell]:
+                held.add(j)
+                cell -= weights[j]
+        assert all(j - 1 in held for j in held if j and joins[j - 1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(reduction_subgames())
 def test_forced_bound_covers_every_plan_holding_the_method(case):
-    # every subset that holds method i and fits a budget's cells, scored
-    # as the DP scores it (phi at its cells / scale), stays within the
-    # margin below the bound; the known plan's objective is one of them
+    # every subset the DP can keep (one that holds a prefix of every run,
+    # test_dp_sets_hold_a_prefix_of_every_run) that holds method i and fits
+    # a budget's cells, scored as the DP scores it (phi at its cells /
+    # scale), stays within the margin below the bound; the known plan's
+    # objective is one of them
     alg, params, budgets, config = case
     scale = config.cost_scale
     methods = tuple(sorted(alg.attacks, key=lambda m: m.id))
@@ -931,6 +973,9 @@ def test_forced_bound_covers_every_plan_holding_the_method(case):
     bound, known, margin = _forced_bounds(methods, weights, params, cells, scale)
     n = len(methods)
     masks = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+    for j, joined in enumerate(run_joins(methods, weights)):
+        if joined:
+            masks = masks[masks[:, j] | ~masks[:, j + 1]]
     keep = np.array([1.0 - m.success for m in methods])
     cost = masks @ np.array(weights, dtype=float)
     scored = params.value * (1.0 - np.where(masks, keep, 1.0).prod(axis=1)) - _penalty(
@@ -994,6 +1039,35 @@ def test_hybrid_plans_fill_one_table_per_budget_where_the_union_is_too_large(mon
     unbounded = SolverConfig(max_table_cells=10**6)
     for k, result in zip((2.0, 8.0), results):
         assert repr(result.plan) == repr(solve_dp(alg, replace(params, budget=k), unbounded))
+
+
+@pytest.mark.parametrize("budget", [10.0, 30.0, 50.0])
+def test_equal_methods_go_to_the_dp(budget):
+    # 250 equal methods are one run: the bound keeps at most 13 of them,
+    # whose table fits; the whole table (250 x 501 cells at budget 50)
+    # does not, and there the greedy took 50 methods for 250.0 against
+    # the DP's 13 for 284.09
+    alg = bare_algorithm(identical_methods(250))
+    params = AttackerParams(value=300.0, budget=budget)
+    result = solve_hybrid(alg, params)
+    assert result.solver == "dp"
+    assert repr(result.plan) == repr(solve_dp(alg, params, SolverConfig(max_table_cells=10**6)))
+
+
+def test_evaluate_all_cuts_each_run_to_the_methods_it_takes(monkeypatch, instance):
+    # the benchmark's subgame-ties shape: four algorithms of 20, 40, 60
+    # and 80 equal methods at value 300 and budget 80, where the best plan
+    # takes 13; each gets one table of 13 rows, not 20 + 40 + 60 + 80
+    algorithms = tuple(
+        replace(alg, attacks=identical_methods(n))
+        for alg, n in zip(instance.algorithms, (20, 40, 60, 80))
+    )
+    ties = replace(instance, algorithms=algorithms, attacker=AttackerParams(300.0, 80.0))
+    tables = record_tables(monkeypatch)
+    evaluations = evaluate_all(ties)
+    assert [take.shape for _, (_, take) in tables] == [(13, 801)] * 4
+    first = tuple(f"m{i:03d}" for i in range(13))
+    assert [ev.attack_plan.methods for ev in evaluations] == [first] * 4
 
 
 def test_utility_never_falls_as_the_budget_grows():

@@ -19,7 +19,13 @@ from cryptomix import (
     make_plan,
 )
 
-from helpers import identical_methods, random_feasible_instance, random_methods, run_python
+from helpers import (
+    identical_methods,
+    random_feasible_instance,
+    random_methods,
+    run_python,
+    spread_methods,
+)
 
 
 # the defender's utility written out term by term
@@ -123,20 +129,24 @@ def test_evaluate_all_order_and_solver(instance):
 @pytest.mark.parametrize("budget, solver", [(30.0, "dp"), (50.0, "dp"), (50.0, "greedy")])
 def test_evaluate_all_equals_solve_hybrid(instance, budget, solver):
     # 250 random methods reduce to a handful, whose table fits at either
-    # budget; 250 identical methods cannot be reduced, and their table of
-    # 501 cells does not fit the cell cap
+    # budget; 250 methods whose successes differ by 1e-12 cannot be
+    # reduced, and their table of 501 cells does not fit the cell cap; 250
+    # equal methods are one run, cut to the few the best plan takes
     if solver == "dp":
         attacks = random_methods(np.random.default_rng(8), 250, max_cost=30)
     else:
-        attacks = identical_methods(250)
-    wide = replace(instance.algorithms[0], attacks=attacks)
+        attacks = spread_methods(250)
+    wide = (
+        replace(instance.algorithms[0], attacks=attacks),
+        replace(instance.algorithms[1], attacks=identical_methods(250)),
+    )
     inst = replace(
         instance,
-        algorithms=(wide,) + instance.algorithms[1:],
+        algorithms=wide + instance.algorithms[2:],
         attacker=replace(instance.attacker, budget=budget),
     )
     evals = evaluate_all(inst)
-    assert evals[0].solver == solver
+    assert [ev.solver for ev in evals[:2]] == [solver, "dp"]
     for alg, ev in zip(inst.algorithms, evals):
         assert solve_hybrid(alg, inst.attacker) == HybridResult(ev.attack_plan, ev.solver)
 

@@ -203,6 +203,38 @@ def test_validate_flags_nan_as_it_flags_a_bad_finite_number(instance, where, nam
         assert validate_instance(_with(instance, where, name, value)).violations == (want,)
 
 
+# (part, field, the violation an infinite value raises)
+INFINITE_NUMBERS = [
+    *[
+        ("algorithm", field, "{alg}: " + field + " must be finite, got inf")
+        for field in ("op_cost", "cpu_cost", "mem_cost", "latency", "protected_value")
+    ],
+    *[
+        ("budgets", cap, cap + " must be finite, got inf")
+        for cap in ("c_op_max", "c_cpu_max", "c_mem_max", "t_max")
+    ],
+    *[
+        ("weights", weight, weight + " must be finite, got inf")
+        for weight in ("g_op", "g_cpu", "g_mem", "g_tau", "g_r")
+    ],
+    ("attacker", "value", "attacker value must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, name, message", INFINITE_NUMBERS, ids=[f"{w}.{n}" for w, n, _ in INFINITE_NUMBERS]
+)
+def test_validate_flags_an_infinite_number(instance, where, name, message):
+    # inf passes every sign rule, and the LPs then refuse it late
+    want = message.format(alg=instance.algorithms[0].id)
+    assert validate_instance(_with(instance, where, name, math.inf)).violations == (want,)
+
+
+@pytest.mark.parametrize("where, name", [("attack", "cost"), ("attacker", "budget")])
+def test_an_infinite_attack_cost_or_budget_stays_legal(instance, where, name):
+    assert validate_instance(_with(instance, where, name, math.inf)).ok
+
+
 def test_family_caps_are_read_only(instance):
     caps = {1: 0.5}
     budgets = dataclasses.replace(instance.budgets, family_caps=caps)

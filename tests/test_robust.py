@@ -23,7 +23,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
-from helpers import identical_methods, random_feasible_instance, random_methods
+from helpers import identical_methods, random_feasible_instance, random_methods, spread_methods
 
 
 @pytest.fixture(scope="module")
@@ -77,16 +77,19 @@ def per_budget_evaluations(instance, budgets):
 
 def with_wide_algorithms(instance, rng, n):
     """instance with the attacks of its first algorithm replaced by n
-    random methods and those of its second by n identical ones. The random
-    ones reduce to a handful, whose table fits every budget here; the
-    identical ones cannot be reduced, and at n = 250 the default 100k-cell
-    cap admits their table at budgets up to 39.9."""
+    random methods and those of its second by n methods whose successes
+    differ by 1e-12, and a copy of its first algorithm with n equal
+    methods added last. The random ones reduce to a handful, whose table
+    fits every budget here; the spread ones cannot be reduced, and at
+    n = 250 the default 100k-cell cap admits their table at budgets up to
+    39.9; the equal ones are one run, cut to the few the best plan takes."""
     first, second = instance.algorithms[:2]
     wide = (
         replace(first, attacks=random_methods(rng, n, max_cost=30)),
-        replace(second, attacks=identical_methods(n)),
+        replace(second, attacks=spread_methods(n)),
     )
-    return replace(instance, algorithms=wide + instance.algorithms[2:])
+    run = replace(first, id="equal-run", attacks=identical_methods(n))
+    return replace(instance, algorithms=wide + instance.algorithms[2:] + (run,))
 
 
 def test_table_evaluations_equal_evaluate_all_per_budget(instance):
@@ -95,6 +98,7 @@ def test_table_evaluations_equal_evaluate_all_per_budget(instance):
     tbl = scenario_table(wide, scenarios)
     assert [row[0].solver for row in tbl.evaluations] == ["dp", "dp", "dp"]
     assert [row[1].solver for row in tbl.evaluations] == ["dp", "dp", "greedy"]
+    assert [row[-1].solver for row in tbl.evaluations] == ["dp", "dp", "dp"]
     assert repr(tbl.evaluations) == repr(per_budget_evaluations(wide, scenarios.budgets))
 
 
@@ -105,8 +109,9 @@ def test_table_evaluations_equal_evaluate_all_per_budget(instance):
     st.lists(st.integers(40, 60), min_size=1, max_size=2, unique=True),
 )
 def test_table_evaluations_equal_evaluate_all_on_random_instances(seed, fit, wide_only):
-    # the random wide algorithm goes to the DP at every budget; the
-    # identical one builds its table below 40 and goes to the greedy from 40 on
+    # the random and the equal wide algorithms go to the DP at every
+    # budget; the spread one builds its table below 40 and goes to the
+    # greedy from 40 on
     rng = np.random.default_rng(seed)
     instance = with_wide_algorithms(random_feasible_instance(rng), rng, 250)
     scenario_set = ScenarioSet(budgets=tuple(sorted(fit + wide_only)))
@@ -115,6 +120,7 @@ def test_table_evaluations_equal_evaluate_all_on_random_instances(seed, fit, wid
     assert [row[1].solver for row in tbl.evaluations] == [
         "dp" if k < 40 else "greedy" for k in scenario_set.budgets
     ]
+    assert {row[-1].solver for row in tbl.evaluations} == {"dp"}
     assert repr(tbl.evaluations) == repr(
         per_budget_evaluations(instance, scenario_set.budgets)
     )
