@@ -25,8 +25,18 @@ returns it. A value < 0 with a phi coefficient < 0 is refused by every
 solver (ValidationError): the smallest failure product at a cell is then
 the worst set there, so the DP would not be exact. Every DP table is
 filled and read in one routine, _dp_plans.
-Costs and budgets become cells by one rule, _grid_cells, and every solver
-and hybrid_plans checks its inputs once, in _checked.
+Costs and budgets become cells by one rule, _grid_cells.
+
+Every solver and hybrid_plans checks its inputs in _checked and then reads
+the algorithm's prepared record (_Prepared): its methods in id order, their
+cost and success arrays, its cost check, the weights on one cost grid and
+the bound's algorithm-only part (_bound_frontier). The record is built on
+first use and kept on the frozen EncryptionAlgorithm, in one slot keyed by
+the grid (cost_scale, max_table_cells) and replaced in one assignment, as
+defender_polytope keeps its polytope on the instance; a pickle or deep copy
+leaves it behind. It holds nothing that depends on the attacker's value,
+phi, a budget or an answer, so later calls with any params skip the sort,
+the cost check and the grid without any answer being kept.
 
 hybrid_plans shrinks the DP before it builds a table (bound, reduce, then
 DP). With a_i = -log1p(-s_i), the DP's objective of a set of w cells is
@@ -138,6 +148,85 @@ def _sorted_methods(algorithm: EncryptionAlgorithm) -> list[AttackMethod]:
     return sorted(algorithm.attacks, key=lambda m: m.id)
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.flags.writeable = False
+
+
+@dataclass(frozen=True, eq=False)
+class _Frontier:
+    """The forced-in bound's part that depends only on an algorithm and a
+    grid (_bound_frontier): each method's weight and mass -log1p(-s) as
+    columns, the ratio-order frontier as arrays (cells, mass) and as tuples
+    with its slopes, and each method's fewest cells in a set the DP keeps
+    (heavy), with, where methods form runs, A*'s slope right of them (gain)
+    and exp(-A*) there (fail); gain and fail are None on a run-free
+    algorithm."""
+
+    w: np.ndarray
+    mass: np.ndarray
+    cells: np.ndarray
+    frontier: np.ndarray
+    cells_at: tuple[float, ...]
+    mass_at: tuple[float, ...]
+    slope: tuple[float, ...]
+    heavy: np.ndarray
+    gain: Optional[np.ndarray]
+    fail: Optional[np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
+class _Prepared:
+    """What every solver reads of one algorithm on one grid, key =
+    (cost_scale, max_table_cells): its methods in id order, their cost and
+    success arrays, their weights in cells (_grid_cells) and the bound's
+    frontier (None where a success lies outside [0, 1]). Its arrays are
+    read-only."""
+
+    key: tuple[int, int]
+    methods: tuple[AttackMethod, ...]
+    cost: np.ndarray
+    success: np.ndarray
+    weights: tuple[int, ...]
+    frontier: Optional[_Frontier]
+
+
+def _prepare(algorithm: EncryptionAlgorithm, config: SolverConfig) -> _Prepared:
+    """The algorithm's record on config's grid. A cost that is not >= 0,
+    NaN included, raises ValidationError naming its method, before any
+    record exists; an infinite cost fits no budget and stays legal."""
+    methods = tuple(_sorted_methods(algorithm))
+    cost = np.array([m.cost for m in methods], dtype=float)
+    bad = np.flatnonzero(~(cost >= 0))
+    if bad.size:
+        method = methods[bad[0]]
+        raise ValidationError(f"{algorithm.id}/{method.id}: cost must be >= 0, got {method.cost}")
+    success = np.array([m.success for m in methods], dtype=float)
+    _read_only(cost, success)
+    # capped at the cell cap, past every table, and not at any budget
+    # (_grid_cells), so that the bound at one budget never depends on another
+    weights = tuple(_grid_cells(cost, config, up=True))
+    key = (config.cost_scale, config.max_table_cells)
+    return _Prepared(key, methods, cost, success, weights, _bound_frontier(success, weights))
+
+
+def _prepared(algorithm: EncryptionAlgorithm, config: Optional[SolverConfig]) -> _Prepared:
+    """The record kept on the algorithm for config's grid, built and kept
+    in its one slot where the slot holds another grid's or none. With no
+    config (solve_brute_force, which reads no grid) any kept record does,
+    else the default grid's is built."""
+    record = vars(algorithm).get("_prepared")
+    if config is None:
+        if record is not None:
+            return record
+        config = SolverConfig()
+    if record is None or record.key != (config.cost_scale, config.max_table_cells):
+        record = _prepare(algorithm, config)
+        # threads racing here may each build one; all are equal
+        object.__setattr__(algorithm, "_prepared", record)
+    return record
+
+
 def solve_brute_force(
     algorithm: EncryptionAlgorithm, params: AttackerParams
 ) -> AttackPlan:
@@ -152,7 +241,7 @@ def solve_brute_force(
     """
     if len(algorithm.attacks) > 25:
         raise TooManyMethods(f"{len(algorithm.attacks)} methods exceeds the 2^25 guard")
-    methods, _ = _checked(algorithm, params, (params.budget,))
+    methods = _checked(algorithm, params, (params.budget,), None).methods
     best = make_plan((), params)
     best_key = plan_key(best)
     for mask in range(1, 1 << len(methods)):
@@ -199,17 +288,18 @@ def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
 
 
 def _checked(
-    algorithm: EncryptionAlgorithm, params: AttackerParams, budgets: Iterable[float]
-) -> tuple[list[AttackMethod], np.ndarray]:
+    algorithm: EncryptionAlgorithm,
+    params: AttackerParams,
+    budgets: Iterable[float],
+    config: Optional[SolverConfig],
+) -> _Prepared:
     """The one input check of every solver and of hybrid_plans; returns the
-    methods in id order and their costs as an array. Each budget is checked
+    algorithm's record on config's grid (_prepared). Each budget is checked
     first, written so that a NaN fails too (BudgetNegative), then the value
     and phi's coefficients, a NaN or infinite one of which would rank every
-    plan by nan, then the costs (ValidationError): a cost that is not >= 0,
-    NaN included, names its method. An infinite cost fits no budget and
-    stays legal. Last, a value < 0 with a phi coefficient < 0 is refused
-    (ValidationError), where the DP is not exact, so that every solver
-    refuses it alike."""
+    plan by nan, then the costs, once per record (_prepare). Last, a value
+    < 0 with a phi coefficient < 0 is refused (ValidationError), where the
+    DP is not exact, so that every solver refuses it alike."""
     for budget in budgets:
         if not budget >= 0:
             raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
@@ -221,16 +311,11 @@ def _checked(
     for field, number in (("value", params.value),) + coeffs:
         if not math.isfinite(number):
             raise ValidationError(f"attacker {field} {number} is not finite")
-    methods = _sorted_methods(algorithm)
-    cost = np.array([m.cost for m in methods], dtype=float)
-    bad = np.flatnonzero(~(cost >= 0))
-    if bad.size:
-        method = methods[bad[0]]
-        raise ValidationError(f"{algorithm.id}/{method.id}: cost must be >= 0, got {method.cost}")
+    record = _prepared(algorithm, config)
     for field, number in coeffs:
         if params.value < 0 and number < 0:
             raise ValidationError(f"attacker value {params.value} < 0 with {field} {number} < 0")
-    return methods, cost
+    return record
 
 
 def _fits(n_methods: int, cells: float, config: SolverConfig) -> bool:
@@ -299,12 +384,12 @@ def _dp_plans(
     if _empty_best(params):
         return [make_plan((), params)] * len(budget_cells)
     minfail, take = _fill_table(methods, weights, max(budget_cells) + 1)
-    size = minfail.size
-    penalty = _penalty(params.cost_fn, np.arange(size) / scale)
     # unreachable cells (minfail = inf) are -inf, whatever the value's sign
-    reachable = minfail < np.inf
-    utility = np.full(size, -np.inf)
-    utility[reachable] = params.value * (1.0 - minfail[reachable]) - penalty[reachable]
+    reachable = np.flatnonzero(minfail < np.inf)
+    utility = np.full(minfail.size, -np.inf)
+    utility[reachable] = params.value * (1.0 - minfail[reachable]) - _penalty(
+        params.cost_fn, reachable / scale
+    )
     plans = []
     made: dict[int, AttackPlan] = {}  # by best cell: budgets often share one
     for cells in budget_cells:
@@ -332,15 +417,16 @@ def solve_dp(
     budget down (_grid_cells), so the plan keeps to the real budget; on
     the 1/scale grid nothing is rounded. A table past
     config.max_table_cells (_fits) raises TableTooLarge."""
-    methods, cost = _checked(algorithm, params, (params.budget,))
+    record = _checked(algorithm, params, (params.budget,), config)
+    n = len(record.methods)
     [cells] = _grid_cells((params.budget,), config, up=False)
-    if not _fits(len(methods), cells, config):
+    if not _fits(n, cells, config):
         raise TableTooLarge(
-            f"{len(methods)} methods x {cells + 1} cost levels exceeds "
-            f"{config.max_table_cells} table cells"
+            f"{n} methods x {cells + 1} cost levels exceeds {config.max_table_cells} table cells"
         )
-    weights = _grid_cells(cost, config, up=True)
-    return _dp_plans(methods, weights, params, (cells,), float(config.cost_scale))[0]
+    return _dp_plans(
+        record.methods, record.weights, params, (cells,), float(config.cost_scale)
+    )[0]
 
 
 def _empty_best(params: AttackerParams) -> bool:
@@ -393,14 +479,15 @@ def solve_sample_greedy(
     cost, then id order, as a stable sort gives), and the steps until the
     next acceptance walk that ranking in Python.
     """
-    methods, cost = _checked(algorithm, params, (params.budget,))
+    record = _checked(algorithm, params, (params.budget,), config)
+    methods, cost, success = record.methods, record.cost, record.success
     draw = _coins(config.rng_seed, coins).__next__
-    success = np.array([m.success for m in methods], dtype=float)
     budget = params.budget
 
     # singleton utility value * (1 - 1.0 * (1 - s)) - phi(0.0 + c), as make_plan
     total = 0.0 + cost
-    single = params.value * (1.0 - (1.0 - success)) - _penalty(params.cost_fn, total)
+    with np.errstate(invalid="ignore"):  # an infinite cost at a zero coefficient
+        single = params.value * (1.0 - (1.0 - success)) - _penalty(params.cost_fn, total)
     fits = np.flatnonzero(cost <= budget)
     best_single = None
     if fits.size:
@@ -437,53 +524,30 @@ def solve_sample_greedy(
     return min(candidates, key=plan_key)
 
 
-def _forced_bounds(
-    methods: Sequence[AttackMethod],
-    weights: Sequence[int],
-    params: AttackerParams,
-    budget_cells: Sequence[int],
-    scale: float,
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(bound, known, margin) for the DP objective value * (1 - failure
-    product) - phi(cells / scale) at each budget of budget_cells cells:
-    bound[b, i] is at least the objective of every set that holds method
-    i and fits budget b's cells (-inf if none does), known[b] is the
-    objective of a set that fits them, and margin[b] covers the float
-    error of both. None where the bound does not hold: a value <= 0, a phi
-    coefficient < 0 or a success outside [0, 1].
+def _bound_frontier(success: np.ndarray, weights: Sequence[int]) -> Optional[_Frontier]:
+    """The forced-in bound's part that depends only on the methods, in id
+    order, and their weights: None where the bound does not hold for any
+    params, a success outside [0, 1].
 
-    With a_i = -log1p(-s_i), a set of w cells and mass A = sum a_i has the
-    objective G(w, A) = value * (1 - exp(-A)) - phi(w / scale), concave in
-    (w, A). The most mass within w cells, A*(w), is the fractional
-    knapsack in a_i / w_i order (Dantzig), concave and piecewise linear.
-    The relaxation max G(w, A*(w)) over w <= K is reached at t0 = min(peak,
-    K). For a slope sigma that supports A* at t0, a set holding i has
-    A <= A*(t0) + sigma (w - t0) + min(0, a_i - sigma w_i), and the tangent
-    plane of G at (t0, A*(t0)) turns that into the bound, one vector
-    expression for every method. known is the best ratio-order prefix
-    within K cells.
+    With a_i = -log1p(-s_i), capped at _SURE_MASS, the most mass within w
+    cells, A*(w), is the fractional knapsack in a_i / w_i order (Dantzig),
+    concave and piecewise linear: breakpoint k holds the first k methods in
+    that order, and slope[k] is A*'s slope left of it, inf at 0 and 0 past
+    the last. Free methods come first and repeat breakpoints at cell 0.
 
     Where methods form runs (_run_ranks; the module docstring), the t-th
-    member of a run is bound as t members too: a set the DP keeps that
-    holds it has t * w_i cells or more, so, where the concave relaxation
-    G(w, A*(w)) has a right slope <= 0 at t * w_i, its value there bounds
-    the set at every budget; the smaller bound is taken. That is the
-    relaxation at min(max(t * w_i, peak), K), -inf past K, wherever it can
-    fall below known, and it needs no peak. A run-free algorithm pays for
-    the neighbour test alone.
+    member of a run is held only by sets the DP keeps with t * w_i cells
+    or more (heavy); gain is A*'s slope right of heavy and fail is
+    exp(-A*(heavy)), which _forced_bounds turns into the relaxation there.
     """
-    value, spec = params.value, params.cost_fn
-    alpha, beta = spec.linear_coeff, spec.quadratic_coeff
-    if not (value > 0 and alpha >= 0 and beta >= 0):
-        return None
     # column 0 is the frontier's origin; columns 1.. hold each method's
     # cells and, from its success s, its mass -log1p(-s), computed in
     # place, so that the views w and mass see it
-    steps = np.zeros((2, len(methods) + 1))
+    steps = np.zeros((2, success.size + 1))
     steps[0, 1:] = weights
-    steps[1, 1:] = [m.success for m in methods]
+    steps[1, 1:] = success
     w, mass = steps[0, 1:, None], steps[1, 1:, None]
-    rank = _run_ranks(steps[1, 1:], steps[0, 1:])
+    rank = _run_ranks(success, steps[0, 1:])
     with np.errstate(all="ignore"):
         np.log1p(np.negative(steps[1], out=steps[1]), out=steps[1])
         if not steps[1].max() <= 0:  # a success below 0, above 1 or nan
@@ -494,16 +558,63 @@ def _forced_bounds(
         ratio = np.fmax(steps[1] / steps[0], 0.0)
         ratio[0] = np.inf
         order = np.argsort(-ratio, kind="stable")
-        # breakpoint k of the frontier holds the first k methods in ratio
-        # order, and slope[k] is A*'s slope left of it: inf at 0 and 0 past
-        # the last. Free methods repeat breakpoints at cell 0.
         cells, frontier = steps[:, order].cumsum(axis=1)
+        slope = ratio[order].tolist() + [0.0]
+        heavy, gain, fail = steps[0, 1:], None, None
+        if rank is not None:
+            heavy = rank * steps[0, 1:]
+            at = np.searchsorted(cells, heavy, side="right") - 1
+            gain = np.array(slope)[at + 1]  # A*'s slope right of heavy
+            fail = np.exp(gain * (cells[at] - heavy) - frontier[at])
+            _read_only(gain, fail)
+    _read_only(w, mass, cells, frontier, heavy)
+    return _Frontier(
+        w, mass, cells, frontier, tuple(cells.tolist()), tuple(frontier.tolist()),
+        tuple(slope), heavy, gain, fail,
+    )
+
+
+def _forced_bounds(
+    front: Optional[_Frontier],
+    params: AttackerParams,
+    budget_cells: Sequence[int],
+    scale: float,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(bound, known, margin) for the DP objective value * (1 - failure
+    product) - phi(cells / scale) at each budget of budget_cells cells,
+    over the frontier of _bound_frontier: bound[b, i] is at least the
+    objective of every set that holds method i and fits budget b's cells
+    (-inf if none does), known[b] is the objective of a set that fits them,
+    and margin[b] covers the float error of both. None where the bound does
+    not hold: no frontier, a value <= 0 or a phi coefficient < 0.
+
+    A set of w cells and mass A = sum a_i has the objective G(w, A) =
+    value * (1 - exp(-A)) - phi(w / scale), concave in (w, A). The
+    relaxation max G(w, A*(w)) over w <= K is reached at t0 = min(peak, K).
+    For a slope sigma that supports A* at t0, a set holding i has A <=
+    A*(t0) + sigma (w - t0) + min(0, a_i - sigma w_i), and the tangent
+    plane of G at (t0, A*(t0)) turns that into the bound, one vector
+    expression for every method. known is the best ratio-order prefix
+    within K cells.
+
+    Where methods form runs, the t-th member of a run is bound as t
+    members too: a set the DP keeps that holds it has t * w_i cells or
+    more, so, where the concave relaxation G(w, A*(w)) has a right slope
+    <= 0 at t * w_i, its value there bounds the set at every budget; the
+    smaller bound is taken. That is the relaxation at min(max(t * w_i,
+    peak), K), -inf past K, wherever it can fall below known, and it needs
+    no peak.
+    """
+    value, spec = params.value, params.cost_fn
+    alpha, beta = spec.linear_coeff, spec.quadratic_coeff
+    if front is None or not (value > 0 and alpha >= 0 and beta >= 0):
+        return None
+    cells, cells_at, mass_at, slope = front.cells, front.cells_at, front.mass_at, front.slope
+    with np.errstate(all="ignore"):
         # phi(c / scale) = c * (linear + quadratic * c)
         linear, quadratic = alpha / scale, beta / (scale * scale)
-        relaxed = -value * np.expm1(-frontier) - cells * (linear + quadratic * cells)
+        relaxed = -value * np.expm1(-front.frontier) - cells * (linear + quadratic * cells)
         best = np.maximum.accumulate(relaxed).tolist()
-        cells_at, mass_at = cells.tolist(), frontier.tolist()
-        slope = ratio[order].tolist() + [0.0]
         j = int(relaxed.argmax())
         peak = _relaxation_peak(cells_at, mass_at, slope, j, value, linear, quadratic)
 
@@ -540,20 +651,18 @@ def _forced_bounds(
             rows.append((base, per_cell, lam, sigma, known, margin, limit))
         base, per_cell, lam, sigma, known, margin, limit = np.array(rows).T
         # one column per budget, then transposed
-        bound = base + per_cell * w + lam * np.minimum(0.0, mass - sigma * w)
-        heavy = w  # the fewest cells of a set that holds the method
-        if rank is not None:
+        w = front.w
+        bound = base + per_cell * w + lam * np.minimum(0.0, front.mass - sigma * w)
+        heavy = front.heavy
+        if front.fail is not None:
             # the relaxation is concave, so where its right slope at t * w
             # is <= 0 it falls from there on
-            heavy = rank * steps[0, 1:]
-            at = np.searchsorted(cells, heavy, side="right") - 1
-            gain = np.array(slope)[at + 1]  # A*'s slope right of heavy
-            fail = np.exp(gain * (cells[at] - heavy) - frontier[at])
+            fail, gain = front.fail, front.gain
             drop = value * (1.0 - fail) - heavy * (linear + quadratic * heavy)
             falls = value * fail * gain <= linear + 2.0 * quadratic * heavy
-            heavy = heavy[:, None]
             np.minimum(bound, np.where(falls, drop, np.inf)[:, None], out=bound)
-        np.putmask(bound, heavy > limit, -np.inf)  # no set within the budget holds it
+        # no set within the budget holds it
+        np.putmask(bound, heavy[:, None] > limit, -np.inf)
     return bound.T, known, margin
 
 
@@ -575,9 +684,9 @@ def _run_ranks(success: np.ndarray, weights: np.ndarray) -> Optional[np.ndarray]
 
 
 def _relaxation_peak(
-    cells: list[float],
-    frontier: list[float],
-    slope: list[float],
+    cells: Sequence[float],
+    frontier: Sequence[float],
+    slope: Sequence[float],
     j: int,
     value: float,
     linear: float,
@@ -632,7 +741,8 @@ def hybrid_plans(
     superset of a budget's kept methods gives the plan the unreduced DP
     gives there.
     """
-    methods, cost = _checked(algorithm, params, budgets)
+    record = _checked(algorithm, params, budgets, config)
+    methods, weights = record.methods, record.weights
     # the grid's float scale (_grid_cells): past 1e154 the bound's
     # scale * scale is then inf, where an int square fails to convert
     scale = float(config.cost_scale)
@@ -642,11 +752,7 @@ def hybrid_plans(
     plans: dict[int, AttackPlan] = {}
     if tabled:
         limits = [c for c, _ in tabled]
-        # capped at the cell cap, past every table, and not at the largest
-        # budget (_grid_cells), so that the bound at one budget never
-        # depends on another
-        weights = _grid_cells(cost, config, up=True)
-        bounds = _forced_bounds(methods, weights, params, limits, scale)
+        bounds = _forced_bounds(record.frontier, params, limits, scale)
         if bounds is None:
             kept = np.ones((len(limits), len(methods)), dtype=bool)
         else:

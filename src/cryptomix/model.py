@@ -44,6 +44,13 @@ class EncryptionAlgorithm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "attacks", tuple(self.attacks))
 
+    def __getstate__(self) -> dict:
+        # the attacker solvers' record kept on the algorithm (attacker.
+        # _prepared) is rebuilt on first use, not pickled or copied
+        state = dict(vars(self))
+        state.pop("_prepared", None)
+        return state
+
 
 @dataclass(frozen=True)
 class CostFunctionSpec:
@@ -210,10 +217,12 @@ def make_plan(methods: Iterable[AttackMethod], params: AttackerParams) -> Attack
     produced them.
     """
     ms = sorted(methods, key=lambda m: m.id)
-    total = 0.0
+    # the sums of failure_product and success_probability, over one sort
+    total, failure = 0.0, 1.0
     for m in ms:
         total += m.cost
-    p_succ = success_probability(ms)
+        failure *= 1.0 - m.success
+    p_succ = 1.0 - failure
     return AttackPlan(
         methods=tuple(m.id for m in ms),
         success_prob=p_succ,

@@ -26,6 +26,7 @@ from cryptomix import (
     solve_sample_greedy,
 )
 from cryptomix.attacker import (
+    _bound_frontier,
     _fill_table,
     _fits,
     _forced_bounds,
@@ -970,7 +971,8 @@ def test_forced_bound_covers_every_plan_holding_the_method(case):
     methods = tuple(sorted(alg.attacks, key=lambda m: m.id))
     cells = _grid_cells(budgets, config, up=False)
     weights = _grid_cells([m.cost for m in methods], config, up=True)
-    bound, known, margin = _forced_bounds(methods, weights, params, cells, scale)
+    front = _bound_frontier(np.array([m.success for m in methods]), weights)
+    bound, known, margin = _forced_bounds(front, params, cells, scale)
     n = len(methods)
     masks = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
     for j, joined in enumerate(run_joins(methods, weights)):

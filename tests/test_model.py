@@ -13,6 +13,7 @@ from cryptomix import (
     AttackerParams,
     CostFunctionSpec,
     defender_polytope,
+    evaluate_all,
     make_plan,
     phi,
     plan_key,
@@ -75,6 +76,39 @@ def test_make_plan_canonical_order_and_fields():
     assert plan.total_cost == 8.0
     assert plan.success_prob == 0.75
     assert plan.utility == 100.0 * 0.75 - 8.0
+
+
+def two_pass_plan(methods, params):
+    """make_plan as it was written before its one loop: the cost summed
+    over the sorted methods, then success_probability, which sorts them
+    again."""
+    ms = sorted(methods, key=lambda m: m.id)
+    total = 0.0
+    for m in ms:
+        total += m.cost
+    p_succ = success_probability(ms)
+    return AttackPlan(
+        tuple(m.id for m in ms), p_succ, total, params.value * p_succ - phi(params.cost_fn, total)
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+            st.one_of(st.floats(0.0, 1e6), st.sampled_from([0.0, math.inf])),
+        ),
+        max_size=8,
+    ),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([CostFunctionSpec(), CostFunctionSpec(0.0, 0.0), CostFunctionSpec(2.5, 0.1)]),
+    st.randoms(use_true_random=False),
+)
+def test_make_plan_equals_the_two_pass_formula(specs, value, spec, rng):
+    methods = [method(i, s, c) for i, (s, c) in enumerate(specs)]
+    rng.shuffle(methods)
+    params = AttackerParams(value=value, budget=0.0, cost_fn=spec)
+    assert repr(make_plan(methods, params)) == repr(two_pass_plan(methods, params))
 
 
 def test_plan_key_orders_by_utility_cost_then_ids():
@@ -250,9 +284,16 @@ def test_family_caps_are_read_only(instance):
 @pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy])
 def test_instances_pickle_and_deep_copy(instance, clone):
     polytope = defender_polytope(instance)
+    fresh = [pickle.dumps(dataclasses.replace(alg)) for alg in instance.algorithms]
+    evaluate_all(instance)  # keeps the attacker's record on every algorithm
     twin = clone(instance)
     assert twin == instance and repr(twin) == repr(instance)
+    assert list(map(hash, twin.algorithms)) == list(map(hash, instance.algorithms))
     assert defender_polytope(twin) == polytope
+    # the record is not state: a copy leaves it behind, and pickles as before
+    assert all("_prepared" in vars(alg) for alg in instance.algorithms)
+    assert not any("_prepared" in vars(alg) for alg in twin.algorithms)
+    assert [pickle.dumps(alg) for alg in instance.algorithms] == fresh
     with pytest.raises(TypeError):
         twin.budgets.family_caps[1] = 0.9
 
