@@ -29,14 +29,14 @@ Costs and budgets become cells by one rule, _grid_cells.
 
 Every solver and hybrid_plans checks its inputs in _checked and then reads
 the algorithm's prepared record (_Prepared): its methods in id order, their
-cost and success arrays, its cost check, the weights on one cost grid and
+cost and success arrays, its checks, the weights on one cost grid and
 the bound's algorithm-only part (_bound_frontier). The record is built on
 first use and kept on the frozen EncryptionAlgorithm, in one slot keyed by
 the grid (cost_scale, max_table_cells) and replaced in one assignment, as
 defender_polytope keeps its polytope on the instance; a pickle or deep copy
-leaves it behind. It holds nothing that depends on the attacker's value,
-phi, a budget or an answer, so later calls with any params skip the sort,
-the cost check and the grid without any answer being kept.
+holds the fields only. It holds nothing that depends on the attacker's
+value, phi, a budget or an answer, so later calls with any params skip
+the sort, the checks and the grid without any answer being kept.
 
 hybrid_plans shrinks the DP before it builds a table (bound, reduce, then
 DP). With a_i = -log1p(-s_i), the DP's objective of a set of w cells is
@@ -54,9 +54,8 @@ further below the best, so the DP over the rest picks the same best
 cell, and there the same set unless an exact product tie broke the other
 way over fewer candidates. tests/test_attacker.py checks the bound
 against brute force and the plans against the unreduced DP by repr. The
-reduction is skipped where the bound does not hold: a value <= 0, a phi
-coefficient < 0 or a success outside [0, 1]. solve_dp never reduces; it
-is the exact oracle.
+reduction is skipped where the bound does not hold: a value <= 0 or a phi
+coefficient < 0. solve_dp never reduces; it is the exact oracle.
 
 The bound also counts equal methods. A run is a maximal group of methods
 adjacent in id order that share the DP's factor 1.0 - s and their weight,
@@ -144,10 +143,6 @@ class HybridResult:
     solver: str  # "dp" or "greedy"
 
 
-def _sorted_methods(algorithm: EncryptionAlgorithm) -> list[AttackMethod]:
-    return sorted(algorithm.attacks, key=lambda m: m.id)
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     for array in arrays:
         array.flags.writeable = False
@@ -180,28 +175,31 @@ class _Prepared:
     """What every solver reads of one algorithm on one grid, key =
     (cost_scale, max_table_cells): its methods in id order, their cost and
     success arrays, their weights in cells (_grid_cells) and the bound's
-    frontier (None where a success lies outside [0, 1]). Its arrays are
-    read-only."""
+    frontier. Its arrays are read-only."""
 
     key: tuple[int, int]
     methods: tuple[AttackMethod, ...]
     cost: np.ndarray
     success: np.ndarray
     weights: tuple[int, ...]
-    frontier: Optional[_Frontier]
+    frontier: _Frontier
 
 
 def _prepare(algorithm: EncryptionAlgorithm, config: SolverConfig) -> _Prepared:
     """The algorithm's record on config's grid. A cost that is not >= 0,
-    NaN included, raises ValidationError naming its method, before any
-    record exists; an infinite cost fits no budget and stays legal."""
-    methods = tuple(_sorted_methods(algorithm))
+    then a success outside [0, 1], NaN included in both, raises
+    ValidationError naming its method, before any record exists; an
+    infinite cost fits no budget and stays legal."""
+    methods = tuple(sorted(algorithm.attacks, key=lambda m: m.id))
     cost = np.array([m.cost for m in methods], dtype=float)
-    bad = np.flatnonzero(~(cost >= 0))
-    if bad.size:
-        method = methods[bad[0]]
-        raise ValidationError(f"{algorithm.id}/{method.id}: cost must be >= 0, got {method.cost}")
     success = np.array([m.success for m in methods], dtype=float)
+    for bad, rule in (
+        (~(cost >= 0), "cost must be >= 0, got {0.cost}"),
+        (~((success >= 0) & (success <= 1)), "success must be in [0, 1], got {0.success}"),
+    ):
+        if bad.any():
+            method = methods[bad.argmax()]
+            raise ValidationError(f"{algorithm.id}/{method.id}: " + rule.format(method))
     _read_only(cost, success)
     # capped at the cell cap, past every table, and not at any budget
     # (_grid_cells), so that the bound at one budget never depends on another
@@ -210,16 +208,10 @@ def _prepare(algorithm: EncryptionAlgorithm, config: SolverConfig) -> _Prepared:
     return _Prepared(key, methods, cost, success, weights, _bound_frontier(success, weights))
 
 
-def _prepared(algorithm: EncryptionAlgorithm, config: Optional[SolverConfig]) -> _Prepared:
+def _prepared(algorithm: EncryptionAlgorithm, config: SolverConfig) -> _Prepared:
     """The record kept on the algorithm for config's grid, built and kept
-    in its one slot where the slot holds another grid's or none. With no
-    config (solve_brute_force, which reads no grid) any kept record does,
-    else the default grid's is built."""
+    in its one slot where the slot holds another grid's or none."""
     record = vars(algorithm).get("_prepared")
-    if config is None:
-        if record is not None:
-            return record
-        config = SolverConfig()
     if record is None or record.key != (config.cost_scale, config.max_table_cells):
         record = _prepare(algorithm, config)
         # threads racing here may each build one; all are equal
@@ -241,7 +233,8 @@ def solve_brute_force(
     """
     if len(algorithm.attacks) > 25:
         raise TooManyMethods(f"{len(algorithm.attacks)} methods exceeds the 2^25 guard")
-    methods = _checked(algorithm, params, (params.budget,), None).methods
+    # the default grid's record: brute force reads only its methods
+    methods = _checked(algorithm, params, (params.budget,), SolverConfig()).methods
     best = make_plan((), params)
     best_key = plan_key(best)
     for mask in range(1, 1 << len(methods)):
@@ -291,15 +284,16 @@ def _checked(
     algorithm: EncryptionAlgorithm,
     params: AttackerParams,
     budgets: Iterable[float],
-    config: Optional[SolverConfig],
+    config: SolverConfig,
 ) -> _Prepared:
     """The one input check of every solver and of hybrid_plans; returns the
     algorithm's record on config's grid (_prepared). Each budget is checked
     first, written so that a NaN fails too (BudgetNegative), then the value
     and phi's coefficients, a NaN or infinite one of which would rank every
-    plan by nan, then the costs, once per record (_prepare). Last, a value
-    < 0 with a phi coefficient < 0 is refused (ValidationError), where the
-    DP is not exact, so that every solver refuses it alike."""
+    plan by nan, then the costs and successes, once per record (_prepare).
+    Last, a value < 0 with a phi coefficient < 0 is refused
+    (ValidationError), where the DP is not exact, so that every solver
+    refuses it alike."""
     for budget in budgets:
         if not budget >= 0:
             raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
@@ -524,10 +518,9 @@ def solve_sample_greedy(
     return min(candidates, key=plan_key)
 
 
-def _bound_frontier(success: np.ndarray, weights: Sequence[int]) -> Optional[_Frontier]:
+def _bound_frontier(success: np.ndarray, weights: Sequence[int]) -> _Frontier:
     """The forced-in bound's part that depends only on the methods, in id
-    order, and their weights: None where the bound does not hold for any
-    params, a success outside [0, 1].
+    order, their successes in [0, 1], and their weights.
 
     With a_i = -log1p(-s_i), capped at _SURE_MASS, the most mass within w
     cells, A*(w), is the fractional knapsack in a_i / w_i order (Dantzig),
@@ -550,8 +543,6 @@ def _bound_frontier(success: np.ndarray, weights: Sequence[int]) -> Optional[_Fr
     rank = _run_ranks(success, steps[0, 1:])
     with np.errstate(all="ignore"):
         np.log1p(np.negative(steps[1], out=steps[1]), out=steps[1])
-        if not steps[1].max() <= 0:  # a success below 0, above 1 or nan
-            return None
         np.negative(np.maximum(steps[1], -_SURE_MASS, out=steps[1]), out=steps[1])
         # a free method comes first (inf), after the origin; a free one of no
         # mass (nan) is 0
@@ -575,7 +566,7 @@ def _bound_frontier(success: np.ndarray, weights: Sequence[int]) -> Optional[_Fr
 
 
 def _forced_bounds(
-    front: Optional[_Frontier],
+    front: _Frontier,
     params: AttackerParams,
     budget_cells: Sequence[int],
     scale: float,
@@ -586,7 +577,7 @@ def _forced_bounds(
     objective of every set that holds method i and fits budget b's cells
     (-inf if none does), known[b] is the objective of a set that fits them,
     and margin[b] covers the float error of both. None where the bound does
-    not hold: no frontier, a value <= 0 or a phi coefficient < 0.
+    not hold: a value <= 0 or a phi coefficient < 0.
 
     A set of w cells and mass A = sum a_i has the objective G(w, A) =
     value * (1 - exp(-A)) - phi(w / scale), concave in (w, A). The
@@ -607,7 +598,7 @@ def _forced_bounds(
     """
     value, spec = params.value, params.cost_fn
     alpha, beta = spec.linear_coeff, spec.quadratic_coeff
-    if front is None or not (value > 0 and alpha >= 0 and beta >= 0):
+    if not (value > 0 and alpha >= 0 and beta >= 0):
         return None
     cells, cells_at, mass_at, slope = front.cells, front.cells_at, front.mass_at, front.slope
     with np.errstate(all="ignore"):
@@ -669,12 +660,9 @@ def _forced_bounds(
 def _run_ranks(success: np.ndarray, weights: np.ndarray) -> Optional[np.ndarray]:
     """Each method's place t = 1, 2, ... in its run, the maximal group of
     methods adjacent in id order with one failure factor 1.0 - s and one
-    weight; None where every run is one method long. Weights are compared
-    first, as equal neighbours are rare among distinct methods."""
-    joins = weights[1:] == weights[:-1]
-    if joins.any():
-        factor = 1.0 - success
-        joins &= factor[1:] == factor[:-1]
+    weight; None where every run is one method long."""
+    factor = 1.0 - success
+    joins = (weights[1:] == weights[:-1]) & (factor[1:] == factor[:-1])
     if not joins.any():
         return None
     place = np.arange(success.size)

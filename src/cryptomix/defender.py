@@ -139,7 +139,7 @@ def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, 
     usage = {}
     for con in defender_polytope(instance)[1 : len(USAGE_KEYS) + 1]:
         total = 0.0
-        for p, c in zip(probs, con.coeffs):
+        for p, c in zip(probs, con.coeffs, strict=True):
             total += p * c
         usage[con.label] = total
     return usage
@@ -148,7 +148,7 @@ def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, 
 def expected_breach(
     probs: Sequence[float], breach: Sequence[float]
 ) -> float:
-    return float(sum(p * b for p, b in zip(probs, breach)))
+    return float(sum(p * b for p, b in zip(probs, breach, strict=True)))
 
 
 def _strategy_report(
@@ -179,7 +179,7 @@ def make_report(
 ) -> StrategyReport:
     """Assemble the standard summary for an arbitrary mixed strategy."""
     probs = tuple(float(p) for p in probs)
-    objective = float(sum(p * ev.utility for p, ev in zip(probs, evaluations)))
+    objective = float(sum(p * ev.utility for p, ev in zip(probs, evaluations, strict=True)))
     breach = expected_breach(probs, [ev.p_succ_star for ev in evaluations])
     return _strategy_report(instance, probs, objective, breach, binding_labels)
 

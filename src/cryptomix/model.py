@@ -10,12 +10,19 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 # a probability at or below this is outside a strategy's support
 SUPPORT_EPS = 1e-7
+
+
+def _dataclass_state(obj) -> dict:
+    """obj's dataclass fields: the pickle and deep-copy state of a frozen
+    object that solvers keep derived data on (the attacker's prepared
+    record, the defender polytope), which a copy rebuilds on first use."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -44,12 +51,7 @@ class EncryptionAlgorithm:
     def __post_init__(self) -> None:
         object.__setattr__(self, "attacks", tuple(self.attacks))
 
-    def __getstate__(self) -> dict:
-        # the attacker solvers' record kept on the algorithm (attacker.
-        # _prepared) is rebuilt on first use, not pickled or copied
-        state = dict(vars(self))
-        state.pop("_prepared", None)
-        return state
+    __getstate__ = _dataclass_state
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class DefenderBudgets:
     c_mem_max: float
     t_max: float
     r_min: float
-    family_caps: Mapping[int, float]
+    # a mapping is not hashable; == still compares the caps
+    family_caps: Mapping[int, float] = field(hash=False)
 
     def __post_init__(self) -> None:
         # read-only over a copy: a polytope kept on the instance stays valid
@@ -138,6 +141,8 @@ class GameInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
+
+    __getstate__ = _dataclass_state
 
     def algorithm(self, algorithm_id: str) -> EncryptionAlgorithm:
         for alg in self.algorithms:

@@ -222,7 +222,7 @@ def regret_matrix(
     is optima[s] minus the row strategy's value under scenario s."""
 
     def cell(probs: tuple[float, ...], s: int) -> float:
-        value = sum(p * u for p, u in zip(probs, table.utilities[s]))
+        value = sum(p * u for p, u in zip(probs, table.utilities[s], strict=True))
         return table.optima[s] - value
 
     return _matrix(table, extra_strategies, cell)

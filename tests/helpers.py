@@ -23,7 +23,7 @@ from cryptomix import (
     make_plan,
     plan_key,
 )
-from cryptomix.attacker import ACCEPT_PROB, _sorted_methods
+from cryptomix.attacker import ACCEPT_PROB
 
 
 def run_python(code: str, hash_seed: str = "0") -> str:
@@ -142,7 +142,7 @@ def reference_sample_greedy(
 ):
     """solve_sample_greedy as one Python density per live method per step,
     the oracle for the array version: every plan must be equal by repr."""
-    methods = _sorted_methods(algorithm)
+    methods = sorted(algorithm.attacks, key=lambda m: m.id)
     if coins is None:
         rng = np.random.default_rng(config.rng_seed)
 
@@ -211,8 +211,9 @@ def reference_dp_table(
     layer: the oracle for the in-place layer loop, attacker._fill_table. A
     cell takes method j only on a strictly smaller product, so an exact
     tie keeps the set without j, the colex rule of plan_key; nothing here
-    is shared with the code it checks but the cost cells and the id sort."""
-    methods = tuple(_sorted_methods(algorithm))
+    is taken from the code it checks, the id sort and the cost cells
+    included."""
+    methods = tuple(sorted(algorithm.attacks, key=lambda m: m.id))
     n = len(methods)
     scale = config.cost_scale
     size = scalar_cells(budget, scale, up=False) + 1

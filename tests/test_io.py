@@ -80,6 +80,13 @@ def test_missing_weights(payload):
         parse_scenario(payload)
 
 
+def test_missing_family_caps(payload):
+    # family_caps is left out of the hash, and still required
+    del payload["budgets"]["family_caps"]
+    with pytest.raises(ParseError, match="budgets: missing field 'family_caps'"):
+        parse_scenario(payload)
+
+
 def test_missing_attack_cost(payload):
     del payload["algorithms"][2]["attacks"][1]["cost"]
     with pytest.raises(ParseError, match=r"algorithms\[2\].attacks\[1\]"):

@@ -14,9 +14,11 @@ from cryptomix import (
     CostFunctionSpec,
     defender_polytope,
     evaluate_all,
+    load_bundled_scenario,
     make_plan,
     phi,
     plan_key,
+    solve_stackelberg,
     success_probability,
     validate_instance,
 )
@@ -296,6 +298,28 @@ def test_instances_pickle_and_deep_copy(instance, clone):
     assert [pickle.dumps(alg) for alg in instance.algorithms] == fresh
     with pytest.raises(TypeError):
         twin.budgets.family_caps[1] = 0.9
+
+
+def test_an_instance_pickles_its_fields_only():
+    # the polytope kept on the instance is rebuilt by a clone, as the
+    # attacker's record is on each algorithm
+    inst, _ = load_bundled_scenario()
+    before = pickle.dumps(inst)
+    solve_stackelberg(inst)
+    assert "_polytope" in vars(inst)
+    assert pickle.dumps(inst) == before
+    assert "_polytope" not in vars(pickle.loads(before))
+
+
+def test_instances_and_budgets_hash(instance):
+    twin = pickle.loads(pickle.dumps(instance))
+    assert hash(twin) == hash(instance)
+    assert hash(twin.budgets) == hash(instance.budgets)
+    assert {instance: 1, twin: 2} == {instance: 2}
+    # the caps are left out of the hash, not out of ==
+    caps = {fam: 0.5 for fam in instance.budgets.family_caps}
+    tighter = dataclasses.replace(instance.budgets, family_caps=caps)
+    assert tighter != instance.budgets and hash(tighter) == hash(instance.budgets)
 
 
 def test_replaced_budgets_get_their_own_polytope(instance):

@@ -5,6 +5,7 @@ behind by pickle and deep copy, and never the cause of another answer."""
 import dataclasses
 import math
 import pickle
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -133,7 +134,7 @@ def test_the_record_is_kept_like_the_polytope():
     assert twin == alg and hash(twin) == hash(alg) and record_of(twin) is None
     solve_hybrid(twin, params)
     assert record_of(twin) is not record
-    # brute force reads no grid and takes the record that is kept
+    # brute force takes the default grid's record, here the one kept
     solve_brute_force(alg, params)
     assert record_of(alg) is record
     # another grid replaces the one slot
@@ -154,19 +155,27 @@ def test_the_record_is_kept_like_the_polytope():
 @SOLVERS
 def test_an_invalid_cost_keeps_no_record_and_its_place_in_the_checks(solve):
     # the checks run in one order: a nan budget, then the value and phi,
-    # then the costs, then a value < 0 with a phi coefficient < 0
-    alg = bare_algorithm((AttackMethod("a", 0.5, math.nan), AttackMethod("b", 0.4, 2.0)))
+    # then the costs, then the successes, then a value < 0 with a phi
+    # coefficient < 0; an invalid cost or success keeps no record
     signs = AttackerParams(value=-10.0, budget=5.0, cost_fn=CostFunctionSpec(-1.0, 0.0))
     config = SolverConfig()
-    with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
-        solve(alg, dataclasses.replace(signs, budget=math.nan, value=math.inf), config)
-    with pytest.raises(ValidationError, match="^attacker value inf is not finite$"):
-        solve(alg, dataclasses.replace(signs, value=math.inf), config)
-    for _ in range(2):
-        with pytest.raises(ValidationError, match="^target/a: cost must be >= 0, got nan$"):
-            solve(alg, signs, config)
-        assert record_of(alg) is None
-    valid = dataclasses.replace(alg, attacks=alg.attacks[1:])
+    for success in (1.5, -0.2, math.nan):
+        alg = bare_algorithm((AttackMethod("a", 0.5, math.nan), AttackMethod("b", success, 2.0)))
+        paid = dataclasses.replace(alg, attacks=(AttackMethod("a", 0.5, 1.0), alg.attacks[1]))
+        for bad in (alg, paid):
+            with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
+                solve(bad, dataclasses.replace(signs, budget=math.nan, value=math.inf), config)
+            with pytest.raises(ValidationError, match="^attacker value inf is not finite$"):
+                solve(bad, dataclasses.replace(signs, value=math.inf), config)
+        wrong = re.escape(f"target/b: success must be in [0, 1], got {success}")
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="^target/a: cost must be >= 0, got nan$"):
+                solve(alg, signs, config)
+            assert record_of(alg) is None
+            with pytest.raises(ValidationError, match=f"^{wrong}$"):
+                solve(paid, signs, config)
+            assert record_of(paid) is None
+    valid = dataclasses.replace(alg, attacks=paid.attacks[:1])
     with pytest.raises(ValidationError, match="^attacker value -10.0 < 0 with cost_fn"):
         solve(valid, signs, config)
 

@@ -12,8 +12,10 @@ from cryptomix import (
     breach_regret_matrix,
     build_regret_lp,
     check_dual_certificate,
+    compare_strategies,
     evaluate_all,
     make_plan,
+    make_report,
     per_algorithm_utility,
     regret_matrix,
     scenario_table,
@@ -22,6 +24,7 @@ from cryptomix import (
     solve_minimax_regret,
     solve_stackelberg,
     solve_unconstrained_case,
+    strategy_usage,
 )
 from helpers import identical_methods, random_feasible_instance, random_methods, spread_methods
 
@@ -235,6 +238,23 @@ def test_regret_matrix_diagonal_zero(instance, table):
         assert abs(row[s]) <= 1e-6
         assert all(v >= -1e-6 for v in row)
         assert row[-1] == pytest.approx(max(row[:-1]))
+
+
+@pytest.mark.parametrize("size", [1, 9])
+def test_a_strategy_of_the_wrong_length_is_refused(instance, table, size):
+    # 8 algorithms: zip would score a short or long strategy by its prefix
+    probs = (1.0 / size,) * size
+    evaluations = table.evaluations[0]
+    calls = [
+        lambda: make_report(instance, probs, evaluations),
+        lambda: compare_strategies(instance, [("wrong", probs)], evaluations),
+        lambda: regret_matrix(instance, table, [("wrong", probs)]),
+        lambda: breach_regret_matrix(instance, table, [("wrong", probs)]),
+        lambda: strategy_usage(instance, probs),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^zip"):
+            call()
 
 
 def test_breach_matrix_nonnegative(instance, table):
