@@ -30,7 +30,7 @@ from .errors import (
     TooManyMethods,
     ValidationError,
 )
-from .io import bundled_scenario_path, load_bundled_scenario, load_scenario, to_payload
+from .io import bundled_scenario_path, load_scenario, to_payload
 from .model import GameInstance, ScenarioSet
 
 INPUT_ERRORS = (
@@ -105,12 +105,6 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "a non-negative integer")
 
 
-def _load(args) -> tuple[GameInstance, Optional[ScenarioSet]]:
-    if args.scenario is None:
-        return load_bundled_scenario()
-    return load_scenario(args.scenario)
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -145,7 +139,7 @@ def cmd_solve_attacker(args) -> int:
         solve_sample_greedy,
     )
 
-    instance, _ = _load(args)
+    instance, _ = load_scenario(args.scenario)
     try:
         algorithm = instance.algorithm(args.algorithm)
     except KeyError:
@@ -209,7 +203,7 @@ def cmd_solve_defender(args) -> int:
     from .defender import solve_stackelberg
 
     _check_out_file("--out", args.out)
-    instance, _ = _load(args)
+    instance, _ = load_scenario(args.scenario)
     if args.budget is not None:
         instance = replace(instance, attacker=replace(instance.attacker, budget=args.budget))
     result = solve_stackelberg(instance)
@@ -249,7 +243,7 @@ def cmd_solve_robust(args) -> int:
             raise OutputPathError(
                 f"--out-dir: cannot create {out_dir}: {exc.strerror or exc}"
             ) from None
-    instance, file_scenarios = _load(args)
+    instance, file_scenarios = load_scenario(args.scenario)
     if args.budgets:
         try:
             scenarios = ScenarioSet(budgets=args.budgets)
@@ -306,7 +300,7 @@ def cmd_baselines(args) -> int:
     from .defender import evaluate_all
 
     _check_out_file("--out", args.out)
-    instance, _ = _load(args)
+    instance, _ = load_scenario(args.scenario)
     evaluations = evaluate_all(instance)
     strategies: list[tuple[str, Sequence[float]]] = []
     for i in range(args.samples):
@@ -323,7 +317,7 @@ def cmd_baselines(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    instance, scenarios = _load(args)
+    instance, scenarios = load_scenario(args.scenario)
     _emit(
         {
             "ok": True,
@@ -335,11 +329,11 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _add_scenario_arg(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_arg(parser: argparse.ArgumentParser, bundled: Path) -> None:
     parser.add_argument(
         "--scenario",
-        default=None,
-        help=f"scenario JSON file (default: bundled {bundled_scenario_path().name})",
+        default=bundled,
+        help=f"scenario JSON file (default: bundled {bundled.name})",
     )
 
 
@@ -350,9 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         "against a budgeted attacker.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bundled = bundled_scenario_path()
 
     p = sub.add_parser("solve-attacker", help="best attack plan against one algorithm")
-    _add_scenario_arg(p)
+    _add_scenario_arg(p, bundled)
     p.add_argument("--algorithm", required=True, help="algorithm id from the scenario")
     p.add_argument("--budget", type=_budget, default=None)
     p.add_argument("--value", type=_value, default=None)
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve_attacker)
 
     p = sub.add_parser("solve-defender", help="equilibrium mixed deployment strategy")
-    _add_scenario_arg(p)
+    _add_scenario_arg(p, bundled)
     p.add_argument(
         "--budget", type=_budget, default=None, help="override attacker budget"
     )
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve_defender)
 
     p = sub.add_parser("solve-robust", help="budget-uncertain strategies and matrices")
-    _add_scenario_arg(p)
+    _add_scenario_arg(p, bundled)
     p.add_argument(
         "--budgets", type=_finite_floats, default=None, help="comma-separated scenario budgets"
     )
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve_robust)
 
     p = sub.add_parser("baselines", help="compare heuristic strategies to the optimum")
-    _add_scenario_arg(p)
+    _add_scenario_arg(p, bundled)
     p.add_argument("--samples", type=_non_negative_int, default=50, help="random vertex count")
     p.add_argument(
         "--seed", type=_non_negative_int, default=0, help="base seed for random vertices"
@@ -390,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_baselines)
 
     p = sub.add_parser("validate", help="check a scenario file")
-    _add_scenario_arg(p)
+    _add_scenario_arg(p, bundled)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -133,9 +133,7 @@ def build_defender_lp(
     )
 
 
-def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, float]:
-    """Expected use of each resource, keyed by USAGE_KEYS: each polytope
-    row after the simplex, summed over the algorithms in order."""
+def _usage(instance: GameInstance, probs: tuple[float, ...]) -> dict[str, float]:
     usage = {}
     for con in defender_polytope(instance)[1 : len(USAGE_KEYS) + 1]:
         total = 0.0
@@ -143,6 +141,12 @@ def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, 
             total += p * c
         usage[con.label] = total
     return usage
+
+
+def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, float]:
+    """Expected use of each resource, keyed by USAGE_KEYS: each polytope
+    row after the simplex, summed over the algorithms in order."""
+    return _usage(instance, MixedStrategy(probs).probs)
 
 
 def expected_breach(
@@ -153,18 +157,17 @@ def expected_breach(
 
 def _strategy_report(
     instance: GameInstance,
-    probs: Sequence[float],
+    strategy: MixedStrategy,
     objective: float,
     breach: float,
     binding_labels: Sequence[str],
 ) -> StrategyReport:
     """The one StrategyReport constructor, for an objective and breach the
     caller has worked out."""
-    strategy = MixedStrategy(probs=tuple(float(p) for p in probs))
     return StrategyReport(
         strategy=strategy,
         objective=objective,
-        usage=strategy_usage(instance, strategy.probs),
+        usage=_usage(instance, strategy.probs),
         expected_breach=breach,
         support_size=len(strategy.support()),
         binding_labels=tuple(binding_labels),
@@ -177,11 +180,14 @@ def make_report(
     evaluations: Sequence[AlgorithmEvaluation],
     binding_labels: Sequence[str] = (),
 ) -> StrategyReport:
-    """Assemble the standard summary for an arbitrary mixed strategy."""
-    probs = tuple(float(p) for p in probs)
-    objective = float(sum(p * ev.utility for p, ev in zip(probs, evaluations, strict=True)))
-    breach = expected_breach(probs, [ev.p_succ_star for ev in evaluations])
-    return _strategy_report(instance, probs, objective, breach, binding_labels)
+    """Assemble the standard summary for an arbitrary mixed strategy; a
+    non-finite entry raises ValueError."""
+    strategy = MixedStrategy(probs)
+    objective = float(
+        sum(p * ev.utility for p, ev in zip(strategy.probs, evaluations, strict=True))
+    )
+    breach = expected_breach(strategy.probs, [ev.p_succ_star for ev in evaluations])
+    return _strategy_report(instance, strategy, objective, breach, binding_labels)
 
 
 def _solve_leader(

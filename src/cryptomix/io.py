@@ -7,6 +7,9 @@ unknown, missing or repeated fields and values of the wrong type raise
 ParseError with the JSON path, and the parsed instance must pass
 validate_instance. A field may be left out exactly when its dataclass
 gives it a default.
+
+load_scenario is the one reader: every scenario, the bundled file
+included, is read from a path, decoded, parsed and validated there.
 """
 
 from __future__ import annotations
@@ -179,16 +182,8 @@ def parse_scenario(payload: Any) -> tuple[GameInstance, Optional[ScenarioSet]]:
     return instance, scenarios
 
 
-def _validated(
-    instance: GameInstance, scenarios: Optional[ScenarioSet]
-) -> tuple[GameInstance, Optional[ScenarioSet]]:
-    report = validate_instance(instance)
-    if not report.ok:
-        raise ValidationError("; ".join(report.violations))
-    return instance, scenarios
-
-
 def load_scenario(path) -> tuple[GameInstance, Optional[ScenarioSet]]:
+    """Read, decode, parse and validate the scenario file at path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh, object_pairs_hook=_object_pairs)
@@ -196,7 +191,11 @@ def load_scenario(path) -> tuple[GameInstance, Optional[ScenarioSet]]:
         raise ParseError(f"cannot read {path}: {exc}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    return _validated(*parse_scenario(payload))
+    instance, scenarios = parse_scenario(payload)
+    report = validate_instance(instance)
+    if not report.ok:
+        raise ValidationError("; ".join(report.violations))
+    return instance, scenarios
 
 
 def bundled_scenario_path() -> Path:
@@ -204,8 +203,7 @@ def bundled_scenario_path() -> Path:
 
 
 def load_bundled_scenario() -> tuple[GameInstance, Optional[ScenarioSet]]:
-    text = resources.files("cryptomix").joinpath("data", _BUNDLED_NAME).read_text("utf-8")
-    return _validated(*parse_scenario(json.loads(text, object_pairs_hook=_object_pairs)))
+    return load_scenario(bundled_scenario_path())
 
 
 def to_payload(data: Any) -> Any:

@@ -178,7 +178,11 @@ class MixedStrategy:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        probs = tuple(float(p) for p in self.probs)
+        for i, p in enumerate(probs):
+            if not math.isfinite(p):
+                raise ValueError(f"strategy entry {i} is not finite: {p}")
+        object.__setattr__(self, "probs", probs)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.probs) if p > SUPPORT_EPS)

@@ -150,7 +150,9 @@ def solve_maximin(instance: GameInstance, table: ScenarioTable) -> StrategyRepor
     n = len(instance.algorithms)
     probs = solution.values[:n]
     worst_breach = max(expected_breach(probs, row) for row in table.breach)
-    return _strategy_report(instance, probs, solution.values[n], worst_breach, solution.binding)
+    return _strategy_report(
+        instance, MixedStrategy(probs), solution.values[n], worst_breach, solution.binding
+    )
 
 
 def build_regret_lp(instance: GameInstance, table: ScenarioTable) -> LinearProgram:
@@ -199,7 +201,7 @@ def _matrix(
         (f"Opt(k={_budget_label(k)})", strat)
         for k, strat in zip(table.budgets, table.optimal_strategies)
     ]
-    rows += [(label, tuple(float(p) for p in probs)) for label, probs in extra_strategies]
+    rows += [(label, MixedStrategy(probs).probs) for label, probs in extra_strategies]
     col_labels = tuple(f"k={_budget_label(k)}" for k in table.budgets) + ("max",)
     cells = []
     for _, probs in rows:

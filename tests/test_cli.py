@@ -307,6 +307,49 @@ def test_non_finite_options_exit_code(capsys, argv, option):
     assert f"argument {option}: expected a finite number" in captured.err
 
 
+def test_a_seed_that_is_not_an_integer_exits_1(capsys):
+    assert run_cli(["solve-attacker", "--algorithm", "aes256-gcm", "--seed", "abc"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected a non-negative integer, got 'abc'" in captured.err
+
+
+def test_solve_robust_without_any_budgets_exits_1(tmp_path, capsys):
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    del payload["scenario_budgets"]
+    scenario = tmp_path / "no_budgets.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["solve-robust", "--scenario", str(scenario)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no scenario budgets: pass --budgets or add scenario_budgets\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-defender", "solve-robust"])
+def test_the_default_scenario_is_the_bundled_path(capsys, command):
+    assert run_cli([command]) == 0
+    default = capsys.readouterr().out
+    assert run_cli([command, "--scenario", str(bundled_scenario_path())]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_an_empty_scenario_path_does_not_fall_back_to_the_bundled_file(capsys):
+    assert run_cli(["validate", "--scenario", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read : ")
+
+
+@pytest.mark.parametrize(
+    "command", ["solve-attacker", "solve-defender", "solve-robust", "baselines", "validate"]
+)
+def test_help_names_the_bundled_scenario(monkeypatch, capsys, command):
+    # argparse wraps help to the terminal width, and would split the name if narrow
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli([command, "--help"]) == 0
+    assert "reference_scenario.json" in capsys.readouterr().out
+
+
 def test_overflowing_budget_goes_to_the_greedy(capsys):
     # budget * scale overflows to inf: no DP table holds it
     attacker = ["solve-attacker", "--algorithm", "aes256-gcm", "--budget", "1e308"]

@@ -114,6 +114,16 @@ def test_wrong_types(payload):
     with pytest.raises(ParseError, match="expected an array"):
         parse_scenario(bad)
 
+    bad = copy.deepcopy(payload)
+    bad["attacker"] = 5
+    with pytest.raises(ParseError, match="^attacker: expected an object, got int$"):
+        parse_scenario(bad)
+
+    bad = copy.deepcopy(payload)
+    bad["algorithms"][0]["id"] = 5
+    with pytest.raises(ParseError, match=r"^algorithms\[0\]\.id: expected a string, got 5$"):
+        parse_scenario(bad)
+
 
 @pytest.mark.parametrize(
     "where, value, path",
@@ -241,6 +251,7 @@ def test_bundled_loader_matches_path_loader(instance, scenarios):
     direct = load_scenario(bundled_scenario_path())
     assert direct == (instance, scenarios)
     assert load_bundled_scenario() == (instance, scenarios)
+    assert repr(load_bundled_scenario()) == repr(direct)
 
 
 def test_non_utf8_file(tmp_path):

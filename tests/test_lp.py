@@ -149,6 +149,11 @@ def test_constraint_validation():
         LinearProgram(sense="best", objective=(1.0,), constraints=())
 
 
+def test_an_lp_without_variables_is_refused():
+    with pytest.raises(ValueError, match="^LP has no variables$"):
+        solve_lp(LinearProgram("max", (), ()))
+
+
 def test_a_repeated_constraint_label_is_refused():
     # duals and binding labels are keyed by label: a second "cap" row would
     # lose its dual

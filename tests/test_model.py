@@ -159,6 +159,14 @@ def test_validate_flags_duplicate_algorithm_ids(instance):
     assert any("duplicate algorithm id" in v for v in report.violations)
 
 
+def test_validate_flags_duplicate_attack_ids(instance):
+    repeated = instance.algorithms[0].attacks[0]
+    broken = _broken(instance, attacks=instance.algorithms[0].attacks + (repeated,))
+    assert validate_instance(broken).violations == (
+        f"aes128-gcm: duplicate attack id {repeated.id!r}",
+    )
+
+
 def test_validate_flags_empty_algorithm_list(instance):
     # with no algorithm there is no mixed strategy, so no LP to build
     report = validate_instance(dataclasses.replace(instance, algorithms=()))
@@ -176,6 +184,12 @@ def test_validate_flags_bad_family_cap(instance):
     )
     report = validate_instance(dataclasses.replace(instance, budgets=budgets))
     assert any("cap out of (0,1]" in v for v in report.violations)
+
+
+def test_validate_flags_r_min_out_of_range(instance):
+    budgets = dataclasses.replace(instance.budgets, r_min=1.5)
+    report = validate_instance(dataclasses.replace(instance, budgets=budgets))
+    assert report.violations == ("r_min out of [0,1]: 1.5",)
 
 
 def test_validate_flags_negative_attacker_budget(instance):

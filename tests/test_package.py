@@ -135,6 +135,15 @@ def test_import_loads_a_layer_on_first_use():
     assert out.splitlines() == ["cryptomix", "ScenarioSet False"]
 
 
+def test_a_submodule_loads_on_first_use():
+    out = run_python(
+        "import sys, cryptomix\n"
+        "print('cryptomix.lp' in sys.modules, 'lp' in vars(cryptomix))\n"
+        "print(cryptomix.lp is sys.modules['cryptomix.lp'], vars(cryptomix)['lp'].__name__)"
+    )
+    assert out.splitlines() == ["False False", "True cryptomix.lp"]
+
+
 def test_unknown_attribute_names_the_package():
     with pytest.raises(AttributeError, match="^module 'cryptomix' has no attribute 'nope'$"):
         cryptomix.nope

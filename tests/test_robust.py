@@ -240,10 +240,19 @@ def test_regret_matrix_diagonal_zero(instance, table):
         assert row[-1] == pytest.approx(max(row[:-1]))
 
 
-@pytest.mark.parametrize("size", [1, 9])
-def test_a_strategy_of_the_wrong_length_is_refused(instance, table, size):
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ((1.0,), "^zip"),
+        ((1.0 / 9,) * 9, "^zip"),
+        # a NaN entry would score nan, and sort among finite rows
+        ((math.nan,) + (1.0 / 7,) * 7, "^strategy entry 0 is not finite: nan$"),
+        ((0.0,) * 7 + (math.inf,), "^strategy entry 7 is not finite: inf$"),
+    ],
+    ids=["1", "9", "nan", "inf"],
+)
+def test_a_strategy_of_the_wrong_length_is_refused(instance, table, probs, message):
     # 8 algorithms: zip would score a short or long strategy by its prefix
-    probs = (1.0 / size,) * size
     evaluations = table.evaluations[0]
     calls = [
         lambda: make_report(instance, probs, evaluations),
@@ -253,7 +262,7 @@ def test_a_strategy_of_the_wrong_length_is_refused(instance, table, size):
         lambda: strategy_usage(instance, probs),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="^zip"):
+        with pytest.raises(ValueError, match=message):
             call()
 
 
