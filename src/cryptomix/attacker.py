@@ -274,9 +274,12 @@ def _grid_cells(amounts: Sequence[float], config: SolverConfig, up: bool) -> lis
 
 
 def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
-    """phi over an array of total costs, elementwise and bitwise as phi:
-    np.float_power calls the C pow that Python's x**2 calls, where
-    np.power(x, 2) squares as x * x and can differ in the last bit."""
+    """phi over an array of total costs, elementwise and bitwise as phi
+    where the square is finite: np.float_power calls the C pow that
+    Python's x**2 calls, where np.power(x, 2) squares as x * x and can
+    differ in the last bit. Where a finite total's square overflows at a
+    zero quadratic coefficient, phi adds 0.0 and this adds nan; the DP's
+    totals never overflow, and the greedy ranks such a singleton last."""
     return spec.linear_coeff * total_cost + spec.quadratic_coeff * np.float_power(total_cost, 2.0)
 
 
@@ -480,7 +483,8 @@ def solve_sample_greedy(
 
     # singleton utility value * (1 - 1.0 * (1 - s)) - phi(0.0 + c), as make_plan
     total = 0.0 + cost
-    with np.errstate(invalid="ignore"):  # an infinite cost at a zero coefficient
+    # an infinite cost at a zero coefficient is nan, an overflowing square inf
+    with np.errstate(invalid="ignore", over="ignore"):
         single = params.value * (1.0 - (1.0 - success)) - _penalty(params.cost_fn, total)
     fits = np.flatnonzero(cost <= budget)
     best_single = None

@@ -43,66 +43,42 @@ INPUT_ERRORS = (
 )
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for float options: NaN and infinities are rejected
-    here, so the error names the option."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _option(convert, *rules):
+    """An argparse type that converts the text, then checks each (test,
+    expected) rule in order, so the error names the option. Text that does
+    not convert breaks the first rule."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        for test, expected in rules:
+            if value is None or not test(value):
+                raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _budget(text: str) -> float:
-    """argparse type for --budget: finite, then >= 0, as a scenario file's
-    attacker budget."""
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
-    return value
-
-
-def _value(text: str) -> float:
-    """argparse type for --value: finite, then > 0, as a scenario file's
-    attacker value."""
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
-    return value
+# NaN and infinities are rejected first; --budget and --value then follow
+# a scenario file's attacker budget and value
+_FINITE = (math.isfinite, "a finite number")
+_finite_float = _option(float, _FINITE)
+_budget = _option(float, _FINITE, (lambda v: v >= 0, "a non-negative number"))
+_value = _option(float, _FINITE, (lambda v: v > 0, "a positive number"))
+# the DP multiplies float costs and budgets by --scale, so a float must hold it
+_cost_scale = _option(
+    int,
+    (lambda v: v >= 1, "a positive integer"),
+    (lambda v: v <= sys.float_info.max, "a positive integer within float range"),
+)
+_non_negative_int = _option(int, (lambda v: v >= 0, "a non-negative integer"))
 
 
 def _finite_floats(text: str) -> tuple[float, ...]:
     """argparse type for a comma-separated list of finite numbers."""
     return tuple(_finite_float(tok) for tok in text.split(","))
-
-
-def _int_at_least(text: str, low: int, expected: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = low - 1
-    if value < low:
-        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-    return value
-
-
-def _cost_scale(text: str) -> int:
-    """argparse type for --scale: a positive integer that a float can hold,
-    since the DP multiplies float costs and budgets by it. Checked here so
-    the error names the option."""
-    value = _int_at_least(text, 1, "a positive integer")
-    if value > sys.float_info.max:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer within float range, got {text!r}"
-        )
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type for seeds and sample counts: rejected here unless >= 0."""
-    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def _emit(payload: dict) -> None:

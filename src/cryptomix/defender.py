@@ -18,6 +18,7 @@ from .model import (
     EncryptionAlgorithm,
     GameInstance,
     MixedStrategy,
+    _weighted_sum,
 )
 
 # the labels of the polytope rows after the simplex, in order
@@ -134,13 +135,8 @@ def build_defender_lp(
 
 
 def _usage(instance: GameInstance, probs: tuple[float, ...]) -> dict[str, float]:
-    usage = {}
-    for con in defender_polytope(instance)[1 : len(USAGE_KEYS) + 1]:
-        total = 0.0
-        for p, c in zip(probs, con.coeffs, strict=True):
-            total += p * c
-        usage[con.label] = total
-    return usage
+    rows = defender_polytope(instance)[1 : len(USAGE_KEYS) + 1]
+    return {con.label: _weighted_sum(probs, con.coeffs) for con in rows}
 
 
 def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, float]:
@@ -149,10 +145,10 @@ def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, 
     return _usage(instance, MixedStrategy(probs).probs)
 
 
-def expected_breach(
-    probs: Sequence[float], breach: Sequence[float]
-) -> float:
-    return float(sum(p * b for p, b in zip(probs, breach, strict=True)))
+def expected_breach(probs: Sequence[float], breach: Sequence[float]) -> float:
+    """The strategy's breach probability: probs against the per-algorithm
+    breach, summed by the one strategy-sum loop (model._weighted_sum)."""
+    return _weighted_sum(probs, breach)
 
 
 def _strategy_report(
@@ -183,9 +179,7 @@ def make_report(
     """Assemble the standard summary for an arbitrary mixed strategy; a
     non-finite entry raises ValueError."""
     strategy = MixedStrategy(probs)
-    objective = float(
-        sum(p * ev.utility for p, ev in zip(strategy.probs, evaluations, strict=True))
-    )
+    objective = _weighted_sum(strategy.probs, [ev.utility for ev in evaluations])
     breach = expected_breach(strategy.probs, [ev.p_succ_star for ev in evaluations])
     return _strategy_report(instance, strategy, objective, breach, binding_labels)
 

@@ -177,10 +177,11 @@ _LOCK = threading.Lock()
 
 class _Form(NamedTuple):
     """The rows and bounds of a program as scipy.optimize.linprog hands
-    them to HiGHS: the <= rows and the negated >= rows (the first n_ub rows
-    of matrix, at most rhs), then the = rows, and lower <= x <= upper with
-    None bounds as -inf/+inf. The objective is not part of it (_cost), so
-    one form serves every program over the same constraints and bounds.
+    them to HiGHS, and the HighsLp that holds them: the <= rows and the
+    negated >= rows (the first n_ub rows of matrix, at most rhs), then the
+    = rows, and each variable within its bounds, None as -inf/+inf. The
+    objective is not part of it (_cost, set on model per run), so one form
+    serves every program over the same constraints and bounds.
     labels names the constraints in program order; rows[k] is the row of
     constraint k and sign[k] is -1.0 where that row was negated. floor and
     ceiling hold what _feasible allows of x followed by rhs - matrix @ x:
@@ -190,23 +191,34 @@ class _Form(NamedTuple):
     matrix: np.ndarray
     rhs: np.ndarray
     n_ub: int
-    lower: np.ndarray
-    upper: np.ndarray
     labels: tuple[str, ...]
     rows: np.ndarray
     sign: np.ndarray
     floor: np.ndarray
     ceiling: np.ndarray
+    model: Any  # HighsLp
 
 
 _NOT_FINITE = "LP objective, coefficients and right-hand sides must be finite"
 
 
-def _form(lp: LinearProgram) -> _Form:
-    n = lp.num_vars
+def _cost(lp: LinearProgram) -> np.ndarray:
+    """The objective in canonical min form."""
+    return (-1.0 if lp.sense == "max" else 1.0) * np.asarray(lp.objective, dtype=float)
+
+
+@functools.lru_cache(maxsize=64)
+def _prebuilt(constraints, bounds, negative_zeros) -> _Form:
+    """The form of every program over these constraints and bounds (the
+    pairs of LinearProgram.bounds_list), built once, with its HighsLp: the
+    matrix column-wise without zeros. negative_zeros completes the key:
+    the tuples compare with ==, which takes -0.0 for 0.0, and HiGHS can
+    answer the two differently (a vertex at -0.0 rather than 0.0)."""
+    core, _ = _highs()
+    n = len(bounds)
     # the inequality rows, then the equalities, each in program order
-    order = sorted(range(len(lp.constraints)), key=lambda k: lp.constraints[k].relation == "=")
-    rows = [lp.constraints[k] for k in order]
+    order = sorted(range(len(constraints)), key=lambda k: constraints[k].relation == "=")
+    rows = [constraints[k] for k in order]
     n_ub = sum(con.relation != "=" for con in rows)
     matrix = np.array([con.coeffs for con in rows], dtype=float).reshape(len(rows), n)
     rhs = np.array([con.rhs for con in rows], dtype=float)
@@ -218,68 +230,45 @@ def _form(lp: LinearProgram) -> _Form:
         raise ValueError("LP has no variables")
     if not (np.isfinite(matrix).all() and np.isfinite(rhs).all()):
         raise ValueError(_NOT_FINITE)
-    lower, upper = np.array(lp.bounds_list(), dtype=float).T  # None becomes NaN
+    lower, upper = np.array(bounds, dtype=float).T  # None becomes NaN
     lower[np.isnan(lower)] = -np.inf
     upper[np.isnan(upper)] = np.inf
     row_of = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.intp)
-    sign = np.array([-1.0 if con.relation == ">=" else 1.0 for con in lp.constraints])
+    sign = np.array([-1.0 if con.relation == ">=" else 1.0 for con in constraints])
     floor = np.concatenate((lower - _CHECK_TOL, np.full(len(rows), -_CHECK_TOL)))
     slack_cap = np.full(len(rows), _CHECK_TOL)
     slack_cap[:n_ub] = np.inf
     ceiling = np.concatenate((upper + _CHECK_TOL, slack_cap))
-    for array in (matrix, rhs, lower, upper, row_of, sign, floor, ceiling):
+    for array in (matrix, rhs, row_of, sign, floor, ceiling):
         array.setflags(write=False)
-    labels = tuple(con.label for con in lp.constraints)
-    return _Form(matrix, rhs, n_ub, lower, upper, labels, row_of, sign, floor, ceiling)
-
-
-def _cost(lp: LinearProgram) -> np.ndarray:
-    """The objective in canonical min form."""
-    return (-1.0 if lp.sense == "max" else 1.0) * np.asarray(lp.objective, dtype=float)
-
-
-def _highs_lp(form: _Form):
-    """The HighsLp of a form, its matrix column-wise without zeros; the
-    cost is set per run."""
-    core, _ = _highs()
-    m, n = form.matrix.shape
     model = core.HighsLp()
     model.num_col_ = n
-    model.num_row_ = m
-    model.col_lower_ = np.clip(form.lower, -core.kHighsInf, core.kHighsInf)
-    model.col_upper_ = np.clip(form.upper, -core.kHighsInf, core.kHighsInf)
-    model.row_lower_ = np.concatenate((np.full(form.n_ub, -core.kHighsInf), form.rhs[form.n_ub :]))
-    model.row_upper_ = form.rhs
-    col, row = np.nonzero(form.matrix.T)  # column-major, rows ascending in each column
+    model.num_row_ = len(rows)
+    model.col_lower_ = np.clip(lower, -core.kHighsInf, core.kHighsInf)
+    model.col_upper_ = np.clip(upper, -core.kHighsInf, core.kHighsInf)
+    model.row_lower_ = np.concatenate((np.full(n_ub, -core.kHighsInf), rhs[n_ub:]))
+    model.row_upper_ = rhs
+    col, row = np.nonzero(matrix.T)  # column-major, rows ascending in each column
     model.a_matrix_.format_ = core.MatrixFormat.kColwise
     model.a_matrix_.num_col_ = n
-    model.a_matrix_.num_row_ = m
+    model.a_matrix_.num_row_ = len(rows)
     model.a_matrix_.start_ = np.concatenate(([0], np.cumsum(np.bincount(col, minlength=n))))
     model.a_matrix_.index_ = row
-    model.a_matrix_.value_ = form.matrix.T[col, row]
-    return model
-
-
-@functools.lru_cache(maxsize=64)
-def _prebuilt(num_vars, constraints, lower_bounds, upper_bounds, negative_zeros):
-    """The form and HighsLp of every program over these constraints and
-    bounds, built once. negative_zeros completes the key: the tuples
-    compare with ==, which takes -0.0 for 0.0, and HiGHS can answer the two
-    differently (a vertex at -0.0 rather than 0.0)."""
-    form = _form(LinearProgram("min", (0.0,) * num_vars, constraints, lower_bounds, upper_bounds))
-    return form, _highs_lp(form)
+    model.a_matrix_.value_ = matrix.T[col, row]
+    labels = tuple(con.label for con in constraints)
+    return _Form(matrix, rhs, n_ub, labels, row_of, sign, floor, ceiling, model)
 
 
 # the constraint set, bounds and variable count last served, then their
-# form and model: one tuple, replaced in one assignment, so that a thread
-# never reads one program's key beside another's model
+# form: one tuple, replaced in one assignment, so that a thread never
+# reads one program's key beside another's form
 _last_prebuilt: tuple = (None, None, None, 0, None)
 
 
-def _prebuilt_for(lp: LinearProgram):
-    """_prebuilt's form and model for lp, found by identity when lp shares
-    the last program's constraint and bound tuples (the same objects hold
-    the same values, zero signs included), else by content."""
+def _prebuilt_for(lp: LinearProgram) -> _Form:
+    """_prebuilt's form for lp, found by identity when lp shares the last
+    program's constraint and bound tuples (the same objects hold the same
+    values, zero signs included), else by content."""
     global _last_prebuilt
     constraints, lower, upper, num_vars, found = _last_prebuilt
     if (
@@ -289,14 +278,14 @@ def _prebuilt_for(lp: LinearProgram):
         and num_vars == lp.num_vars
     ):
         return found
+    bounds = tuple(lp.bounds_list())
     values = [con.rhs for con in lp.constraints]
-    values += [v for v in lp.lower_bounds or () if v is not None]
-    values += [v for v in lp.upper_bounds or () if v is not None]
+    values += [v for pair in bounds for v in pair if v is not None]
     # a zero coefficient never reaches HiGHS, and its sign changes only the
     # sign of a zero activity, which _feasible and _binding only compare
     # with nonzero tolerances, so the key leaves coefficients to ==
     negative_zeros = tuple(i for i, v in enumerate(values) if v == 0 and math.copysign(1.0, v) < 0)
-    found = _prebuilt(lp.num_vars, lp.constraints, lp.lower_bounds, lp.upper_bounds, negative_zeros)
+    found = _prebuilt(lp.constraints, bounds, negative_zeros)
     _last_prebuilt = (lp.constraints, lp.lower_bounds, lp.upper_bounds, lp.num_vars, found)
     return found
 
@@ -370,15 +359,17 @@ def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run]:
     """The one solve path of every LP: the cost on the cached model, one
     cold run under _LOCK, and solve_lp's outcomes; returns only optima."""
     core, _ = _highs()
-    form, model = _prebuilt_for(lp)
+    form = _prebuilt_for(lp)
     cost = _cost(lp)
     if not np.isfinite(cost).all():
         raise ValueError(_NOT_FINITE)
     with _LOCK:
-        model.col_cost_ = cost
-        run = linprog(model)
-    if run.status in (core.HighsModelStatus.kInfeasible, core.HighsModelStatus.kModelError):
+        form.model.col_cost_ = cost
+        run = linprog(form.model)
+    if run.status == core.HighsModelStatus.kInfeasible:
         raise InfeasibleDefender(f"{context} infeasible: its constraints admit no point")
+    if run.status == core.HighsModelStatus.kModelError:
+        raise InfeasibleDefender(f"{context} not solved: HiGHS reports a model error")
     if run.status == core.HighsModelStatus.kUnbounded:
         raise NotOptimal(f"{context} ended with status 'unbounded'")
     if run.status != core.HighsModelStatus.kOptimal:
@@ -403,12 +394,13 @@ def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
     The program, options, outcome, point, duals and bound marginals are
     those of scipy.optimize.linprog(method="highs-ds"), without its
     per-call set-up: one HiGHS object holds the options, and the program
-    goes to HiGHS as it is (_form). An infeasible program (or a HiGHS
-    model error) raises InfeasibleDefender and an unbounded one
-    NotOptimal, both naming `context` (such as "scenario k=20: breach
-    LP"). Any other solver failure, and an optimal point that breaks a
-    bound or row, which scipy reports as failed, raise RuntimeError. Safe
-    to call from several threads; the solves themselves run one at a time.
+    goes to HiGHS as it is (_prebuilt). An infeasible program, or one
+    that HiGHS rejects as a model error, raises InfeasibleDefender (each
+    with its own message), and an unbounded one NotOptimal, all naming
+    `context` (such as "scenario k=20: breach LP"). Any other solver
+    failure, and an optimal point that breaks a bound or row, which scipy
+    reports as failed, raise RuntimeError. Safe to call from several
+    threads; the solves themselves run one at a time.
 
     Duals are reported in canonical min form regardless of lp.sense, so a
     binding <= constraint always has a nonpositive multiplier effect on

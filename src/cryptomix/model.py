@@ -213,9 +213,25 @@ def success_probability(methods: Iterable[AttackMethod]) -> float:
     return 1.0 - failure_product(methods)
 
 
+def _weighted_sum(weights: Iterable[float], values: Iterable[float]) -> float:
+    """sum of weights[i] * values[i], added left to right from 0.0: the one
+    strategy-sum loop, whose bits do not depend on the Python version (the
+    built-in sum() adds floats with compensated summation from 3.12 on)."""
+    total = 0.0
+    for w, v in zip(weights, values, strict=True):
+        total += w * v
+    return float(total)
+
+
 def phi(spec: CostFunctionSpec, total_cost: float) -> float:
-    """Convex nondecreasing attack cost penalty; phi(0) = 0."""
-    return spec.linear_coeff * total_cost + spec.quadratic_coeff * total_cost**2
+    """Convex nondecreasing attack cost penalty; phi(0) = 0. A square that
+    overflows (a total above about 1.34e154) is inf, and adds 0.0 at a
+    zero quadratic coefficient."""
+    try:
+        quadratic = spec.quadratic_coeff * total_cost**2
+    except OverflowError:
+        quadratic = spec.quadratic_coeff * math.inf if spec.quadratic_coeff else 0.0
+    return spec.linear_coeff * total_cost + quadratic
 
 
 def make_plan(methods: Iterable[AttackMethod], params: AttackerParams) -> AttackPlan:

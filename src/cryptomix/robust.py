@@ -22,7 +22,7 @@ from .defender import (
     expected_breach,
 )
 from .lp import Constraint, LinearProgram, _optimal_point, solve_lp
-from .model import GameInstance, MixedStrategy, ScenarioSet, make_plan
+from .model import GameInstance, MixedStrategy, ScenarioSet, _weighted_sum, make_plan
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,7 @@ def solve_minimax_regret(instance: GameInstance, table: ScenarioTable) -> Regret
     n = len(instance.algorithms)
     probs = values[:n]
     regrets = tuple(
-        opt - sum(p * u for p, u in zip(probs, util_row))
-        for opt, util_row in zip(table.optima, table.utilities)
+        opt - _weighted_sum(probs, util_row) for opt, util_row in zip(table.optima, table.utilities)
     )
     return RegretReport(
         strategy=MixedStrategy(probs=probs),
@@ -224,8 +223,7 @@ def regret_matrix(
     is optima[s] minus the row strategy's value under scenario s."""
 
     def cell(probs: tuple[float, ...], s: int) -> float:
-        value = sum(p * u for p, u in zip(probs, table.utilities[s], strict=True))
-        return table.optima[s] - value
+        return table.optima[s] - _weighted_sum(probs, table.utilities[s])
 
     return _matrix(table, extra_strategies, cell)
 

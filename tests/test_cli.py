@@ -298,6 +298,10 @@ def test_non_finite_input_exit_code(tmp_path, capsys, command, edit, path):
         (["solve-robust", "--budgets", "nan,20"], "--budgets"),
         (["solve-robust", "--budgets", "11,inf"], "--budgets"),
         (["solve-attacker", "--algorithm", "aes256-gcm", "--value=-inf"], "--value"),
+        (["solve-attacker", "--algorithm", "aes256-gcm", "--budget", "abc"], "--budget"),
+        (["solve-attacker", "--algorithm", "aes256-gcm", "--value", "x"], "--value"),
+        (["solve-robust", "--budgets", "11,x"], "--budgets"),
+        (["solve-robust", "--budgets", "11,"], "--budgets"),
     ],
 )
 def test_non_finite_options_exit_code(capsys, argv, option):
@@ -386,6 +390,42 @@ def test_overflowing_method_cost_is_never_taken(tmp_path, capsys):
     report = run_json(capsys, ["solve-defender", "--scenario", str(scenario)])
     assert {a["solver"] for a in report["attacks"]} == {"dp"}
     assert all(costly["id"] not in a["plan"]["methods"] for a in report["attacks"])
+
+
+HUGE_BUDGET_ATTACKER = ["solve-attacker", "--algorithm", "aes128-gcm", "--budget", "1e300"]
+
+
+@pytest.mark.parametrize(
+    "cost, argv",
+    [
+        (1e155, ["solve-robust", "--mode", "unconstrained"]),
+        (1e200, [*HUGE_BUDGET_ATTACKER, "--solver", "brute"]),
+        (1e200, [*HUGE_BUDGET_ATTACKER, "--solver", "hybrid"]),
+    ],
+    ids=["unconstrained", "brute", "hybrid"],
+)
+def test_a_cost_whose_square_overflows_answers(tmp_path, capsys, cost, argv):
+    # phi squares the total cost; past about 1.34e154 the square is inf
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    payload["algorithms"][0]["attacks"][0]["cost"] = cost
+    scenario = tmp_path / "costly.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli([*argv, "--scenario", str(scenario)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_highs_model_error_is_not_reported_as_an_empty_polytope(tmp_path, capsys):
+    # HiGHS refuses a coefficient of 1e15, though this polytope has points
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    for alg in payload["algorithms"]:
+        alg["cpu_cost"] = 1e15
+    payload["budgets"]["c_cpu_max"] = 1e16
+    scenario = tmp_path / "huge_cpu.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["solve-defender", "--scenario", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infeasible: defender LP not solved: HiGHS reports a model error\n"
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -487,6 +527,11 @@ def test_cli_import_loads_no_solver_layer():
             ["solve-attacker", "--algorithm", "aes256-gcm", "--value", "-5"],
             "argument --value: expected a positive number, got '-5'",
         ),
+        (
+            ["solve-attacker", "--algorithm", "aes256-gcm", "--scale", "1.5"],
+            "argument --scale: expected a positive integer, got '1.5'",
+        ),
+        (["baselines", "--samples", "abc"], "argument --samples: expected a non-negative integer"),
     ],
     ids=[
         "scale-0",
@@ -499,6 +544,8 @@ def test_cli_import_loads_no_solver_layer():
         "defender-budget-negative",
         "value-0",
         "value-negative",
+        "scale-not-an-integer",
+        "samples-not-an-integer",
     ],
 )
 def test_bad_option_values_exit_code(capsys, argv, message):

@@ -1,3 +1,5 @@
+import builtins
+import dataclasses
 import itertools
 import math
 import random
@@ -688,34 +690,93 @@ def test_point_reads_equal_solve_lp(seed, rng):
         assert objective.hex() == full.objective_value.hex()
 
 
+def reference_session(inst, scenarios) -> list:
+    """The analyst session of the benchmark's reference workload, with 50
+    fixed vertex seeds; returns its reports."""
+    eq = solve_stackelberg(inst)
+    table = scenario_table(inst, scenarios)
+    mmr = solve_minimax_regret(inst, table)
+    maximin = solve_maximin(inst, table)
+    unconstrained = solve_unconstrained_case(inst)
+    extras = [("mmr", mmr.strategy.probs), ("maximin", maximin.strategy.probs)]
+    matrices = [regret_matrix(inst, table, extras), breach_regret_matrix(inst, table, extras)]
+    strategies = [(f"random-{s}", random_vertex_strategy(inst, s).probs) for s in range(50)]
+    strategies += [
+        (name, single_objective_strategy(inst, name).probs) for name in SINGLE_OBJECTIVES
+    ]
+    rows = compare_strategies(inst, strategies, eq.evaluations)
+    return [eq.report, table, mmr, maximin, unconstrained, *matrices, *rows]
+
+
 def test_reference_session_lp_and_polytope_counts():
-    """The analyst session of the benchmark's reference workload on the
-    bundled scenario, with 50 fixed vertex seeds: 68 HiGHS runs, and every
-    LP over the defender polytope on the one tuple built for the
-    instance."""
+    """The reference session on the bundled scenario: 68 HiGHS runs on 3
+    models, one per constraint set, and every LP over the defender
+    polytope on the one tuple built for the instance."""
     inst, scenarios = load_bundled_scenario()  # a fresh instance, no polytope kept
     runs = []
     original = cryptomix.lp.linprog
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cryptomix.lp, "linprog", lambda model: runs.append(model) or original(model))
         programs = record_programs(mp)
-        eq = solve_stackelberg(inst)
-        table = scenario_table(inst, scenarios)
-        mmr = solve_minimax_regret(inst, table)
-        maximin = solve_maximin(inst, table)
-        solve_unconstrained_case(inst)
-        extras = [("mmr", mmr.strategy.probs), ("maximin", maximin.strategy.probs)]
-        regret_matrix(inst, table, extras)
-        breach_regret_matrix(inst, table, extras)
-        strategies = [(f"random-{s}", random_vertex_strategy(inst, s).probs) for s in range(50)]
-        strategies += [
-            (name, single_objective_strategy(inst, name).probs) for name in SINGLE_OBJECTIVES
-        ]
-        compare_strategies(inst, strategies, eq.evaluations)
+        reference_session(inst, scenarios)
     # stackelberg, 2 per scenario, regret, maximin, unconstrained, 50
     # vertices, 3 single objectives and the comparison's leader LP
     assert len(runs) == len(programs) == 1 + 2 * len(scenarios) + 3 + 50 + 3 + 1 == 68
+    # the polytope, the regret epigraph and the maximin epigraph
+    assert len({id(model) for model in runs}) == 3
     polytope = defender_polytope(inst)
     over_polytope = [lp for lp in programs if lp.num_vars == len(inst.algorithms)]
     assert len(over_polytope) == 66  # all but the two epigraph LPs
     assert all(lp.constraints is polytope for lp in over_polytope)
+
+
+_builtin_sum = sum
+
+
+def compensated_sum(iterable, /, start=0):
+    """The built-in sum() of Python 3.12 and later on floats: Neumaier's
+    compensated summation after the first float, the compensation added at
+    the end where it is nonzero and finite. Any other input is left to the
+    built-in sum() of the running Python."""
+    items = list(iterable)
+    if not items or type(start) not in (int, float) or any(type(x) is not float for x in items):
+        return _builtin_sum(items, start)
+    total, rest = (start + items[0], items[1:]) if type(start) is int else (start, items)
+    compensation = 0.0
+    for x in rest:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def report_floats(value) -> list:
+    """Every float in a report, walking dataclasses, mappings and sequences."""
+    if isinstance(value, float):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif isinstance(value, dict):
+        value = list(value.values())
+    elif not isinstance(value, (list, tuple)):
+        return []
+    return [x for item in value for x in report_floats(item)]
+
+
+def test_reference_session_values_do_not_depend_on_the_sum_builtin():
+    """Strategy values are summed by one left-to-right loop, so a
+    compensated built-in sum(), as from Python 3.12 on, moves no bit of
+    the reference session's reports."""
+    inst, scenarios = load_bundled_scenario()
+    expected = [v.hex() for v in report_floats(reference_session(inst, scenarios))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(builtins, "sum", compensated_sum)
+        got = [v.hex() for v in report_floats(reference_session(inst, scenarios))]
+    assert len(got) == len(expected) > 150
+    moved = [i for i, (a, b) in enumerate(zip(expected, got)) if a != b]
+    assert not moved, f"{len(moved)} of {len(expected)} values moved"

@@ -71,6 +71,23 @@ def test_phi_quadratic():
     assert phi(spec, 3.0) == pytest.approx(6.0 + 4.5)
 
 
+coeffs = st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e6)
+
+
+@given(coeffs, coeffs, st.floats(-1e154, 1e154) | st.sampled_from([0.0, -0.0, 1.34e154]))
+def test_phi_is_the_formula_bitwise_where_the_square_is_finite(linear, quadratic, total):
+    formula = linear * total + quadratic * total**2
+    assert phi(CostFunctionSpec(linear, quadratic), total).hex() == formula.hex()
+
+
+@pytest.mark.parametrize("total", [1.35e154, 1e155, 1e200, 1.7e308])
+def test_phi_takes_an_overflowing_square_as_inf(total):
+    assert phi(CostFunctionSpec(1.0, 0.5), total) == math.inf
+    # at a zero quadratic coefficient the quadratic term is 0.0, not 0 * inf
+    assert phi(CostFunctionSpec(2.0, 0.0), total) == 2.0 * total
+    assert phi(CostFunctionSpec(0.0, 0.0), total) == 0.0
+
+
 def test_make_plan_canonical_order_and_fields():
     params = AttackerParams(value=100.0, budget=10.0)
     plan = make_plan([method(1, 0.5, 4.0), method(0, 0.5, 4.0)], params)
