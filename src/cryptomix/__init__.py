@@ -44,7 +44,6 @@ _EXPORTS = {
         "make_report",
         "per_algorithm_utility",
         "solve_stackelberg",
-        "strategy_usage",
     ),
     "errors": (
         "BudgetNegative",
@@ -89,7 +88,6 @@ _EXPORTS = {
         "make_plan",
         "phi",
         "plan_key",
-        "success_probability",
         "validate_instance",
     ),
     "robust": (

@@ -274,13 +274,14 @@ def _grid_cells(amounts: Sequence[float], config: SolverConfig, up: bool) -> lis
 
 
 def _penalty(spec: CostFunctionSpec, total_cost: np.ndarray) -> np.ndarray:
-    """phi over an array of total costs, elementwise and bitwise as phi
-    where the square is finite: np.float_power calls the C pow that
-    Python's x**2 calls, where np.power(x, 2) squares as x * x and can
-    differ in the last bit. Where a finite total's square overflows at a
-    zero quadratic coefficient, phi adds 0.0 and this adds nan; the DP's
-    totals never overflow, and the greedy ranks such a singleton last."""
-    return spec.linear_coeff * total_cost + spec.quadratic_coeff * np.float_power(total_cost, 2.0)
+    """phi over an array of total costs, elementwise and bitwise: np.float_power
+    calls the C pow that Python's x**2 calls (np.power(x, 2) squares as x * x,
+    which can differ in the last bit), and a finite total whose square
+    overflows adds 0.0 at a zero quadratic coefficient, as in phi."""
+    quadratic = spec.quadratic_coeff * np.float_power(total_cost, 2.0)
+    if not spec.quadratic_coeff and np.isnan(quadratic).any():
+        quadratic[np.isnan(quadratic) & np.isfinite(total_cost)] = 0.0
+    return spec.linear_coeff * total_cost + quadratic
 
 
 def _checked(

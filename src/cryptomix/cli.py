@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve-attacker, solve-defender, solve-robust, baselines,
-validate. Exit codes: 0 success, 1 parse/validation error,
-2 infeasible model, 3 internal error. All output is JSON or CSV with `.`
-decimals; diagnostics go to stderr.
+validate. Exit codes: 0 success, 1 parse/validation error, 2 LP
+infeasible or a HiGHS model error, 3 internal error. All output is
+JSON or CSV with `.` decimals; diagnostics go to stderr.
 
 At module level this imports only the stdlib, errors, io and model; each
 cmd_* imports its own solver layer when it runs, so `validate` and
@@ -381,7 +381,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleDefender as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -135,14 +135,9 @@ def build_defender_lp(
 
 
 def _usage(instance: GameInstance, probs: tuple[float, ...]) -> dict[str, float]:
+    """Expected use of each resource: each polytope row after the simplex."""
     rows = defender_polytope(instance)[1 : len(USAGE_KEYS) + 1]
     return {con.label: _weighted_sum(probs, con.coeffs) for con in rows}
-
-
-def strategy_usage(instance: GameInstance, probs: Sequence[float]) -> dict[str, float]:
-    """Expected use of each resource, keyed by USAGE_KEYS: each polytope
-    row after the simplex, summed over the algorithms in order."""
-    return _usage(instance, MixedStrategy(probs).probs)
 
 
 def expected_breach(probs: Sequence[float], breach: Sequence[float]) -> float:

@@ -207,12 +207,6 @@ def failure_product(methods: Iterable[AttackMethod]) -> float:
     return failure
 
 
-def success_probability(methods: Iterable[AttackMethod]) -> float:
-    """Probability that at least one independent method succeeds; 0 for
-    the empty set."""
-    return 1.0 - failure_product(methods)
-
-
 def _weighted_sum(weights: Iterable[float], values: Iterable[float]) -> float:
     """sum of weights[i] * values[i], added left to right from 0.0: the one
     strategy-sum loop, whose bits do not depend on the Python version (the
@@ -242,7 +236,7 @@ def make_plan(methods: Iterable[AttackMethod], params: AttackerParams) -> Attack
     produced them.
     """
     ms = sorted(methods, key=lambda m: m.id)
-    # the sums of failure_product and success_probability, over one sort
+    # failure_product's loop, with the cost summed over the same sort
     total, failure = 0.0, 1.0
     for m in ms:
         total += m.cost
@@ -272,12 +266,32 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
+def _sign(name: str, value: float, rule: str, finite: bool = True) -> list[str]:
+    """The violation of value where it fails rule, ">= 0" or "> 0", written
+    as "not x >= 0" or "not x > 0" so that a NaN fails it too; then, unless
+    finite is False, where it is +inf. [] where value passes."""
+    if not (value > 0 if rule == "> 0" else value >= 0):
+        return [f"{name} must be {rule}, got {value}"]
+    if finite and value == math.inf:
+        return [f"{name} must be finite, got {value}"]
+    return []
+
+
+def _within(name: str, value: float, interval: str) -> list[str]:
+    """The violation of value outside interval, one of "[0,1]", "(0,1)"
+    and "(0,1]", which a NaN is outside of; [] where value is inside."""
+    above = value > 0 if interval[0] == "(" else value >= 0
+    below = value < 1 if interval[-1] == ")" else value <= 1
+    return [] if above and below else [f"{name} out of {interval}: {value}"]
+
+
 def validate_instance(instance: GameInstance) -> ValidationReport:
-    """Report-style validation of one scenario; never raises. Every rule is
-    written as "not x >= 0" or "not x > 0", so that a NaN fails it too. A
-    defender cost, protected_value, cap or weight or the attacker value
-    that passes its rule at +inf is flagged as not finite, as the LPs
-    cannot hold it; an infinite attack cost or budget stays legal."""
+    """Report-style validation of one scenario; never raises. Every sign
+    and range rule goes through _sign or _within, so a NaN fails it with
+    the message a bad finite number gets. A defender cost,
+    protected_value, cap or weight or the attacker value that passes its
+    rule at +inf is flagged as not finite, as the LPs cannot hold it; an
+    infinite attack cost or budget stays legal."""
     problems: list[str] = []
     if not instance.algorithms:
         problems.append("scenario has no algorithms")
@@ -287,53 +301,27 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
             problems.append(f"duplicate algorithm id {alg.id!r}")
         seen_ids.add(alg.id)
         for cost in COSTS:
-            value = getattr(alg, cost.field)
-            if not value >= 0:
-                problems.append(f"{alg.id}: {cost.field} must be >= 0, got {value}")
-            elif value == math.inf:
-                problems.append(f"{alg.id}: {cost.field} must be finite, got {value}")
-        if not 0.0 <= alg.resilience <= 1.0:
-            problems.append(f"{alg.id}: resilience out of [0,1]: {alg.resilience}")
-        if not alg.protected_value > 0:
-            problems.append(f"{alg.id}: protected_value must be > 0")
-        elif alg.protected_value == math.inf:
-            problems.append(f"{alg.id}: protected_value must be finite, got {alg.protected_value}")
+            problems += _sign(f"{alg.id}: {cost.field}", getattr(alg, cost.field), ">= 0")
+        problems += _within(f"{alg.id}: resilience", alg.resilience, "[0,1]")
+        problems += _sign(f"{alg.id}: protected_value", alg.protected_value, "> 0")
         seen_attacks: set[str] = set()
         for atk in alg.attacks:
             if atk.id in seen_attacks:
                 problems.append(f"{alg.id}: duplicate attack id {atk.id!r}")
             seen_attacks.add(atk.id)
-            if not 0.0 < atk.success < 1.0:
-                problems.append(
-                    f"{alg.id}/{atk.id}: success out of (0,1): {atk.success}"
-                )
-            if not atk.cost >= 0:
-                problems.append(f"{alg.id}/{atk.id}: cost must be >= 0")
+            problems += _within(f"{alg.id}/{atk.id}: success", atk.success, "(0,1)")
+            problems += _sign(f"{alg.id}/{atk.id}: cost", atk.cost, ">= 0", finite=False)
     for fam, cap in instance.budgets.family_caps.items():
-        if not 0.0 < cap <= 1.0:
-            problems.append(f"family {fam}: cap out of (0,1]: {cap}")
+        problems += _within(f"family {fam}: cap", cap, "(0,1]")
     b = instance.budgets
     for cost in COSTS:
-        value = getattr(b, cost.cap)
-        if not value > 0:
-            problems.append(f"{cost.cap} must be > 0, got {value}")
-        elif value == math.inf:
-            problems.append(f"{cost.cap} must be finite, got {value}")
-    if not 0.0 <= b.r_min <= 1.0:
-        problems.append(f"r_min out of [0,1]: {b.r_min}")
+        problems += _sign(cost.cap, getattr(b, cost.cap), "> 0")
+    problems += _within("r_min", b.r_min, "[0,1]")
     for name in [cost.weight for cost in COSTS] + ["g_r"]:
-        value = getattr(instance.weights, name)
-        if not value >= 0:
-            problems.append(f"{name} must be >= 0, got {value}")
-        elif value == math.inf:
-            problems.append(f"{name} must be finite, got {value}")
+        problems += _sign(name, getattr(instance.weights, name), ">= 0")
     a = instance.attacker
-    if not a.value > 0:
-        problems.append(f"attacker value must be > 0, got {a.value}")
-    elif a.value == math.inf:
-        problems.append(f"attacker value must be finite, got {a.value}")
-    if not a.budget >= 0:
-        problems.append(f"attacker budget must be >= 0, got {a.budget}")
+    problems += _sign("attacker value", a.value, "> 0")
+    problems += _sign("attacker budget", a.budget, ">= 0", finite=False)
     if not (a.cost_fn.linear_coeff >= 0 and a.cost_fn.quadratic_coeff >= 0):
         problems.append("cost function coefficients must be >= 0")
     return ValidationReport(ok=not problems, violations=tuple(problems))

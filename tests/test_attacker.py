@@ -24,6 +24,7 @@ from cryptomix import (
     solve_dp,
     solve_hybrid,
     solve_sample_greedy,
+    validate_instance,
 )
 from cryptomix.attacker import (
     _bound_frontier,
@@ -162,14 +163,19 @@ def test_every_solver_rejects_a_non_finite_parameter(instance, solve, params, fi
 
 @EVERY_SOLVER
 @pytest.mark.parametrize("cost", [-1.0, math.nan, -math.inf], ids=["negative", "nan", "minus-inf"])
-def test_every_solver_rejects_a_cost_below_zero(solve, cost):
+def test_every_solver_rejects_a_cost_below_zero(instance, solve, cost):
     # unchecked, a negative cost breaks the DP's table (a numpy broadcast
     # error) and the hybrid's (IndexError), the greedy and brute force
     # answer with it, and a nan cost cannot be turned into cells
     alg = bare_algorithm((AttackMethod("a", 0.5, cost), AttackMethod("b", 0.4, 2.0)))
     params = AttackerParams(value=100.0, budget=5.0)
-    with pytest.raises(ValidationError, match="^target/a: cost must be >= 0, got -?(1.0|nan|inf)$"):
+    with pytest.raises(
+        ValidationError, match="^target/a: cost must be >= 0, got -?(1.0|nan|inf)$"
+    ) as raised:
         solve(alg, params)
+    # scenario validation words the same rule the same way
+    scenario = replace(instance, algorithms=(alg,))
+    assert validate_instance(scenario).violations == (str(raised.value),)
     # the budget is checked first, then the value, then the costs
     with pytest.raises(BudgetNegative):
         solve(alg, replace(params, budget=-1.0))
@@ -651,6 +657,26 @@ def test_dp_penalty_curve_is_phi_bitwise(linear, quadratic, scale, size):
     assert curve.tobytes() == np.array([phi(spec, c / scale) for c in range(size)]).tobytes()
 
 
+PENALTY_COEFFS = st.sampled_from([0.0, -0.0, 0.5, 1.0])
+PENALTY_TOTALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e200, -1e200, math.inf, -math.inf, math.nan]),
+    st.floats(1.3e154, 1.4e154),
+    st.floats(),
+)
+
+
+@given(PENALTY_COEFFS, PENALTY_COEFFS, st.lists(PENALTY_TOTALS, min_size=1, max_size=8))
+def test_penalty_is_phi_on_every_total(linear, quadratic, totals):
+    # overflowing squares, infinite and nan totals and -0.0 coefficients
+    # included: the greedy ranks its singletons by this array
+    spec = CostFunctionSpec(linear_coeff=linear, quadratic_coeff=quadratic)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _penalty(spec, np.array(totals)).tolist()
+    for total, value in zip(totals, got):
+        want = phi(spec, total)
+        assert value.hex() == want.hex() or math.isnan(value) and math.isnan(want), total
+
+
 @pytest.mark.parametrize("n", [70, 130])
 def test_dp_identical_methods_take_the_smallest_ids(n):
     # every reachable cell ties, and of sets of one size the colex first
@@ -767,6 +793,17 @@ def test_greedy_equals_the_scalar_reference(case):
     for replay in (coins, None):
         plan = solve_sample_greedy(alg, params, config, replay)
         assert repr(plan) == repr(reference_sample_greedy(alg, params, config, replay))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_keeps_a_singleton_whose_square_overflows(seed):
+    # b's cost squared overflows, and at a zero quadratic coefficient phi
+    # adds 0.0 for it; a nan there would rank the singleton b (90.0) last
+    alg = bare_algorithm((AttackMethod("a", 0.5, 1.0), AttackMethod("b", 0.9, 1e200)))
+    params = AttackerParams(value=100.0, budget=1e300, cost_fn=CostFunctionSpec(0.0, 0.0))
+    config = SolverConfig(rng_seed=seed)
+    plan = solve_sample_greedy(alg, params, config)
+    assert repr(plan) == repr(reference_sample_greedy(alg, params, config))
 
 
 def test_greedy_never_beats_exact(worked_algorithm, worked_params):

@@ -425,7 +425,7 @@ def test_a_highs_model_error_is_not_reported_as_an_empty_polytope(tmp_path, caps
     assert run_cli(["solve-defender", "--scenario", str(scenario)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "infeasible: defender LP not solved: HiGHS reports a model error\n"
+    assert captured.err == "error: defender LP not solved: HiGHS reports a model error\n"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -15,7 +15,6 @@ from cryptomix import (
     solve_lp,
     solve_hybrid,
     solve_stackelberg,
-    strategy_usage,
     make_plan,
 )
 
@@ -68,7 +67,8 @@ def test_the_cost_table_drives_every_listing(seed):
         p = float(rng.uniform())
         assert per_algorithm_utility(alg, w, p).hex() == explicit_utility(alg, w, p).hex()
     probs = [float(q) for q in rng.dirichlet(np.ones(len(algs)))]
-    usage = strategy_usage(inst, probs)
+    report = make_report(inst, probs, evaluate_all(inst))
+    usage = report.usage
     assert list(usage) == [key for key, _, _ in HAND_WRITTEN]
     for key, field, _ in HAND_WRITTEN:
         total = 0.0
@@ -82,7 +82,6 @@ def test_the_cost_table_drives_every_listing(seed):
             key, tuple(getattr(a, field) for a in algs), getattr(b, cap)
         )
     assert comparison_csv([]) == "label,objective,breach,op,cpu,mem,latency,resilience\n"
-    report = make_report(inst, probs, evaluate_all(inst))
     fields = (report.objective, report.expected_breach, *(usage[key] for key, _, _ in HAND_WRITTEN))
     assert ComparisonRow("x", report).csv_line() == "x," + ",".join(repr(v) for v in fields)
 

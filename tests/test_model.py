@@ -19,9 +19,9 @@ from cryptomix import (
     phi,
     plan_key,
     solve_stackelberg,
-    success_probability,
     validate_instance,
 )
+from cryptomix.model import failure_product
 
 probs = st.floats(min_value=0.01, max_value=0.99)
 
@@ -30,35 +30,40 @@ def method(i, s, c=1.0):
     return AttackMethod(f"m{i}", s, c)
 
 
+def plan_success(methods):
+    """P_succ of the method set, as make_plan gives it to every plan."""
+    return make_plan(methods, AttackerParams(value=1.0, budget=0.0)).success_prob
+
+
 def test_success_probability_empty_is_zero():
-    assert success_probability(()) == 0.0
+    assert plan_success(()) == 0.0
 
 
 def test_success_probability_single():
-    assert success_probability([method(0, 0.3)]) == pytest.approx(0.3)
+    assert plan_success([method(0, 0.3)]) == pytest.approx(0.3)
 
 
 def test_success_probability_pair():
-    got = success_probability([method(0, 0.5), method(1, 0.25)])
+    got = plan_success([method(0, 0.5), method(1, 0.25)])
     assert got == pytest.approx(1.0 - 0.5 * 0.75)
 
 
 def test_success_probability_input_order_irrelevant_bitwise():
     ms = [method(i, 0.1 + 0.07 * i) for i in range(6)]
-    assert success_probability(ms) == success_probability(list(reversed(ms)))
+    assert plan_success(ms) == plan_success(list(reversed(ms)))
 
 
 @given(st.lists(probs, min_size=1, max_size=8))
 def test_success_probability_strictly_inside_unit_interval(ss):
     ms = [method(i, s) for i, s in enumerate(ss)]
-    assert 0.0 < success_probability(ms) < 1.0
+    assert 0.0 < plan_success(ms) < 1.0
 
 
 @given(st.lists(probs, min_size=0, max_size=6), probs)
 def test_adding_a_method_never_decreases_success(ss, extra):
     ms = [method(i, s) for i, s in enumerate(ss)]
-    base = success_probability(ms)
-    assert success_probability(ms + [method(99, extra)]) >= base
+    base = plan_success(ms)
+    assert plan_success(ms + [method(99, extra)]) >= base
 
 
 def test_phi_linear_default():
@@ -99,13 +104,13 @@ def test_make_plan_canonical_order_and_fields():
 
 def two_pass_plan(methods, params):
     """make_plan as it was written before its one loop: the cost summed
-    over the sorted methods, then success_probability, which sorts them
+    over the sorted methods, then 1 - failure_product, which sorts them
     again."""
     ms = sorted(methods, key=lambda m: m.id)
     total = 0.0
     for m in ms:
         total += m.cost
-    p_succ = success_probability(ms)
+    p_succ = 1.0 - failure_product(ms)
     return AttackPlan(
         tuple(m.id for m in ms), p_succ, total, params.value * p_succ - phi(params.cost_fn, total)
     )
@@ -241,8 +246,8 @@ BAD_NUMBERS = [
         ("algorithm", field, -1.0, "{alg}: " + field + " must be >= 0, got {v}")
         for field in ("op_cost", "cpu_cost", "mem_cost", "latency")
     ],
-    ("algorithm", "protected_value", 0.0, "{alg}: protected_value must be > 0"),
-    ("attack", "cost", -1.0, "{alg}/{atk}: cost must be >= 0"),
+    ("algorithm", "protected_value", 0.0, "{alg}: protected_value must be > 0, got {v}"),
+    ("attack", "cost", -1.0, "{alg}/{atk}: cost must be >= 0, got {v}"),
     *[
         ("budgets", cap, 0.0, cap + " must be > 0, got {v}")
         for cap in ("c_op_max", "c_cpu_max", "c_mem_max", "t_max")

@@ -82,8 +82,6 @@ PUBLIC_NAMES = {
     "solve_sample_greedy",
     "solve_stackelberg",
     "solve_unconstrained_case",
-    "strategy_usage",
-    "success_probability",
     "validate_instance",
 }
 

@@ -24,7 +24,6 @@ from cryptomix import (
     solve_minimax_regret,
     solve_stackelberg,
     solve_unconstrained_case,
-    strategy_usage,
 )
 from helpers import identical_methods, random_feasible_instance, random_methods, spread_methods
 
@@ -259,7 +258,6 @@ def test_a_strategy_of_the_wrong_length_is_refused(instance, table, probs, messa
         lambda: compare_strategies(instance, [("wrong", probs)], evaluations),
         lambda: regret_matrix(instance, table, [("wrong", probs)]),
         lambda: breach_regret_matrix(instance, table, [("wrong", probs)]),
-        lambda: strategy_usage(instance, probs),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=message):
