@@ -14,10 +14,11 @@ bound marginals. _optimal_point reads only the point and objective, for
 callers that need nothing else.
 
 The layer loads only scipy's HiGHS extension module
-(scipy.optimize._highspy._core), at the first LP, and never
-scipy.optimize: importing that package also loads scipy.sparse, linalg
-and special, about 0.5 s, more than the rest of a CLI command that
-solves an LP.
+(scipy.optimize._highspy._core), at the first LP, from scipy's package
+directory, without importing scipy itself (its __init__ costs 10-20 ms)
+or scipy.optimize: importing that package also loads scipy.sparse,
+linalg and special, about 0.5 s, more than the rest of a CLI command
+that solves an LP.
 """
 
 from __future__ import annotations
@@ -126,25 +127,56 @@ _CORE = "scipy.optimize._highspy._core"
 _LOAD_LOCK = threading.Lock()
 
 
+_FLOOR = "solve_lp needs scipy >= 1.15 (scipy.optimize._highspy)"
+
+
+def _scipy_dirs():
+    """scipy's package directories, read without running scipy's
+    __init__: the loaded package's __path__ if scipy is imported, else
+    its import spec's search locations; none if scipy is not found."""
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        return scipy.__path__
+    spec = importlib.util.find_spec("scipy")
+    return spec.submodule_search_locations if spec is not None else ()
+
+
+def _load_extension(dirs):
+    """The HiGHS extension file from the scipy package directories dirs,
+    loaded without running the __init__ of scipy.optimize or
+    scipy.optimize._highspy; None if no directory holds it."""
+    where = [os.path.join(entry, "optimize", "_highspy") for entry in dirs]
+    spec = importlib.machinery.PathFinder.find_spec(_CORE, where)
+    if spec is None:
+        return None
+    core = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(core)
+    return core
+
+
 def _load_core():
     """The HiGHS extension module alone: the one in sys.modules if scipy
-    loaded it already, else the file from scipy's package directory,
-    loaded and registered under _CORE without running the __init__ of
-    scipy.optimize or scipy.optimize._highspy."""
+    loaded it already, else the file from scipy's package directory
+    (_scipy_dirs), registered under _CORE. Where that fails, the top-level
+    scipy package is imported once and the file loaded again: scipy's
+    __init__ sets up shared-library search paths on some platforms, such
+    as delvewheel-patched Windows wheels, which the tests do not cover."""
     with _LOAD_LOCK:
         core = sys.modules.get(_CORE)
         if core is not None:
             return core
-        import scipy  # the top-level package only, which loads no subpackage
-
-        where = [os.path.join(entry, "optimize", "_highspy") for entry in scipy.__path__]
-        spec = importlib.machinery.PathFinder.find_spec(_CORE, where)
-        if spec is None:
-            raise ImportError(
-                f"solve_lp needs scipy >= 1.15 (scipy.optimize._highspy); found {scipy.__version__}"
-            )
-        core = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(core)
+        try:
+            core = _load_extension(_scipy_dirs())
+        except ImportError:
+            core = None
+        if core is None:
+            try:
+                import scipy
+            except ImportError as exc:
+                raise ImportError(f"{_FLOOR}; {exc}") from exc
+            core = _load_extension(scipy.__path__)
+            if core is None:
+                raise ImportError(f"{_FLOOR}; found {scipy.__version__}")
         sys.modules[_CORE] = core
         return core
 
@@ -155,8 +187,7 @@ def _highs():
     HiGHS object, holding the options that
     scipy.optimize.linprog(method="highs-ds") sets, built at the first LP,
     so a command that solves none loads no part of scipy. The extension
-    alone loads in under 10 ms, after the top-level scipy package (about
-    10-20 ms)."""
+    alone loads in under 10 ms, without the top-level scipy package."""
     core = _load_core()
     options = core.HighsOptions()
     options.presolve = "on"

@@ -428,18 +428,50 @@ def test_a_highs_model_error_is_not_reported_as_an_empty_polytope(tmp_path, caps
     assert captured.err == "error: defender LP not solved: HiGHS reports a model error\n"
 
 
+# scipy's HiGHS extension and the submodules its bindings register
+_HIGHS_MODULES = {
+    "scipy.optimize._highspy._core",
+    "scipy.optimize._highspy._core.cb",
+    "scipy.optimize._highspy._core.simplex_constants",
+}
+
+
 def test_cli_import_leaves_scipy_unloaded():
-    # the LP layer loads only scipy's HiGHS extension, never scipy.optimize
+    # the LP layer loads only scipy's HiGHS extension: neither the scipy
+    # package nor scipy.optimize
+    assert not {m for m in _modules_after(None) if m.split(".")[0] == "scipy"}
     commands = [["solve-defender"], ["solve-robust", "--mode", "regret"], ["baselines", "--samples", "2"]]
-    for argv in [None, *commands]:
-        code = "import contextlib, io, sys, cryptomix.cli\n"
-        if argv is not None:
-            code += (
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                f"    assert cryptomix.cli.run_cli({argv!r}) == 0\n"
-            )
-        code += "print('scipy.optimize' in sys.modules)"
-        assert run_python(code).strip() == "False", argv
+    for argv in commands:
+        loaded = {m for m in _modules_after(argv) if m.split(".")[0] == "scipy"}
+        assert loaded == _HIGHS_MODULES, argv
+
+
+def test_without_scipy_only_the_lp_commands_fail_and_name_the_floor():
+    # a fresh interpreter whose import system finds no scipy
+    script = """
+import contextlib, io, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+sys.meta_path.insert(0, NoScipy())
+import cryptomix.cli
+
+for argv in (["validate"], ["solve-attacker", "--algorithm", "aes256-gcm"], ["solve-defender"]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cryptomix.cli.run_cli(argv)
+    print(argv[0], code, err.getvalue(), end="|")
+"""
+    assert run_python(script).split("|") == [
+        "validate 0 ",
+        "solve-attacker 0 ",
+        "solve-defender 3 internal error: solve_lp needs scipy >= 1.15"
+        " (scipy.optimize._highspy); No module named 'scipy'\n",
+        "",
+    ]
 
 
 def _modules_after(argv, code: int = 0) -> set:

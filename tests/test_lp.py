@@ -567,6 +567,50 @@ def test_scipy_optimize_first_then_highs_bindings():
     assert run_python(code) == run_python(_STACKELBERG)
 
 
+def test_scipy_imported_after_the_first_lp_shares_the_bindings():
+    # the first LP loads the extension without the scipy package; a later
+    # `import scipy` changes neither the module nor the answers
+    code = (
+        _STACKELBERG
+        + "import sys; assert 'scipy' not in sys.modules\nimport scipy\n"
+        + _STACKELBERG
+        + _SHARED_CORE
+    )
+    assert run_python(code) == 2 * run_python(_STACKELBERG)
+
+
+def test_a_failed_first_load_falls_back_to_importing_scipy(instance):
+    # the extension fails to load on its own, as where scipy's __init__
+    # must first set up its shared-library search path: the loader
+    # imports the scipy package and loads the file again
+    lp = LinearProgram("max", (1.0,) * len(instance.algorithms), defender_polytope(instance))
+    code = """
+import importlib.machinery, sys
+
+loads = []
+create = importlib.machinery.ExtensionFileLoader.create_module
+
+def fails_without_scipy(self, spec):
+    loads.append(spec.name)
+    if spec.name == "scipy.optimize._highspy._core" and "scipy" not in sys.modules:
+        raise ImportError("DLL load failed while importing _core")
+    return create(self, spec)
+
+importlib.machinery.ExtensionFileLoader.create_module = fails_without_scipy
+
+import cryptomix.lp
+from cryptomix import LinearProgram, defender_polytope, load_bundled_scenario, solve_lp
+
+instance = load_bundled_scenario()[0]
+lp = LinearProgram("max", (1.0,) * len(instance.algorithms), defender_polytope(instance))
+print(repr(solve_lp(lp)))
+assert loads.count(cryptomix.lp._CORE) == 2, loads
+assert cryptomix.lp._highs()[0] is sys.modules[cryptomix.lp._CORE]
+assert "scipy" in sys.modules and "scipy.optimize" not in sys.modules
+"""
+    assert run_python(code) == repr(solve_lp(lp)) + "\n"
+
+
 def test_threads_racing_to_the_first_lp_load_the_bindings_once(instance):
     lp = LinearProgram("max", (1.0,) * len(instance.algorithms), defender_polytope(instance))
     code = """
