@@ -3,11 +3,12 @@
 Programs are built from labeled constraints so downstream reports can name
 which constraints bind at an optimum. The dual simplex returns a basic
 feasible solution, so vertex solutions are deterministic for a fixed
-program. Every LP takes one path (_optimum): its cost on the model of its
-constraint set, built once (_prebuilt, an LRU of 64 keyed by content,
-behind _prebuilt_for's one-slot identity check, which the defender
-polytope, kept per instance, hits), one cold HiGHS run, and the status
-and feasibility checks. Only an optimum comes back: every other outcome
+program. Every LP takes one path (_optimum): its cost, scaled by a power
+of two where it is too large for HiGHS, on the model of its constraint
+set, built once (_prebuilt, an LRU of 64 keyed by content, behind
+_prebuilt_for's one-slot identity check, which the defender polytope,
+kept per instance, hits), one cold HiGHS run, and the status and
+feasibility checks. Only an optimum comes back: every other outcome
 raises NotOptimal, or its subclass InfeasibleDefender. solve_lp reads it
 into a full LpSolution: point, objective, binding labels, duals and
 bound marginals. _optimal_point reads only the point and objective, for
@@ -332,6 +333,9 @@ class _Run(NamedTuple):
     fun: float = math.nan
     solution: Any = None  # HighsSolution
     basis: Any = None  # HighsBasis
+    # the power of two that takes HiGHS's duals back to the program's
+    # cost, where _optimum scaled that cost down
+    unscale: float = 1.0
 
 
 def linprog(model) -> _Run:
@@ -386,14 +390,29 @@ def _binding(form: _Form, x: np.ndarray) -> tuple[str, ...]:
     return tuple(sorted({label for label, hit in zip(form.labels, hits) if hit}))
 
 
+# HiGHS takes a cost of 1e20 (its infinite_cost) or more as infinite, and
+# its dual simplex already fails on some costs from about 1e11 on; no
+# program of the bundled scenario or the benchmark has a cost above 30700
+_LARGE_COST = 2.0**30
+
+
 def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run]:
     """The one solve path of every LP: the cost on the cached model, one
-    cold run under _LOCK, and solve_lp's outcomes; returns only optima."""
+    cold run under _LOCK, and solve_lp's outcomes; returns only optima.
+    A cost whose largest |entry| reaches _LARGE_COST goes to HiGHS scaled
+    by the power of two that brings that entry into [0.5, 1): an exact
+    scaling, so HiGHS solves the same program in other units, and
+    run.unscale takes the duals back. Any smaller cost reaches HiGHS as
+    it is."""
     core, _ = _highs()
     form = _prebuilt_for(lp)
     cost = _cost(lp)
-    if not np.isfinite(cost).all():
+    largest = float(np.abs(cost).max())
+    if not largest < math.inf:  # also a NaN
         raise ValueError(_NOT_FINITE)
+    shift = math.frexp(largest)[1] if largest >= _LARGE_COST else 0
+    if shift:
+        cost = np.ldexp(cost, -shift)
     with _LOCK:
         form.model.col_cost_ = cost
         run = linprog(form.model)
@@ -409,7 +428,7 @@ def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run]:
         raise RuntimeError(
             f"LP solver failed: its optimal point breaks a bound or row by more than {_CHECK_TOL:.2E}"
         )
-    return form, run
+    return form, run._replace(unscale=math.ldexp(1.0, shift)) if shift else run
 
 
 def _optimal_point(lp: LinearProgram, context: str) -> tuple[tuple[float, ...], float]:
@@ -425,7 +444,9 @@ def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
     The program, options, outcome, point, duals and bound marginals are
     those of scipy.optimize.linprog(method="highs-ds"), without its
     per-call set-up: one HiGHS object holds the options, and the program
-    goes to HiGHS as it is (_prebuilt). An infeasible program, or one
+    goes to HiGHS as it is (_prebuilt), but for a cost too large for
+    HiGHS, which goes scaled by a power of two, with its duals and bound
+    marginals scaled back (_optimum). An infeasible program, or one
     that HiGHS rejects as a model error, raises InfeasibleDefender (each
     with its own message), and an unbounded one NotOptimal, all naming
     `context` (such as "scenario k=20: breach LP"). Any other solver
@@ -439,10 +460,11 @@ def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
     """
     core, _ = _highs()
     form, run = _optimum(lp, context)
-    # >= rows were negated on the way in; their duals are flipped back
-    duals = (np.array(run.solution.row_dual)[form.rows] * form.sign).tolist()
+    # >= rows were negated on the way in; their duals are flipped back,
+    # and a cost that _optimum scaled down is scaled back
+    duals = (np.array(run.solution.row_dual)[form.rows] * form.sign * run.unscale).tolist()
     # bound marginals from the basis column status, as scipy reports them
-    col_dual = np.array(run.solution.col_dual)
+    col_dual = np.array(run.solution.col_dual) * run.unscale
     col_status = np.array([int(status) for status in run.basis.col_status])
     at_lower = col_status == int(core.HighsBasisStatus.kLower)
     at_upper = col_status == int(core.HighsBasisStatus.kUpper)

@@ -3,11 +3,14 @@
 matrices.
 
 All scenario LPs share the defender polytope; scenario data is computed
-once and reused so every report uses identical attack plans.
+once and reused so every report uses identical attack plans. Identical
+scenario programs are solved once: budgets whose utility and breach rows
+match bit for bit share one pair of LP answers.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,7 +36,10 @@ class ScenarioTable:
     optimal success probability against algorithm i, utilities[s][i] the
     defender's per-algorithm utility, optima[s] the scenario LP value,
     and optimal_breach[s] the smallest expected breach any feasible
-    strategy can reach under that scenario's attack plans.
+    strategy can reach under that scenario's attack plans. Budgets with
+    bit-for-bit equal utility and breach rows pose the same programs, and
+    their optima, optimal_strategies and optimal_breach come from one
+    solve, so they are equal too.
     """
 
     budgets: tuple[float, ...]
@@ -89,30 +95,38 @@ def _budget_label(k: float) -> str:
 
 def scenario_table(instance: GameInstance, scenarios: ScenarioSet) -> ScenarioTable:
     """Solve every (algorithm, budget) subgame, with one DP table per
-    algorithm (see evaluate_budgets), and both per-scenario LPs."""
-    utilities, breach, optima, strategies, min_breach, evals_all = [], [], [], [], [], []
+    algorithm (see evaluate_budgets), and both per-scenario LPs once per
+    distinct pair of rows: budgets whose utility and breach rows match bit
+    for bit (past the attacker's saturation, say) pose the same two
+    programs, so the first of them is solved, under its own error
+    context, and the others take its answers."""
     polytope = defender_polytope(instance)
     rows = evaluate_budgets(instance, scenarios.budgets)
-    for k, evals in zip(scenarios.budgets, rows):
-        util_row = tuple(ev.utility for ev in evals)
-        breach_row = tuple(ev.p_succ_star for ev in evals)
-        label = f"scenario k={_budget_label(k)}"
-        best, optimum = _optimal_point(LinearProgram("max", util_row, polytope), f"{label}: LP")
-        _, floor = _optimal_point(LinearProgram("min", breach_row, polytope), f"{label}: breach LP")
-        utilities.append(util_row)
-        breach.append(breach_row)
-        optima.append(optimum)
-        strategies.append(best)
-        min_breach.append(floor)
-        evals_all.append(evals)
+    utilities = tuple(tuple(ev.utility for ev in evals) for evals in rows)
+    breach = tuple(tuple(ev.p_succ_star for ev in evals) for evals in rows)
+    # one bytes key per budget, so that -0.0 and 0.0 stay apart
+    pack = struct.Struct(f"{2 * len(instance.algorithms)}d").pack
+    solved: dict[bytes, tuple[tuple[float, ...], float, float]] = {}
+    answers = []
+    for k, util_row, breach_row in zip(scenarios.budgets, utilities, breach):
+        key = pack(*util_row, *breach_row)
+        if key not in solved:
+            label = f"scenario k={_budget_label(k)}"
+            best, optimum = _optimal_point(LinearProgram("max", util_row, polytope), f"{label}: LP")
+            _, floor = _optimal_point(
+                LinearProgram("min", breach_row, polytope), f"{label}: breach LP"
+            )
+            solved[key] = (best, optimum, floor)
+        answers.append(solved[key])
+    strategies, optima, floors = zip(*answers)
     return ScenarioTable(
         budgets=scenarios.budgets,
-        utilities=tuple(utilities),
-        breach=tuple(breach),
-        optima=tuple(optima),
-        optimal_strategies=tuple(strategies),
-        optimal_breach=tuple(min_breach),
-        evaluations=tuple(evals_all),
+        utilities=utilities,
+        breach=breach,
+        optima=optima,
+        optimal_strategies=strategies,
+        optimal_breach=floors,
+        evaluations=tuple(rows),
     )
 
 

@@ -12,7 +12,8 @@ equal methods, which the attacker reduction cuts to a few. Nothing pins the
 string hash seed, so an entry that varies between runs is a
 reproducibility defect.
 
-test_golden.py checks every entry; regen.py rewrites digests.json.
+test_golden.py checks every entry; regen.py rewrites digests.json, and
+regen.py --check lists the entries that differ from it without writing.
 """
 
 from __future__ import annotations
@@ -166,6 +167,18 @@ def reference_session_digest() -> dict:
     return _pipeline(instance, scenarios, range(20))
 
 
+# past the bundled attacker's saturation: every algorithm's best response
+# is the same from 30 on, so the scenario programs at 30-120 are identical
+SATURATED_BUDGETS = (20.0, 30.0, 40.0, 60.0, 120.0)
+
+
+def saturated_session_digest() -> dict:
+    """The pipeline on the bundled scenario at SATURATED_BUDGETS, with
+    five random vertices."""
+    instance, _ = cm.load_bundled_scenario()
+    return _pipeline(instance, cm.ScenarioSet(SATURATED_BUDGETS), range(5))
+
+
 def tie_subgame_digest(seed: int) -> dict:
     """solve_dp, hybrid_plans and the greedy at budgets 0 to 20 on 24
     methods drawn from TIE_PAIRS, with ids in random order."""
@@ -225,6 +238,7 @@ def entries() -> dict[str, Callable[[Path], dict]]:
     for seed in RANDOM_SEEDS:
         found[f"pipeline random-{seed}"] = lambda workdir, seed=seed: random_pipeline_digest(seed)
     found["pipeline reference-session"] = lambda workdir: reference_session_digest()
+    found["pipeline reference-saturated"] = lambda workdir: saturated_session_digest()
     for seed in TIE_SEEDS:
         found[f"subgame ties-{seed}"] = lambda workdir, seed=seed: tie_subgame_digest(seed)
     for seed in RUN_SEEDS:

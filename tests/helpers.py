@@ -24,6 +24,9 @@ from cryptomix import (
     plan_key,
 )
 from cryptomix.attacker import ACCEPT_PROB
+from cryptomix.defender import defender_polytope, evaluate_budgets
+from cryptomix.lp import LinearProgram, _optimal_point
+from cryptomix.robust import ScenarioTable
 
 
 def run_python(code: str, hash_seed: str = "0") -> str:
@@ -232,3 +235,31 @@ def reference_dp_table(
         take[j] = cand < minfail
         minfail = np.where(take[j], cand, minfail)
     return take, minfail
+
+
+def reference_scenario_table(instance: GameInstance, budgets) -> ScenarioTable:
+    """scenario_table with both LPs solved at every budget, repeated rows
+    included: the oracle for the table's one solve per distinct pair of
+    rows, which must equal it by repr."""
+    polytope = defender_polytope(instance)
+    rows = evaluate_budgets(instance, budgets)
+    utilities = tuple(tuple(ev.utility for ev in evals) for evals in rows)
+    breach = tuple(tuple(ev.p_succ_star for ev in evals) for evals in rows)
+    utility_lps = [_optimal_point(LinearProgram("max", u, polytope), "LP") for u in utilities]
+    breach_lps = [_optimal_point(LinearProgram("min", b, polytope), "LP") for b in breach]
+    return ScenarioTable(
+        budgets=tuple(budgets),
+        utilities=utilities,
+        breach=breach,
+        optima=tuple(optimum for _, optimum in utility_lps),
+        optimal_strategies=tuple(point for point, _ in utility_lps),
+        optimal_breach=tuple(floor for _, floor in breach_lps),
+        evaluations=tuple(rows),
+    )
+
+
+def distinct_scenario_rows(table: ScenarioTable) -> int:
+    """How many distinct (utility row, breach row) pairs the table holds,
+    told apart by their bits, so -0.0 is not 0.0: the number of budgets
+    whose two LPs scenario_table solves."""
+    return len({tuple(x.hex() for x in u + b) for u, b in zip(table.utilities, table.breach)})

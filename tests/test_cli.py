@@ -428,6 +428,42 @@ def test_a_highs_model_error_is_not_reported_as_an_empty_polytope(tmp_path, caps
     assert captured.err == "error: defender LP not solved: HiGHS reports a model error\n"
 
 
+def scenario_of_value(tmp_path, value):
+    """The bundled scenario with every protected_value at value."""
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    for alg in payload["algorithms"]:
+        alg["protected_value"] = value
+    scenario = tmp_path / f"valued-{value:g}.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    return str(scenario)
+
+
+@pytest.mark.parametrize("value", [316227766016837.94, 1e21, 1e300])
+def test_huge_utilities_solve_the_defender_lp(tmp_path, capsys, value):
+    # utilities this large once ended in kNotset or kUnknown (exit 3):
+    # HiGHS takes a cost of 1e20 or more as infinite, and fails on some
+    # from about 1e11 on, such as 10^14.5 here; the LP layer hands it such
+    # a cost scaled by a power of two
+    argv = ["solve-defender", "--scenario"]
+    small = run_json(capsys, [*argv, scenario_of_value(tmp_path, 1e9)])
+    huge = run_json(capsys, [*argv, scenario_of_value(tmp_path, value)])
+    assert huge["strategy"] == small["strategy"]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", [1e21, 1e300])
+@pytest.mark.parametrize("mode, lp", [("regret", "minimax-regret LP"), ("maximin", "maximin LP")])
+def test_huge_utilities_still_stop_the_epigraph_lps(tmp_path, capsys, value, mode, lp):
+    # the scenario LPs solve, but the epigraph LPs carry the utilities as
+    # coefficients, past HiGHS's large_matrix_value (1e15), which only
+    # scaling their rows would mend
+    scenario = scenario_of_value(tmp_path, value)
+    assert run_cli(["solve-robust", "--mode", mode, "--scenario", scenario]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {lp} not solved: HiGHS reports a model error\n"
+
+
 # scipy's HiGHS extension and the submodules its bindings register
 _HIGHS_MODULES = {
     "scipy.optimize._highspy._core",

@@ -41,7 +41,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
-from helpers import random_feasible_instance, run_python
+from helpers import distinct_scenario_rows, random_feasible_instance, run_python
 
 
 def simple_max():
@@ -523,6 +523,63 @@ def test_non_finite_program_rejected():
         solve_lp(LinearProgram("max", (1.0,), (Constraint((1.0,), "<=", float("inf"), "a"),)))
     with pytest.raises(ValueError, match="finite"):
         solve_lp(LinearProgram("max", (float("inf"),), ()))
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(LinearProgram("max", (1.0, float("nan")), ()))
+
+
+def costed(objective):
+    """A program over one polytope whose optimum has nonzero row duals and
+    marginals at both a lower and an upper bound."""
+    constraints = (
+        Constraint((1.0, 1.0, 1.0, 1.0), "=", 1.0, "simplex"),
+        Constraint((1.0, 0.0, 0.0, 0.0), "<=", 0.6, "cap"),
+        Constraint((0.0, 1.0, 0.0, 0.0), ">=", 0.1, "floor"),
+    )
+    return LinearProgram("max", objective, constraints, upper_bounds=(None, None, 0.3, None))
+
+
+def record_costs(mp):
+    """Record the cost vector of every HiGHS run; returns the list."""
+    costs = []
+    original = cryptomix.lp.linprog
+
+    def recording(model):
+        costs.append(np.array(model.col_cost_))
+        return original(model)
+
+    mp.setattr(cryptomix.lp, "linprog", recording)
+    return costs
+
+
+@pytest.mark.parametrize("power", [31, 67, 996])
+def test_a_huge_cost_is_solved_in_other_units(power):
+    # HiGHS takes a cost of 1e20 or more as infinite, and fails on some
+    # from about 1e11 on; such a cost reaches it scaled by a power of two
+    # into [0.5, 1), and the duals and marginals are scaled back
+    small = costed((0.75, -0.5, 0.25, -0.625))
+    huge = costed(tuple(math.ldexp(c, power) for c in small.objective))
+    with pytest.MonkeyPatch.context() as mp:
+        costs = record_costs(mp)
+        want = solve_lp(small)
+        got = solve_lp(huge)
+    assert bitwise(costs[0]) == bitwise(costs[1]) == bitwise(-np.array(small.objective))
+    assert bitwise(got.values) == bitwise(want.values)
+    assert got.binding == want.binding
+    assert got.objective_value == math.ldexp(want.objective_value, power)
+    assert got.duals == {k: math.ldexp(v, power) for k, v in want.duals.items()}
+    for side in ("reduced_lower", "reduced_upper"):
+        assert getattr(got, side) == tuple(math.ldexp(v, power) for v in getattr(want, side))
+    assert want.duals["cap"] != 0 and want.reduced_lower[3] != 0 and want.reduced_upper[2] != 0
+    assert check_dual_certificate(huge, got) <= 1e-7 * math.ldexp(1.0, power)
+
+
+def test_a_cost_below_the_scaling_threshold_reaches_highs_as_it_is():
+    largest = math.nextafter(cryptomix.lp._LARGE_COST, 0.0)
+    objective = (largest, -3.0, 1e-300, 0.1)
+    with pytest.MonkeyPatch.context() as mp:
+        costs = record_costs(mp)
+        solve_lp(costed(objective))
+    assert bitwise(costs[0]) == bitwise(-np.array(objective))
 
 
 def test_missing_highs_bindings_name_the_scipy_floor(monkeypatch, tmp_path):
@@ -683,8 +740,9 @@ def test_dual_certificates_on_random_instances(seed):
         solve_minimax_regret(inst, table)
         solve_maximin(inst, table)
         solve_unconstrained_case(inst)
-    # 1 + 2 per budget (utility and breach LPs) + regret, maximin, unconstrained
-    assert len(programs) == 1 + 2 * len(budgets) + 3
+    # 1 + 2 per distinct scenario row (utility and breach LPs) + regret,
+    # maximin, unconstrained
+    assert len(programs) == 1 + 2 * distinct_scenario_rows(table) + 3
     for lp in programs:
         assert check_dual_certificate(lp, solve_lp(lp)) <= 1e-7
 
@@ -726,7 +784,8 @@ def test_point_reads_equal_solve_lp(seed, rng):
         eq = solve_stackelberg(inst)
         alternate_optimum_gap(eq.program, eq.solution)
     n = len(inst.algorithms)
-    assert len(read) == 2 * len(budgets) + 1 + 3 + len(SINGLE_OBJECTIVES) + 2 * n
+    rows = distinct_scenario_rows(table)
+    assert len(read) == 2 * rows + 1 + 3 + len(SINGLE_OBJECTIVES) + 2 * n
     rng.shuffle(read)
     for lp, (values, objective) in read:
         full = solve_lp(lp)

@@ -25,7 +25,14 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
-from helpers import identical_methods, random_feasible_instance, random_methods, spread_methods
+from helpers import (
+    distinct_scenario_rows,
+    identical_methods,
+    random_feasible_instance,
+    random_methods,
+    reference_scenario_table,
+    spread_methods,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +133,70 @@ def test_table_evaluations_equal_evaluate_all_on_random_instances(seed, fit, wid
     assert repr(tbl.evaluations) == repr(
         per_budget_evaluations(instance, scenario_set.budgets)
     )
+
+
+def record_scenario_lps(mp):
+    """Record the context of every LP that scenario_table solves; returns
+    the list it appends to."""
+    contexts = []
+    original = cryptomix.robust._optimal_point
+
+    def recording(lp, context):
+        contexts.append(context)
+        return original(lp, context)
+
+    mp.setattr(cryptomix.robust, "_optimal_point", recording)
+    return contexts
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.lists(st.integers(0, 60), max_size=3, unique=True),
+    st.lists(st.integers(120, 200), min_size=2, max_size=3, unique=True),
+)
+def test_repeated_rows_reuse_the_first_solve(seed, below, past):
+    # random_feasible_instance gives at most 4 methods of cost <= 30 per
+    # algorithm, so from budget 120 on every attacker runs all of them and
+    # the rows there repeat
+    instance = random_feasible_instance(np.random.default_rng(seed))
+    budgets = tuple(float(k) for k in sorted(below + past))
+    with pytest.MonkeyPatch.context() as mp:
+        contexts = record_scenario_lps(mp)
+        tbl = scenario_table(instance, ScenarioSet(budgets))
+    assert repr(tbl) == repr(reference_scenario_table(instance, budgets))
+    rows = distinct_scenario_rows(tbl)
+    assert rows <= len(below) + 1
+    assert len(contexts) == 2 * rows
+
+
+def test_saturated_budgets_solve_one_pair_of_lps(instance):
+    # the bundled attacker saturates before 30: the rows at 30-120 are
+    # identical, so their LPs are solved once, under k=30's context
+    budgets = (20.0, 30.0, 40.0, 60.0, 120.0)
+    with pytest.MonkeyPatch.context() as mp:
+        contexts = record_scenario_lps(mp)
+        tbl = scenario_table(instance, ScenarioSet(budgets))
+    assert contexts == [
+        "scenario k=20: LP",
+        "scenario k=20: breach LP",
+        "scenario k=30: LP",
+        "scenario k=30: breach LP",
+    ]
+    assert len(set(tbl.utilities[1:])) == len(set(tbl.breach[1:])) == 1
+    assert tbl.utilities[0] != tbl.utilities[1]
+    assert repr(tbl) == repr(reference_scenario_table(instance, budgets))
+
+
+def test_rows_that_differ_in_the_sign_of_a_zero_are_solved_apart(instance, monkeypatch):
+    # == takes -0.0 for 0.0, but HiGHS can answer the two differently
+    (evals,) = cryptomix.robust.evaluate_budgets(instance, (20.0,))
+    rows = [(replace(evals[0], utility=zero),) + evals[1:] for zero in (0.0, -0.0)]
+    monkeypatch.setattr(cryptomix.robust, "evaluate_budgets", lambda inst, budgets: rows)
+    contexts = record_scenario_lps(monkeypatch)
+    tbl = scenario_table(instance, ScenarioSet((20.0, 30.0)))
+    assert len(contexts) == 4
+    assert [math.copysign(1.0, row[0]) for row in tbl.utilities] == [1.0, -1.0]
 
 
 def test_budget_monotonicity(instance, table):
