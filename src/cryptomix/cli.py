@@ -5,9 +5,10 @@ validate. Exit codes: 0 success, 1 parse/validation error, 2 LP
 infeasible or a HiGHS model error, 3 internal error. All output is
 JSON or CSV with `.` decimals; diagnostics go to stderr.
 
-At module level this imports only the stdlib, errors, io and model; each
-cmd_* imports its own solver layer when it runs, so `validate` and
-`--help` load no numpy and `solve-attacker` loads no LP layer.
+At module level this imports only the stdlib, errors, io and model. Each
+cmd_* reads its solvers from the lazy package (cm.solve_stackelberg),
+whose _EXPORTS table loads a name's layer at its first read, so
+`validate` and `--help` load no numpy and `solve-attacker` no LP layer.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
+
+import cryptomix as cm
 
 from .errors import (
     BudgetNegative,
@@ -107,14 +110,6 @@ def _save(option: str, path, text: str) -> None:
 
 
 def cmd_solve_attacker(args) -> int:
-    from .attacker import (
-        SolverConfig,
-        solve_brute_force,
-        solve_dp,
-        solve_hybrid,
-        solve_sample_greedy,
-    )
-
     instance, _ = load_scenario(args.scenario)
     try:
         algorithm = instance.algorithm(args.algorithm)
@@ -128,15 +123,15 @@ def cmd_solve_attacker(args) -> int:
         params = replace(params, budget=args.budget)
     if args.value is not None:
         params = replace(params, value=args.value)
-    config = SolverConfig(cost_scale=args.scale, rng_seed=args.seed)
+    config = cm.SolverConfig(cost_scale=args.scale, rng_seed=args.seed)
     if args.solver == "dp":
-        plan, tag = solve_dp(algorithm, params, config), "dp"
+        plan, tag = cm.solve_dp(algorithm, params, config), "dp"
     elif args.solver == "greedy":
-        plan, tag = solve_sample_greedy(algorithm, params, config), "greedy"
+        plan, tag = cm.solve_sample_greedy(algorithm, params, config), "greedy"
     elif args.solver == "brute":
-        plan, tag = solve_brute_force(algorithm, params), "brute"
+        plan, tag = cm.solve_brute_force(algorithm, params), "brute"
     else:
-        result = solve_hybrid(algorithm, params, config)
+        result = cm.solve_hybrid(algorithm, params, config)
         plan, tag = result.plan, result.solver
     _emit(
         {
@@ -176,13 +171,11 @@ def _defender_payload(instance: GameInstance, result) -> dict:
 
 
 def cmd_solve_defender(args) -> int:
-    from .defender import solve_stackelberg
-
     _check_out_file("--out", args.out)
     instance, _ = load_scenario(args.scenario)
     if args.budget is not None:
         instance = replace(instance, attacker=replace(instance.attacker, budget=args.budget))
-    result = solve_stackelberg(instance)
+    result = cm.solve_stackelberg(instance)
     payload = _defender_payload(instance, result)
     if args.csv:
         lines = ["algorithm,prob,utility,breach,methods"]
@@ -202,15 +195,6 @@ def cmd_solve_defender(args) -> int:
 
 
 def cmd_solve_robust(args) -> int:
-    from .robust import (
-        breach_regret_matrix,
-        regret_matrix,
-        scenario_table,
-        solve_maximin,
-        solve_minimax_regret,
-        solve_unconstrained_case,
-    )
-
     out_dir = Path(args.out_dir)
     if args.matrices:
         try:
@@ -229,7 +213,7 @@ def cmd_solve_robust(args) -> int:
         scenarios = file_scenarios
     else:
         raise ValidationError("no scenario budgets: pass --budgets or add scenario_budgets")
-    table = scenario_table(instance, scenarios)
+    table = cm.scenario_table(instance, scenarios)
     payload: dict = {
         "budgets": list(table.budgets),
         "optima": list(table.optima),
@@ -238,25 +222,25 @@ def cmd_solve_robust(args) -> int:
     }
     extras: list[tuple[str, Sequence[float]]] = []
     if args.mode == "regret":
-        rr = solve_minimax_regret(instance, table)
+        rr = cm.solve_minimax_regret(instance, table)
         payload["strategy"] = list(rr.strategy.probs)
         payload["per_scenario_regret"] = list(rr.per_scenario_regret)
         payload["max_regret"] = rr.max_regret
         extras.append(("mmr", rr.strategy.probs))
     elif args.mode == "maximin":
-        report = solve_maximin(instance, table)
+        report = cm.solve_maximin(instance, table)
         payload["strategy"] = list(report.strategy.probs)
         payload["worst_case_value"] = report.objective
         payload["worst_case_breach"] = report.expected_breach
         extras.append(("maximin", report.strategy.probs))
     else:
-        report = solve_unconstrained_case(instance)
+        report = cm.solve_unconstrained_case(instance)
         payload["strategy"] = list(report.strategy.probs)
         payload["objective"] = report.objective
         payload["expected_breach"] = report.expected_breach
     if args.matrices:
-        utility_m = regret_matrix(instance, table, extras)
-        breach_m = breach_regret_matrix(instance, table, extras)
+        utility_m = cm.regret_matrix(instance, table, extras)
+        breach_m = cm.breach_regret_matrix(instance, table, extras)
         payload["regret_matrix"] = utility_m.to_dict()
         payload["breach_regret_matrix"] = breach_m.to_dict()
         _save("--out-dir", out_dir / "regret_matrix.csv", utility_m.as_csv())
@@ -266,26 +250,17 @@ def cmd_solve_robust(args) -> int:
 
 
 def cmd_baselines(args) -> int:
-    from .baselines import (
-        SINGLE_OBJECTIVES,
-        compare_strategies,
-        comparison_csv,
-        random_vertex_strategy,
-        single_objective_strategy,
-    )
-    from .defender import evaluate_all
-
     _check_out_file("--out", args.out)
     instance, _ = load_scenario(args.scenario)
-    evaluations = evaluate_all(instance)
+    evaluations = cm.evaluate_all(instance)
     strategies: list[tuple[str, Sequence[float]]] = []
     for i in range(args.samples):
         seed = args.seed + i
-        strategies.append((f"random-{seed}", random_vertex_strategy(instance, seed).probs))
-    for objective in SINGLE_OBJECTIVES:
-        strategies.append((objective, single_objective_strategy(instance, objective).probs))
-    rows = compare_strategies(instance, strategies, evaluations)
-    text = comparison_csv(rows)
+        strategies.append((f"random-{seed}", cm.random_vertex_strategy(instance, seed).probs))
+    for objective in cm.SINGLE_OBJECTIVES:
+        strategies.append((objective, cm.single_objective_strategy(instance, objective).probs))
+    rows = cm.compare_strategies(instance, strategies, evaluations)
+    text = cm.comparison_csv(rows)
     sys.stdout.write(text)
     if args.out:
         _save("--out", args.out, text)

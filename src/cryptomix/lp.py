@@ -12,7 +12,8 @@ feasibility checks. Only an optimum comes back: every other outcome
 raises NotOptimal, or its subclass InfeasibleDefender. solve_lp reads it
 into a full LpSolution: point, objective, binding labels, duals and
 bound marginals. _optimal_point reads only the point and objective, for
-callers that need nothing else.
+callers that need nothing else. Both sum the objective over the point
+by model._weighted_sum, so an optimum is bitwise its point's value.
 
 The layer loads only scipy's HiGHS extension module
 (scipy.optimize._highspy._core), at the first LP, from scipy's package
@@ -37,6 +38,7 @@ from typing import Any, NamedTuple, Optional
 import numpy as np
 
 from .errors import InfeasibleDefender, NotOptimal
+from .model import _weighted_sum
 
 FEAS_EPS = 1e-7
 BIND_EPS = 1e-7
@@ -215,10 +217,9 @@ class _Form(NamedTuple):
     objective is not part of it (_cost, set on model per run), so one form
     serves every program over the same constraints and bounds.
     labels names the constraints in program order; rows[k] is the row of
-    constraint k and sign[k] is -1.0 where that row was negated. floor and
-    ceiling hold what _feasible allows of x followed by rhs - matrix @ x:
-    the bounds widened by _CHECK_TOL, a <= row's slack down to -_CHECK_TOL
-    and an = row's within _CHECK_TOL of 0."""
+    constraint k and sign[k] is -1.0 where that row was negated. magnitude
+    is |matrix|, for _row_sizes. floor and ceiling are the bounds widened
+    by _CHECK_TOL, what _feasible allows of x."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -226,6 +227,7 @@ class _Form(NamedTuple):
     labels: tuple[str, ...]
     rows: np.ndarray
     sign: np.ndarray
+    magnitude: np.ndarray
     floor: np.ndarray
     ceiling: np.ndarray
     model: Any  # HighsLp
@@ -267,11 +269,10 @@ def _prebuilt(constraints, bounds, negative_zeros) -> _Form:
     upper[np.isnan(upper)] = np.inf
     row_of = np.array(sorted(range(len(order)), key=order.__getitem__), dtype=np.intp)
     sign = np.array([-1.0 if con.relation == ">=" else 1.0 for con in constraints])
-    floor = np.concatenate((lower - _CHECK_TOL, np.full(len(rows), -_CHECK_TOL)))
-    slack_cap = np.full(len(rows), _CHECK_TOL)
-    slack_cap[:n_ub] = np.inf
-    ceiling = np.concatenate((upper + _CHECK_TOL, slack_cap))
-    for array in (matrix, rhs, row_of, sign, floor, ceiling):
+    magnitude = np.abs(matrix)
+    floor = lower - _CHECK_TOL
+    ceiling = upper + _CHECK_TOL
+    for array in (matrix, rhs, row_of, sign, magnitude, floor, ceiling):
         array.setflags(write=False)
     model = core.HighsLp()
     model.num_col_ = n
@@ -288,7 +289,7 @@ def _prebuilt(constraints, bounds, negative_zeros) -> _Form:
     model.a_matrix_.index_ = row
     model.a_matrix_.value_ = matrix.T[col, row]
     labels = tuple(con.label for con in constraints)
-    return _Form(matrix, rhs, n_ub, labels, row_of, sign, floor, ceiling, model)
+    return _Form(matrix, rhs, n_ub, labels, row_of, sign, magnitude, floor, ceiling, model)
 
 
 # the constraint set, bounds and variable count last served, then their
@@ -368,23 +369,35 @@ def linprog(model) -> _Run:
     )
 
 
-def _feasible(form: _Form, run: _Run) -> bool:
-    """scipy's _check_result for an optimal run: no NaN, and x within its
-    bounds and rows up to _CHECK_TOL, in one comparison of x and the
-    slack rhs - matrix @ x against form.floor and form.ceiling (a NaN
-    fails every comparison)."""
-    point = np.concatenate((run.x, form.rhs - form.matrix @ run.x))
-    return not math.isnan(run.fun) and bool(
-        ((point >= form.floor) & (point <= form.ceiling)).all()
+def _row_sizes(form: _Form, x: np.ndarray) -> np.ndarray:
+    """Each row's size at x, min(1, max(|rhs_k|, sum_j |a_kj x_j|)): the
+    scale of _feasible's and _binding's row tolerances, so that a row in
+    small units is held to its own size, and a row of size 1 to the
+    absolute rule. NaN where x holds a NaN."""
+    return np.minimum(1.0, np.maximum(np.abs(form.rhs), form.magnitude @ np.abs(x)))
+
+
+def _feasible(form: _Form, run: _Run, size: np.ndarray) -> bool:
+    """scipy's _check_result for an optimal run, with rows relative to
+    their size (_row_sizes): no NaN, x within its bounds up to _CHECK_TOL,
+    and each row's slack rhs - matrix @ x at least -_CHECK_TOL * size,
+    and on an = row at most that (a NaN fails every comparison)."""
+    slack = form.rhs - form.matrix @ run.x
+    tol = _CHECK_TOL * size
+    return (
+        not math.isnan(run.fun)
+        and bool(((run.x >= form.floor) & (run.x <= form.ceiling)).all())
+        and bool((slack >= -tol).all())
+        and bool((slack[form.n_ub :] <= tol[form.n_ub :]).all())
     )
 
 
-def _binding(form: _Form, x: np.ndarray) -> tuple[str, ...]:
+def _binding(form: _Form, x: np.ndarray, size: np.ndarray) -> tuple[str, ...]:
     """Sorted labels of the constraints active at x: every equality, and
-    each inequality within a relative tolerance BIND_EPS * (1 + |rhs|). A
-    negated >= row has the activity and rhs of its row negated, so the
-    same distance."""
-    near = np.abs(form.matrix @ x - form.rhs) <= BIND_EPS * (1.0 + np.abs(form.rhs))
+    each inequality within BIND_EPS * (size + |rhs|), size from
+    _row_sizes. A negated >= row has the activity and rhs of its row
+    negated, so the same distance."""
+    near = np.abs(form.matrix @ x - form.rhs) <= BIND_EPS * (size + np.abs(form.rhs))
     near[form.n_ub :] = True
     hits = near[form.rows].tolist()
     return tuple(sorted({label for label, hit in zip(form.labels, hits) if hit}))
@@ -396,9 +409,10 @@ def _binding(form: _Form, x: np.ndarray) -> tuple[str, ...]:
 _LARGE_COST = 2.0**30
 
 
-def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run]:
+def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run, np.ndarray]:
     """The one solve path of every LP: the cost on the cached model, one
-    cold run under _LOCK, and solve_lp's outcomes; returns only optima.
+    cold run under _LOCK, and solve_lp's outcomes; returns only optima,
+    with their row sizes (_row_sizes).
     A cost whose largest |entry| reaches _LARGE_COST goes to HiGHS scaled
     by the power of two that brings that entry into [0.5, 1): an exact
     scaling, so HiGHS solves the same program in other units, and
@@ -424,18 +438,21 @@ def _optimum(lp: LinearProgram, context: str) -> tuple[_Form, _Run]:
         raise NotOptimal(f"{context} ended with status 'unbounded'")
     if run.status != core.HighsModelStatus.kOptimal:
         raise RuntimeError(f"LP solver failed: model status {run.status.name}")
-    if not _feasible(form, run):
+    size = _row_sizes(form, run.x)
+    if not _feasible(form, run, size):
         raise RuntimeError(
-            f"LP solver failed: its optimal point breaks a bound or row by more than {_CHECK_TOL:.2E}"
+            f"LP solver failed: its optimal point breaks a bound or row by more than"
+            f" {_CHECK_TOL:.2E}, times the row's size (at most 1) for a row"
         )
-    return form, run._replace(unscale=math.ldexp(1.0, shift)) if shift else run
+    return form, run._replace(unscale=math.ldexp(1.0, shift)) if shift else run, size
 
 
 def _optimal_point(lp: LinearProgram, context: str) -> tuple[tuple[float, ...], float]:
     """solve_lp's values and objective_value alone, for callers that read
     no duals, binding labels or bound marginals."""
-    _, run = _optimum(lp, context)
-    return tuple(run.x.tolist()), float(np.dot(lp.objective, run.x))
+    _, run, _ = _optimum(lp, context)
+    values = tuple(run.x.tolist())
+    return values, _weighted_sum(lp.objective, values)
 
 
 def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
@@ -450,16 +467,19 @@ def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
     that HiGHS rejects as a model error, raises InfeasibleDefender (each
     with its own message), and an unbounded one NotOptimal, all naming
     `context` (such as "scenario k=20: breach LP"). Any other solver
-    failure, and an optimal point that breaks a bound or row, which scipy
-    reports as failed, raise RuntimeError. Safe to call from several
+    failure raises RuntimeError, and so does an optimal point that breaks
+    a bound, or a row by more than scipy's tolerance times the row's size
+    (_feasible): scipy holds every row to an absolute tolerance, which in
+    small units passes a point well over a cap. Safe to call from several
     threads; the solves themselves run one at a time.
 
+    objective_value is model._weighted_sum of lp.objective and values.
     Duals are reported in canonical min form regardless of lp.sense, so a
     binding <= constraint always has a nonpositive multiplier effect on
     the minimized objective.
     """
     core, _ = _highs()
-    form, run = _optimum(lp, context)
+    form, run, size = _optimum(lp, context)
     # >= rows were negated on the way in; their duals are flipped back,
     # and a cost that _optimum scaled down is scaled back
     duals = (np.array(run.solution.row_dual)[form.rows] * form.sign * run.unscale).tolist()
@@ -468,10 +488,11 @@ def solve_lp(lp: LinearProgram, context: str = "LP") -> LpSolution:
     col_status = np.array([int(status) for status in run.basis.col_status])
     at_lower = col_status == int(core.HighsBasisStatus.kLower)
     at_upper = col_status == int(core.HighsBasisStatus.kUpper)
+    values = tuple(run.x.tolist())
     return LpSolution(
-        values=tuple(run.x.tolist()),
-        objective_value=float(np.dot(lp.objective, run.x)),
-        binding=_binding(form, run.x),
+        values=values,
+        objective_value=_weighted_sum(lp.objective, values),
+        binding=_binding(form, run.x, size),
         duals=dict(zip(form.labels, duals)),
         reduced_lower=tuple(np.where(at_lower, col_dual, 0.0).tolist()),
         reduced_upper=tuple(np.where(at_upper, col_dual, 0.0).tolist()),

@@ -428,6 +428,26 @@ def test_a_highs_model_error_is_not_reported_as_an_empty_polytope(tmp_path, caps
     assert captured.err == "error: defender LP not solved: HiGHS reports a model error\n"
 
 
+@pytest.mark.parametrize("e", [-10, -11, -12])
+def test_a_point_over_a_cap_in_small_units_is_an_internal_error(tmp_path, capsys, e):
+    # latency in units of 10^e, with its cap binding at t_max 150: HiGHS
+    # drops coefficients below 1e-9 and answers 1.6% or 38% over the cap,
+    # which an absolute row tolerance of 3.16e-4 let through at exit 0
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    for alg in payload["algorithms"]:
+        alg["latency"] *= 10.0**e
+    payload["budgets"]["t_max"] = 150 * 10.0**e
+    payload["weights"]["g_tau"] /= 10.0**e
+    scenario = tmp_path / "small_latency.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    assert run_cli(["solve-defender", "--scenario", str(scenario)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "internal error: LP solver failed: its optimal point breaks a bound or row"
+    )
+
+
 def scenario_of_value(tmp_path, value):
     """The bundled scenario with every protected_value at value."""
     payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
@@ -628,8 +648,9 @@ def test_solver_fault_is_internal_error(monkeypatch, capsys, error):
     def broken_solver(instance):
         raise error("solver bug")
 
-    # the subcommand imports its layer when it runs, so it finds the patch
-    monkeypatch.setattr("cryptomix.defender.solve_stackelberg", broken_solver)
+    # the subcommand reads its solver from the package when it runs, so it
+    # finds the patch
+    monkeypatch.setattr("cryptomix.solve_stackelberg", broken_solver)
     assert run_cli(["solve-defender"]) == 3
     assert "internal error" in capsys.readouterr().err
 
@@ -639,6 +660,6 @@ def test_attacker_fault_is_internal_error(monkeypatch, capsys, error):
     def broken_solver(algorithm, params, config):
         raise error("solver bug")
 
-    monkeypatch.setattr("cryptomix.attacker.solve_dp", broken_solver)
+    monkeypatch.setattr("cryptomix.solve_dp", broken_solver)
     assert run_cli(["solve-attacker", "--algorithm", "aes256-gcm", "--solver", "dp"]) == 3
     assert "internal error" in capsys.readouterr().err

@@ -41,6 +41,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
+from cryptomix.model import _weighted_sum
 from helpers import distinct_scenario_rows, random_feasible_instance, run_python
 
 
@@ -90,6 +91,22 @@ def test_equality_and_ge_relations():
     sol = solve_lp(lp)
     assert sol.objective_value == pytest.approx(2.0)
     assert "sum" in sol.binding
+
+
+def test_binding_is_relative_to_a_small_row():
+    # at (1, 0) the small row holds 2e-12 against 3e-12, a third below its
+    # cap, though within BIND_EPS * (1 + |rhs|) of it
+    lp = LinearProgram(
+        sense="max",
+        objective=(1.0, 0.5),
+        constraints=(
+            Constraint((1.0, 1.0), "=", 1.0, "simplex"),
+            Constraint((2e-12, 1e-12), "<=", 3e-12, "small"),
+        ),
+    )
+    sol = solve_lp(lp)
+    assert sol.values == (1.0, 0.0)
+    assert sol.binding == ("simplex",)
 
 
 def test_dual_certificate_small_residual():
@@ -331,7 +348,7 @@ def assert_equals_scipy(lp):
     if ref.status != 0:
         return
     assert bitwise(sol.values) == bitwise(ref.x)
-    assert sol.objective_value == float(np.dot(lp.objective, ref.x))
+    assert sol.objective_value == _weighted_sum(lp.objective, ref.x)
     ineq, eq = iter(ref.ineqlin.marginals), iter(ref.eqlin.marginals)
     want = {}
     for con in lp.constraints:

@@ -25,6 +25,7 @@ from cryptomix import (
     solve_stackelberg,
     solve_unconstrained_case,
 )
+from cryptomix.model import _weighted_sum
 from helpers import (
     distinct_scenario_rows,
     identical_methods,
@@ -305,9 +306,25 @@ def test_regret_matrix_diagonal_zero(instance, table):
     assert mat.col_labels[-1] == "max"
     for s, k in enumerate(table.budgets):
         row = mat.row(f"Opt(k={k:g})")
-        assert abs(row[s]) <= 1e-6
+        # optima[s] is summed over optimal_strategies[s] by the same loop
+        # as a regret cell, so an optimum has no regret at its own budget
+        assert row[s] == 0.0
         assert all(v >= -1e-6 for v in row)
         assert row[-1] == pytest.approx(max(row[:-1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000))
+def test_optima_and_objectives_are_the_strategy_sums_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    instance = random_feasible_instance(rng)
+    budgets = tuple(sorted({float(k) for k in rng.integers(0, 61, 3)}))
+    tbl = scenario_table(instance, ScenarioSet(budgets))
+    for opt, probs, utilities in zip(tbl.optima, tbl.optimal_strategies, tbl.utilities):
+        assert opt.hex() == _weighted_sum(probs, utilities).hex()
+    assert set(regret_matrix(instance, tbl).cells[s][s] for s in range(len(budgets))) == {0.0}
+    eq = solve_stackelberg(instance)
+    assert eq.report.objective.hex() == eq.solution.objective_value.hex()
 
 
 @pytest.mark.parametrize(
