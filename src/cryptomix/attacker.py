@@ -19,12 +19,12 @@ sets grown from prefixes dropped earlier would tie again. Rounded
 multiplication is monotone, so the DP never loses utility by this: where
 costs lie on its grid and add up exactly in floats (such as multiples of
 0.5 at the default scale), its plan has the utility and total cost of
-solve_brute_force's, but it can name other ids. At a value <= 0, with
-phi's coefficients >= 0, the empty plan is the unique best and the DP
-returns it. A value < 0 with a phi coefficient < 0 is refused by every
-solver (ValidationError): the smallest failure product at a cell is then
-the worst set there, so the DP would not be exact. Every DP table is
-filled and read in one routine, _dp_plans.
+solve_brute_force's, but it can name other ids. That ranking needs a
+value > 0, where a smaller failure product is a better set, and phi's
+coefficients >= 0: every solver takes only the attacker that scenario
+validation accepts (model._attacker_problems) and raises ValidationError
+on any other. Every DP table is filled and read in one routine,
+_dp_plans.
 Costs and budgets become cells by one rule, _grid_cells.
 
 Every solver and hybrid_plans checks its inputs in _checked and then reads
@@ -53,9 +53,8 @@ fewer sets, one of which reached it), and every other cell can only fall
 further below the best, so the DP over the rest picks the same best
 cell, and there the same set unless an exact product tie broke the other
 way over fewer candidates. tests/test_attacker.py checks the bound
-against brute force and the plans against the unreduced DP by repr. The
-reduction is skipped where the bound does not hold: a value <= 0 or a phi
-coefficient < 0. solve_dp never reduces; it is the exact oracle.
+against brute force and the plans against the unreduced DP by repr.
+solve_dp never reduces; it is the exact oracle.
 
 The bound also counts equal methods. A run is a maximal group of methods
 adjacent in id order that share the DP's factor 1.0 - s and their weight,
@@ -91,6 +90,7 @@ from .model import (
     AttackerParams,
     CostFunctionSpec,
     EncryptionAlgorithm,
+    _attacker_problems,
     failure_product,
     make_plan,
     plan_key,
@@ -292,28 +292,17 @@ def _checked(
 ) -> _Prepared:
     """The one input check of every solver and of hybrid_plans; returns the
     algorithm's record on config's grid (_prepared). Each budget is checked
-    first, written so that a NaN fails too (BudgetNegative), then the value
-    and phi's coefficients, a NaN or infinite one of which would rank every
-    plan by nan, then the costs and successes, once per record (_prepare).
-    Last, a value < 0 with a phi coefficient < 0 is refused
-    (ValidationError), where the DP is not exact, so that every solver
-    refuses it alike."""
+    first, written so that a NaN fails too (BudgetNegative), then the
+    attacker by scenario validation's rule (model._attacker_problems),
+    every violation in one ValidationError worded as validate_instance
+    words it, then the costs and successes, once per record (_prepare)."""
     for budget in budgets:
         if not budget >= 0:
             raise BudgetNegative(f"budget {budget} is {'negative' if budget < 0 else 'not a number'}")
-    spec = params.cost_fn
-    coeffs = (
-        ("cost_fn.linear_coeff", spec.linear_coeff),
-        ("cost_fn.quadratic_coeff", spec.quadratic_coeff),
-    )
-    for field, number in (("value", params.value),) + coeffs:
-        if not math.isfinite(number):
-            raise ValidationError(f"attacker {field} {number} is not finite")
-    record = _prepared(algorithm, config)
-    for field, number in coeffs:
-        if params.value < 0 and number < 0:
-            raise ValidationError(f"attacker value {params.value} < 0 with {field} {number} < 0")
-    return record
+    problems = _attacker_problems(params)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return _prepared(algorithm, config)
 
 
 def _fits(n_methods: int, cells: float, config: SolverConfig) -> bool:
@@ -373,16 +362,13 @@ def _dp_plans(
 ) -> list[AttackPlan]:
     """The DP's best plan at each budget of budget_cells cells, over
     methods in id order, for the value and cost function in params
-    (params.budget is not read). Where _empty_best holds that is the empty
-    plan, without a table. Otherwise one table is filled up to the largest
+    (params.budget is not read). One table is filled up to the largest
     budget, the utility value * (1 - minfail[c]) - phi(c / scale) is
     computed once for every cell, and a budget's answer is the first cell
     of highest utility among the cells it covers, then the methods taken on
     the parent-pointer walk down from that cell."""
-    if _empty_best(params):
-        return [make_plan((), params)] * len(budget_cells)
     minfail, take = _fill_table(methods, weights, max(budget_cells) + 1)
-    # unreachable cells (minfail = inf) are -inf, whatever the value's sign
+    # unreachable cells (minfail = inf) are -inf
     reachable = np.flatnonzero(minfail < np.inf)
     utility = np.full(minfail.size, -np.inf)
     utility[reachable] = params.value * (1.0 - minfail[reachable]) - _penalty(
@@ -425,15 +411,6 @@ def solve_dp(
     return _dp_plans(
         record.methods, record.weights, params, (cells,), float(config.cost_scale)
     )[0]
-
-
-def _empty_best(params: AttackerParams) -> bool:
-    """At a value <= 0, with phi's coefficients >= 0, no method adds utility
-    and none costs less than nothing: the empty plan is the unique best at
-    every budget, and _dp_plans' ranking does not apply (the smallest
-    failure product at a cell is then the worst set there, not the best)."""
-    spec = params.cost_fn
-    return params.value <= 0 and spec.linear_coeff >= 0 and spec.quadratic_coeff >= 0
 
 
 def _coins(rng_seed: int, coins: Optional[Iterable[float]]) -> Iterator[float]:
@@ -575,14 +552,14 @@ def _forced_bounds(
     params: AttackerParams,
     budget_cells: Sequence[int],
     scale: float,
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(bound, known, margin) for the DP objective value * (1 - failure
     product) - phi(cells / scale) at each budget of budget_cells cells,
     over the frontier of _bound_frontier: bound[b, i] is at least the
     objective of every set that holds method i and fits budget b's cells
     (-inf if none does), known[b] is the objective of a set that fits them,
-    and margin[b] covers the float error of both. None where the bound does
-    not hold: a value <= 0 or a phi coefficient < 0.
+    and margin[b] covers the float error of both. The bound holds for the
+    attacker that _checked passes: a value > 0 and phi coefficients >= 0.
 
     A set of w cells and mass A = sum a_i has the objective G(w, A) =
     value * (1 - exp(-A)) - phi(w / scale), concave in (w, A). The
@@ -603,8 +580,6 @@ def _forced_bounds(
     """
     value, spec = params.value, params.cost_fn
     alpha, beta = spec.linear_coeff, spec.quadratic_coeff
-    if not (value > 0 and alpha >= 0 and beta >= 0):
-        return None
     cells, cells_at, mass_at, slope = front.cells, front.cells_at, front.mass_at, front.slope
     with np.errstate(all="ignore"):
         # phi(c / scale) = c * (linear + quadratic * c)
@@ -745,13 +720,9 @@ def hybrid_plans(
     plans: dict[int, AttackPlan] = {}
     if tabled:
         limits = [c for c, _ in tabled]
-        bounds = _forced_bounds(record.frontier, params, limits, scale)
-        if bounds is None:
-            kept = np.ones((len(limits), len(methods)), dtype=bool)
-        else:
-            bound, known, margin = bounds
-            # written so that a nan bound keeps its method
-            kept = ~(bound < (known - margin)[:, None])
+        bound, known, margin = _forced_bounds(record.frontier, params, limits, scale)
+        # written so that a nan bound keeps its method
+        kept = ~(bound < (known - margin)[:, None])
         counts = kept.sum(axis=1).tolist()
         routed = [row for row, n in enumerate(counts) if _fits(n, limits[row], config)]
         groups = [([row], kept[row]) for row in routed]

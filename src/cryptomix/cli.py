@@ -195,14 +195,6 @@ def cmd_solve_defender(args) -> int:
 
 
 def cmd_solve_robust(args) -> int:
-    out_dir = Path(args.out_dir)
-    if args.matrices:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise OutputPathError(
-                f"--out-dir: cannot create {out_dir}: {exc.strerror or exc}"
-            ) from None
     instance, file_scenarios = load_scenario(args.scenario)
     if args.budgets:
         try:
@@ -213,6 +205,16 @@ def cmd_solve_robust(args) -> int:
         scenarios = file_scenarios
     else:
         raise ValidationError("no scenario budgets: pass --budgets or add scenario_budgets")
+    # made once the input is read, so that rejected input leaves no
+    # directory behind, and before any solve
+    out_dir = Path(args.out_dir)
+    if args.matrices:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise OutputPathError(
+                f"--out-dir: cannot create {out_dir}: {exc.strerror or exc}"
+            ) from None
     table = cm.scenario_table(instance, scenarios)
     payload: dict = {
         "budgets": list(table.budgets),

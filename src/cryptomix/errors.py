@@ -33,10 +33,10 @@ class ParseError(CryptomixError):
 
 class ValidationError(CryptomixError):
     """Input violates the model's invariants: a scenario file that parsed
-    but fails validate_instance; an attacker value or phi coefficient that
-    is not finite, a method cost that is not >= 0, or a value < 0 with a
-    phi coefficient < 0, passed straight to an attacker solver; or a
-    SolverConfig field out of its range."""
+    but fails validate_instance; an attacker that fails its rule (a finite
+    value > 0, finite phi coefficients >= 0) or a method cost that is not
+    >= 0, passed straight to an attacker solver; or a SolverConfig field
+    out of its range."""
 
 
 class OutputPathError(CryptomixError):

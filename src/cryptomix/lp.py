@@ -138,6 +138,7 @@ def _scipy_dirs():
     __init__: the loaded package's __path__ if scipy is imported, else
     its import spec's search locations; none if scipy is not found."""
     scipy = sys.modules.get("scipy")
+    # read first: __path__ can be rebound apart from __spec__'s locations
     if scipy is not None:
         return scipy.__path__
     spec = importlib.util.find_spec("scipy")

@@ -64,7 +64,11 @@ class CostFunctionSpec:
 
 @dataclass(frozen=True)
 class AttackerParams:
-    """Value of a successful breach, total budget, and cost penalty."""
+    """Value of a successful breach, total budget, and cost penalty. A
+    valid attacker has a finite value > 0 and finite phi coefficients
+    >= 0 (_attacker_problems), the domain where phi is convex and
+    nondecreasing and the attacker's DP and bound are exact; scenario
+    validation and every attacker solver apply that one rule."""
 
     value: float
     budget: float
@@ -285,13 +289,25 @@ def _within(name: str, value: float, interval: str) -> list[str]:
     return [] if above and below else [f"{name} out of {interval}: {value}"]
 
 
+def _attacker_problems(params: AttackerParams) -> list[str]:
+    """The one rule for a valid attacker, applied by validate_instance and
+    by every attacker solver: a finite value > 0 and finite phi
+    coefficients >= 0, each worded by _sign. [] where params pass."""
+    problems = _sign("attacker value", params.value, "> 0")
+    for name in ("linear_coeff", "quadratic_coeff"):
+        coeff = getattr(params.cost_fn, name)
+        problems += _sign(f"attacker cost_fn.{name}", coeff, ">= 0")
+    return problems
+
+
 def validate_instance(instance: GameInstance) -> ValidationReport:
     """Report-style validation of one scenario; never raises. Every sign
     and range rule goes through _sign or _within, so a NaN fails it with
     the message a bad finite number gets. A defender cost,
-    protected_value, cap or weight or the attacker value that passes its
-    rule at +inf is flagged as not finite, as the LPs cannot hold it; an
-    infinite attack cost or budget stays legal."""
+    protected_value, cap or weight that passes its rule at +inf is flagged
+    as not finite, as the LPs cannot hold it, and so is an attacker value
+    or phi coefficient (_attacker_problems); an infinite attack cost or
+    budget stays legal."""
     problems: list[str] = []
     if not instance.algorithms:
         problems.append("scenario has no algorithms")
@@ -319,9 +335,6 @@ def validate_instance(instance: GameInstance) -> ValidationReport:
     problems += _within("r_min", b.r_min, "[0,1]")
     for name in [cost.weight for cost in COSTS] + ["g_r"]:
         problems += _sign(name, getattr(instance.weights, name), ">= 0")
-    a = instance.attacker
-    problems += _sign("attacker value", a.value, "> 0")
-    problems += _sign("attacker budget", a.budget, ">= 0", finite=False)
-    if not (a.cost_fn.linear_coeff >= 0 and a.cost_fn.quadratic_coeff >= 0):
-        problems.append("cost function coefficients must be >= 0")
+    problems += _attacker_problems(instance.attacker)
+    problems += _sign("attacker budget", instance.attacker.budget, ">= 0", finite=False)
     return ValidationReport(ok=not problems, violations=tuple(problems))

@@ -58,32 +58,39 @@ def test_dp_empty_method_list():
 
 @pytest.mark.parametrize("value", [0.0, -5.0])
 def test_dp_and_hybrid_at_a_nonpositive_value_equal_brute_force(instance, value):
-    # the unreachable cells of the table must stay at -inf: value * (1 - inf)
-    # is nan at value 0 and +inf below it
+    # the DP's ranking needs a value > 0, and every solver refuses any
+    # other alike, with scenario validation's words
     alg = next(a for a in instance.algorithms if a.id == "aes256-gcm")
     params = AttackerParams(value=value, budget=40.0)
-    want = repr(solve_brute_force(alg, params))
-    assert repr(solve_dp(alg, params)) == want
-    assert repr(solve_hybrid(alg, params).plan) == want
+    refused = f"^attacker value must be > 0, got {value}$"
+    with pytest.raises(ValidationError, match=refused) as raised:
+        solve_brute_force(alg, params)
+    for solve in (solve_dp, solve_hybrid):
+        with pytest.raises(ValidationError, match=f"^{raised.value}$"):
+            solve(alg, params)
 
 
 @pytest.mark.parametrize("value", [0.0, -5.0])
 def test_a_free_method_at_a_nonpositive_value_is_left_out(value):
     # the smallest failure product per cell is the worst set when the
-    # value is <= 0: the DP took the free method at utility -2.5 (value -5)
-    # or tied brute force's empty plan on ids (value 0)
+    # value is <= 0: unchecked, the DP took the free method at utility
+    # -2.5 (value -5). Every solver refuses such a value, so no plan holds
+    # the free method there, and at a value > 0 every solver takes it
     alg = bare_algorithm((AttackMethod("free", 0.5, 0.0), AttackMethod("paid", 0.5, 5.0)))
     params = AttackerParams(value=value, budget=10.0)
-    want = repr(solve_brute_force(alg, params))
-    assert repr(solve_dp(alg, params)) == want
-    assert repr(solve_hybrid(alg, params).plan) == want
+    for solve in (solve_dp, solve_sample_greedy, solve_brute_force):
+        with pytest.raises(ValidationError, match="^attacker value must be > 0, got "):
+            solve(alg, params)
+        assert "free" in solve(alg, replace(params, value=5.0)).methods
+    with pytest.raises(ValidationError, match="^attacker value must be > 0, got "):
+        solve_hybrid(alg, params)
 
 
 @pytest.mark.parametrize("value", [0.0, -5.0])
 def test_a_nonpositive_value_fills_no_table(monkeypatch, instance, value):
-    """_dp_plans answers the empty plan at such a value without a table,
-    so neither solve_dp nor hybrid_plans fills one; the budget and
-    table-size errors stay."""
+    """Such a value is refused (ValidationError) before any table is
+    filled, by solve_dp and by hybrid_plans; a budget that is not >= 0 is
+    still named first, and the table-size guard comes after the value."""
 
     def fail(*args):
         raise AssertionError("a DP table was filled")
@@ -91,15 +98,16 @@ def test_a_nonpositive_value_fills_no_table(monkeypatch, instance, value):
     monkeypatch.setattr(cryptomix.attacker, "_fill_table", fail)
     alg = next(a for a in instance.algorithms if a.id == "aes256-gcm")
     params = AttackerParams(value=value, budget=40.0)
-    empty = repr(make_plan((), params))
-    assert repr(solve_dp(alg, params)) == empty
-    results = hybrid_plans(alg, params, (0.0, 12.5, 40.0))
-    assert [(repr(r.plan), r.solver) for r in results] == [(empty, "dp")] * 3
+    refused = f"^attacker value must be > 0, got {value}$"
+    with pytest.raises(ValidationError, match=refused):
+        solve_dp(alg, params)
+    with pytest.raises(ValidationError, match=refused):
+        hybrid_plans(alg, params, (0.0, 12.5, 40.0))
     with pytest.raises(BudgetNegative):
         solve_dp(alg, replace(params, budget=-1.0))
     with pytest.raises(BudgetNegative):
         hybrid_plans(alg, params, (5.0, -1.0))
-    with pytest.raises(TableTooLarge):
+    with pytest.raises(ValidationError, match=refused):
         solve_dp(alg, params, SolverConfig(max_table_cells=100))
 
 
@@ -144,20 +152,26 @@ def test_every_solver_rejects_a_nan_budget(instance, solve):
 
 @EVERY_SOLVER
 @pytest.mark.parametrize(
-    "params, field",
+    "params, message",
     [
-        (AttackerParams(math.nan, 40.0), "value"),
-        (AttackerParams(math.inf, 40.0), "value"),
-        (AttackerParams(300.0, 40.0, CostFunctionSpec(math.nan, 0.0)), "cost_fn.linear_coeff"),
-        (AttackerParams(300.0, 40.0, CostFunctionSpec(1.0, -math.inf)), "cost_fn.quadratic_coeff"),
+        (AttackerParams(math.nan, 40.0), "value must be > 0, got nan"),
+        (AttackerParams(math.inf, 40.0), "value must be finite, got inf"),
+        (
+            AttackerParams(300.0, 40.0, CostFunctionSpec(math.nan, 0.0)),
+            "cost_fn.linear_coeff must be >= 0, got nan",
+        ),
+        (
+            AttackerParams(300.0, 40.0, CostFunctionSpec(1.0, -math.inf)),
+            "cost_fn.quadratic_coeff must be >= 0, got -inf",
+        ),
     ],
     ids=["value-nan", "value-inf", "linear-nan", "quadratic-inf"],
 )
-def test_every_solver_rejects_a_non_finite_parameter(instance, solve, params, field):
+def test_every_solver_rejects_a_non_finite_parameter(instance, solve, params, message):
     # a nan or infinite value or phi coefficient would rank every plan by
     # nan and hand back the empty plan at utility nan
     alg = instance.algorithm("rsa-2048")
-    with pytest.raises(ValidationError, match=f"^attacker {field} -?(nan|inf) is not finite$"):
+    with pytest.raises(ValidationError, match=f"^attacker {message}$"):
         solve(alg, params)
 
 
@@ -179,7 +193,7 @@ def test_every_solver_rejects_a_cost_below_zero(instance, solve, cost):
     # the budget is checked first, then the value, then the costs
     with pytest.raises(BudgetNegative):
         solve(alg, replace(params, budget=-1.0))
-    with pytest.raises(ValidationError, match="^attacker value nan is not finite$"):
+    with pytest.raises(ValidationError, match="^attacker value must be > 0, got nan$"):
         solve(alg, replace(params, value=math.nan))
 
 
@@ -187,8 +201,8 @@ def test_every_solver_rejects_a_cost_below_zero(instance, solve, cost):
 @pytest.mark.parametrize(
     "spec, field",
     [
-        (CostFunctionSpec(-5.0, 0.0), "cost_fn.linear_coeff -5.0"),
-        (CostFunctionSpec(1.0, -0.5), "cost_fn.quadratic_coeff -0.5"),
+        (CostFunctionSpec(-5.0, 0.0), "cost_fn.linear_coeff must be >= 0, got -5.0"),
+        (CostFunctionSpec(1.0, -0.5), "cost_fn.quadratic_coeff must be >= 0, got -0.5"),
     ],
     ids=["linear", "quadratic"],
 )
@@ -200,11 +214,46 @@ def test_every_solver_rejects_a_negative_value_with_a_negative_phi(solve, spec, 
         (AttackMethod("a", 0.9, 1.0), AttackMethod("b", 0.1, 1.0), AttackMethod("c", 0.5, 2.0))
     )
     params = AttackerParams(value=-10.0, budget=2.0, cost_fn=spec)
-    with pytest.raises(ValidationError, match=f"^attacker value -10.0 < 0 with {field} < 0$"):
+    value = "attacker value must be > 0, got -10.0"
+    with pytest.raises(ValidationError, match=f"^{value}; attacker {field}$"):
         solve(alg, params)
-    # either sign alone is still answered
-    for legal in (replace(params, value=10.0), replace(params, cost_fn=CostFunctionSpec())):
-        assert solve(alg, legal) is not None
+    # either sign alone is refused too, by its own message
+    with pytest.raises(ValidationError, match=f"^attacker {field}$"):
+        solve(alg, replace(params, value=10.0))
+    with pytest.raises(ValidationError, match=f"^{value}$"):
+        solve(alg, replace(params, cost_fn=CostFunctionSpec()))
+    assert solve(alg, replace(params, value=10.0, cost_fn=CostFunctionSpec())) is not None
+
+
+ATTACKER_NUMBERS = [math.nan, -math.inf, -1.0, -0.0, 0.0, math.inf]
+
+
+@pytest.mark.parametrize("number", ATTACKER_NUMBERS, ids=repr)
+@pytest.mark.parametrize("field", ["value", "linear_coeff", "quadratic_coeff"])
+def test_validation_and_every_solver_agree_on_the_attacker(instance, field, number):
+    # one rule (model._attacker_problems): validate_instance flags the
+    # attacker exactly where every solver raises ValidationError, and the
+    # solvers' message joins validation's violations
+    if field == "value":
+        params = replace(instance.attacker, value=number)
+    else:
+        cost_fn = replace(instance.attacker.cost_fn, **{field: number})
+        params = replace(instance.attacker, cost_fn=cost_fn)
+    violations = validate_instance(replace(instance, attacker=params)).violations
+    alg = instance.algorithm("aes256-gcm")
+    for solve in (
+        solve_dp,
+        solve_sample_greedy,
+        solve_hybrid,
+        solve_brute_force,
+        lambda alg, params: hybrid_plans(alg, params, (params.budget,)),
+    ):
+        if violations:
+            with pytest.raises(ValidationError) as raised:
+                solve(alg, params)
+            assert str(raised.value) == "; ".join(violations)
+        else:
+            assert solve(alg, params) is not None
 
 
 @pytest.mark.parametrize(
@@ -1030,7 +1079,7 @@ def test_forced_bound_covers_every_plan_holding_the_method(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(reduction_subgames(st.one_of(st.floats(1.0, 500.0), st.sampled_from([0.0, -5.0]))))
+@given(reduction_subgames())
 def test_hybrid_plans_equal_the_unreduced_dp(case):
     # every budget the unreduced table fits goes to the DP, and every DP
     # answer is the unreduced DP's plan, by repr

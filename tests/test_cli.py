@@ -207,6 +207,24 @@ def test_unwritable_matrix_file_exits_1(tmp_path, capsys):
     assert err.startswith(f"error: --out-dir: cannot write {tmp_path / 'regret_matrix.csv'}: ")
 
 
+@pytest.mark.parametrize("case", ["no-algorithms", "negative-budget"])
+def test_rejected_input_leaves_no_output_directory(tmp_path, capsys, case):
+    # the scenario and --budgets are read before --out-dir is made
+    payload = json.loads(bundled_scenario_path().read_text(encoding="utf-8"))
+    budgets = "5,-1"
+    if case == "no-algorithms":
+        del payload["algorithms"]
+        budgets = "11,15"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(payload), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    argv = ["solve-robust", "--scenario", str(scenario), "--budgets", budgets]
+    assert run_cli([*argv, "--matrices", "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out_dir.exists()
+
+
 def test_infeasible_scenario_exit_code(tmp_path, capsys, instance):
     path = tmp_path / "tight.json"
     tight = replace(instance, budgets=replace(instance.budgets, r_min=0.9))

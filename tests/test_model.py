@@ -258,8 +258,10 @@ BAD_NUMBERS = [
     ],
     ("attacker", "value", 0.0, "attacker value must be > 0, got {v}"),
     ("attacker", "budget", -1.0, "attacker budget must be >= 0, got {v}"),
-    ("cost_fn", "linear_coeff", -1.0, "cost function coefficients must be >= 0"),
-    ("cost_fn", "quadratic_coeff", -1.0, "cost function coefficients must be >= 0"),
+    *[
+        ("cost_fn", coeff, -1.0, "attacker cost_fn." + coeff + " must be >= 0, got {v}")
+        for coeff in ("linear_coeff", "quadratic_coeff")
+    ],
 ]
 
 
@@ -290,6 +292,10 @@ INFINITE_NUMBERS = [
         for weight in ("g_op", "g_cpu", "g_mem", "g_tau", "g_r")
     ],
     ("attacker", "value", "attacker value must be finite, got inf"),
+    *[
+        ("cost_fn", coeff, "attacker cost_fn." + coeff + " must be finite, got inf")
+        for coeff in ("linear_coeff", "quadratic_coeff")
+    ],
 ]
 
 

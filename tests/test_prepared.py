@@ -83,7 +83,9 @@ def warm_cases(draw):
     alg = bare_algorithm(tuple(AttackMethod(f"m{i}", *pair) for i, pair in enumerate(specs)))
     params = [
         AttackerParams(
-            value=draw(st.one_of(st.floats(1.0, 500.0), st.sampled_from([0.0, -5.0]))),
+            # a value <= 0 is refused before any record is built
+            # (test_attacker.py's agreement test covers it)
+            value=draw(st.floats(1.0, 500.0)),
             budget=draw(st.floats(0.0, 40.0)),
             cost_fn=CostFunctionSpec(
                 draw(st.sampled_from([0.0, 1.0, 2.5])), draw(st.sampled_from([0.0, 0.05]))
@@ -154,30 +156,38 @@ def test_the_record_is_kept_like_the_polytope():
 
 @SOLVERS
 def test_an_invalid_cost_keeps_no_record_and_its_place_in_the_checks(solve):
-    # the checks run in one order: a nan budget, then the value and phi,
-    # then the costs, then the successes, then a value < 0 with a phi
-    # coefficient < 0; an invalid cost or success keeps no record
-    signs = AttackerParams(value=-10.0, budget=5.0, cost_fn=CostFunctionSpec(-1.0, 0.0))
+    # the checks run in one order: a nan budget, then the attacker's value
+    # and phi (model._attacker_problems), then the costs, then the
+    # successes; an invalid attacker, cost or success keeps no record
+    params = AttackerParams(value=10.0, budget=5.0)
+    signs = dataclasses.replace(params, value=-10.0, cost_fn=CostFunctionSpec(-1.0, 0.0))
+    refused = (
+        "^attacker value must be > 0, got -10.0; "
+        "attacker cost_fn.linear_coeff must be >= 0, got -1.0$"
+    )
     config = SolverConfig()
     for success in (1.5, -0.2, math.nan):
         alg = bare_algorithm((AttackMethod("a", 0.5, math.nan), AttackMethod("b", success, 2.0)))
         paid = dataclasses.replace(alg, attacks=(AttackMethod("a", 0.5, 1.0), alg.attacks[1]))
         for bad in (alg, paid):
             with pytest.raises(BudgetNegative, match="^budget nan is not a number$"):
-                solve(bad, dataclasses.replace(signs, budget=math.nan, value=math.inf), config)
-            with pytest.raises(ValidationError, match="^attacker value inf is not finite$"):
-                solve(bad, dataclasses.replace(signs, value=math.inf), config)
+                solve(bad, dataclasses.replace(signs, budget=math.nan), config)
+            with pytest.raises(ValidationError, match=refused):
+                solve(bad, signs, config)
         wrong = re.escape(f"target/b: success must be in [0, 1], got {success}")
         for _ in range(2):
             with pytest.raises(ValidationError, match="^target/a: cost must be >= 0, got nan$"):
-                solve(alg, signs, config)
+                solve(alg, params, config)
             assert record_of(alg) is None
             with pytest.raises(ValidationError, match=f"^{wrong}$"):
-                solve(paid, signs, config)
+                solve(paid, params, config)
             assert record_of(paid) is None
     valid = dataclasses.replace(alg, attacks=paid.attacks[:1])
-    with pytest.raises(ValidationError, match="^attacker value -10.0 < 0 with cost_fn"):
+    with pytest.raises(ValidationError, match=refused):
         solve(valid, signs, config)
+    assert record_of(valid) is None
+    solve(valid, params, config)
+    assert record_of(valid) is not None
 
 
 def test_a_session_prepares_each_algorithm_once(monkeypatch):
