@@ -79,7 +79,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -139,6 +139,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class HybridResult:
+    """One attacker answer of the dispatcher (hybrid_plans): the plan and
+    the solver that found it."""
+
     plan: AttackPlan
     solver: str  # "dp" or "greedy"
 
@@ -148,8 +151,7 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
-class _Frontier:
+class _Frontier(NamedTuple):
     """The forced-in bound's part that depends only on an algorithm and a
     grid (_bound_frontier): each method's weight and mass -log1p(-s) as
     columns, the ratio-order frontier as arrays (cells, mass) and as tuples
@@ -170,8 +172,7 @@ class _Frontier:
     fail: Optional[np.ndarray]
 
 
-@dataclass(frozen=True, eq=False)
-class _Prepared:
+class _Prepared(NamedTuple):
     """What every solver reads of one algorithm on one grid, key =
     (cost_scale, max_table_cells): its methods in id order, their cost and
     success arrays, their weights in cells (_grid_cells) and the bound's

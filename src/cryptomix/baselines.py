@@ -26,6 +26,9 @@ SINGLE_OBJECTIVES = ("min_op_cost", "min_latency", "max_resilience")
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One labeled strategy of compare_strategies and its report; csv_line
+    writes it as a row of comparison_csv."""
+
     label: str
     report: StrategyReport
 

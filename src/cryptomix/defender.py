@@ -39,6 +39,11 @@ class AlgorithmEvaluation:
 
 @dataclass(frozen=True)
 class StrategyReport:
+    """The standard summary of one mixed strategy (make_report): its
+    objective and expected breach against the attacker's responses, its
+    usage of each capped cost (model.COSTS), its support size and, where
+    an LP found it, the labels of the LP rows that bind there."""
+
     strategy: MixedStrategy
     objective: float
     usage: dict[str, float]
@@ -49,6 +54,10 @@ class StrategyReport:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """The leader's answer: the report of the optimal strategy, the
+    attacker's best response to each algorithm, and the leader LP with its
+    solution."""
+
     report: StrategyReport
     evaluations: tuple[AlgorithmEvaluation, ...]
     program: LinearProgram

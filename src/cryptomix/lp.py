@@ -48,6 +48,9 @@ _RELATIONS = ("<=", "=", ">=")
 
 @dataclass(frozen=True)
 class Constraint:
+    """One labeled row of a LinearProgram: coeffs . x relation rhs, with
+    relation one of "<=", "=" or ">="; coeffs are stored as floats."""
+
     coeffs: tuple[float, ...]
     relation: str
     rhs: float

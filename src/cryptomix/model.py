@@ -266,6 +266,9 @@ def plan_key(plan: AttackPlan) -> tuple[float, float, tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """What validate_instance found: one message per broken rule in
+    violations, and ok, True where there is none."""
+
     ok: bool
     violations: tuple[str, ...]
 

@@ -53,6 +53,10 @@ class ScenarioTable:
 
 @dataclass(frozen=True)
 class RegretReport:
+    """The minimax-regret strategy, its regret in each scenario of the
+    table (that scenario's optimum less its utility) and the LP's bound on
+    the largest of them."""
+
     strategy: MixedStrategy
     per_scenario_regret: tuple[float, ...]
     max_regret: float

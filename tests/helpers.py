@@ -29,14 +29,22 @@ from cryptomix.lp import LinearProgram, _optimal_point
 from cryptomix.robust import ScenarioTable
 
 
-def run_python(code: str, hash_seed: str = "0") -> str:
-    """Run code in a fresh interpreter that imports this checkout's
-    cryptomix, with string hashing fixed by hash_seed; return its stdout."""
+def fresh_env(hash_seed: str = "0") -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    cryptomix, with string hashing fixed by hash_seed."""
     src = str(Path(cryptomix.__file__).resolve().parents[1])
     path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+    return dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+
+
+def run_python(code: str, hash_seed: str = "0") -> str:
+    """Run code in a fresh interpreter (fresh_env); return its stdout."""
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=fresh_env(hash_seed),
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout

@@ -145,7 +145,7 @@ def test_the_record_is_kept_like_the_polytope():
     arrays = [
         value
         for holder in (record, record.frontier)
-        for value in vars(holder).values()
+        for value in holder._asdict().values()
         if isinstance(value, np.ndarray)
     ]
     assert len(arrays) == 9  # cost, success, and the frontier's seven
